@@ -42,7 +42,7 @@ from .povm import (
     scalar_completeness_residual,
     spin_subspaces,
 )
-from .quadrature import certify, ingest_pointset, product_rule, product_rule_count
+from .quadrature import _fmt, certify, ingest_pointset, product_rule, product_rule_count
 from .simulate import quadrature_averaged_score, run_game, score_by_direction
 
 EXIT_OK = 0
@@ -155,11 +155,7 @@ def cmd_construct(args) -> int:
         operator = operator_completeness_residual(povm)
     if args.out is not None:
         text = povm_to_json(povm) if args.format == "json" else povm_to_csv(povm)
-        try:
-            args.out.write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"povmquad construct: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        args.out.write_text(text, encoding="utf-8")
     print(f"n: {povm.n}")
     print(f"score_exact: {exact_score(povm)!r}")
     print(f"scalar_residual: {scalar:.3e}")
@@ -198,12 +194,7 @@ def cmd_strength(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        text = args.file.read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"povmquad simulate: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    povm = povm_from_json(text, label=args.file.name)
+    povm = povm_from_json(args.file.read_text(encoding="utf-8"), label=args.file.name)
     report = run_game(povm, args.trials, args.seed)
     if args.format == "json":
         print(report.to_json())
@@ -223,12 +214,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    try:
-        text = args.file.read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"povmquad score: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    povm = povm_from_json(text, label=args.file.name)
+    povm = povm_from_json(args.file.read_text(encoding="utf-8"), label=args.file.name)
     if args.grid is None:
         score = exact_score(povm)
         averaged = quadrature_averaged_score(povm)
@@ -240,23 +226,19 @@ def cmd_score(args) -> int:
     values = score_by_direction(povm, (grid.theta, grid.phi))
     if args.format == "json":
         rows = ",\n    ".join(
-            f'{{"theta": {t:.17g}, "phi": {p:.17g}, "score": {v:.17g}}}'
+            f'{{"theta": {_fmt(t)}, "phi": {_fmt(p)}, "score": {_fmt(v)}}}'
             for t, p, v in zip(grid.theta, grid.phi, values)
         )
         out = f'{{\n  "N": {povm.copies},\n  "scores": [\n    {rows}\n  ]\n}}\n'
     else:
         lines = ["theta,phi,score"]
         lines += [
-            f"{t:.17g},{p:.17g},{v:.17g}"
+            f"{_fmt(t)},{_fmt(p)},{_fmt(v)}"
             for t, p, v in zip(grid.theta, grid.phi, values)
         ]
         out = "\n".join(lines) + "\n"
     if args.out is not None:
-        try:
-            args.out.write_text(out, encoding="utf-8")
-        except OSError as exc:
-            print(f"povmquad score: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        args.out.write_text(out, encoding="utf-8")
     else:
         sys.stdout.write(out)
     return EXIT_OK

@@ -15,6 +15,18 @@ both scalar-wise and operator-wise (in the Dicke basis), evaluates the
 rotation-average moment identity, extends the check to every total-spin
 subspace of the full N-qubit space, and counts elements for the
 mixed-state construction.
+
+The default scalar and per-spin residuals are certified sup-norm bounds
+from the harmonic residuals r_l = max_m |sum_k lambda_k Y_l^m(Omega_k)|
+of certify. Funk-Hecke and the addition theorem expand
+((1 + t)/2)^N = sum_l f_l P_l(t) with f_l = (2l+1) N!^2/((N-l)!(N+l+1)!)
+and sum_l f_l = 1, so for every Omega, with W = sum_k lambda_k,
+
+    |sum_k c_k |<Omega_k|Omega>|^(2N) - 1|
+        <= |W/4pi - 1| + (N+1)/sqrt(4pi) * sum_{l=1..N} f_l r_l.
+
+Passing ``directions=`` (e.g. :func:`completeness_test_angles`) gives the
+sampled maximum over those probes instead.
 """
 from __future__ import annotations
 
@@ -34,11 +46,19 @@ from .errors import (
     ParseError,
     WeightError,
 )
-from .quadrature import FOUR_PI, DEFAULT_TOL, SphericalQuadrature, detect_strength
-from .sphere import Direction, angles_to_xyz, sample_uniform_angles, substream
+from .quadrature import (
+    DEFAULT_TOL,
+    FOUR_PI,
+    CertificationReport,
+    SphericalQuadrature,
+    _fmt,
+    certify,
+)
+from .sphere import Direction, angles_to_xyz, overlap_matrix, sample_uniform_angles, substream
 
 OPERATOR_CHECK_CAP = 60
-_LOG_BINOMIAL_ABOVE = 50
+# Overlaps held at once by the blocked power-sum kernel.
+_BLOCK_ELEMS = int(2e7)
 
 # Fixed stream for default verification directions: libraries and CLI must
 # be deterministic without a user-provided seed.
@@ -64,7 +84,9 @@ class FinitePovm:
         phi = np.atleast_1d(np.asarray(self.phi, dtype=float))
         if not (c.shape == theta.shape == phi.shape) or c.ndim != 1 or c.size == 0:
             raise DomainError("c, theta and phi must be 1-D, equal length, non-empty")
-        for arr in (c, theta, phi):
+        for arr, name in ((c, "c"), (theta, "theta"), (phi, "phi")):
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"non-finite {name} entries")
             arr.setflags(write=False)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "theta", theta)
@@ -76,10 +98,6 @@ class FinitePovm:
 
     def __len__(self) -> int:
         return self.c.size
-
-    def elements(self):
-        for ck, t, p in zip(self.c, self.theta, self.phi):
-            yield float(ck), Direction(t, p)
 
     def validate(self, tol: float = 1e-10):
         """Check c_k > 0 and sum c_k = N + 1 within `tol` (absolute)."""
@@ -135,6 +153,32 @@ def _pow_int(a: np.ndarray, n: int) -> np.ndarray:
         return np.exp(n * np.log(np.maximum(a, 0.0)))
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    return np.array([math.lgamma(k + 1) for k in range(n + 1)])
+
+
+def _require_strength(q: SphericalQuadrature, copies: int, tol: float) -> CertificationReport:
+    """Certificate of q to order N; InsufficientStrength if it is not exact that far."""
+    if copies < 1:
+        raise DomainError(f"copies must be >= 1, got {copies}")
+    report = certify(q, copies, tol)
+    if report.strength < copies:
+        raise InsufficientStrength(report.strength, copies)
+    return report
+
+
+def _completeness_bound(report: CertificationReport, copies: int) -> float:
+    """Bound of the module docstring on |sum_k c_k overlap^N - 1|, c = (N+1) lambda/4pi.
+
+    `report` must cover orders 1..N; N = 0 leaves the weight-sum term.
+    """
+    lf = _log_factorials(2 * copies + 1)
+    l = np.arange(1, copies + 1)
+    f = (2 * l + 1) * np.exp(2 * lf[copies] - lf[copies - l] - lf[copies + l + 1])
+    harmonic = float(f @ report.residual_per_l[:copies])
+    return report.weight_sum_residual + (copies + 1) / math.sqrt(FOUR_PI) * harmonic
+
+
 def povm_from_quadrature(q: SphericalQuadrature, copies: int, tol: float = DEFAULT_TOL) -> FinitePovm:
     """Turn a quadrature of strength >= N into an optimal N-copy POVM.
 
@@ -142,11 +186,7 @@ def povm_from_quadrature(q: SphericalQuadrature, copies: int, tol: float = DEFAU
     the certified strength falls short of N (and WeightError for signed
     rules, which can never be POVMs).
     """
-    if copies < 1:
-        raise DomainError(f"copies must be >= 1, got {copies}")
-    strength = detect_strength(q, copies, tol)
-    if strength < copies:
-        raise InsufficientStrength(strength, copies)
+    _require_strength(q, copies, tol)
     c = (copies + 1) / FOUR_PI * q.weights
     label = f"{q.label or 'quadrature'} as povm N={copies}"
     return FinitePovm(copies=copies, c=c, theta=q.theta, phi=q.phi, label=label)
@@ -178,6 +218,8 @@ def _direction_angles(directions):
         phi = np.atleast_1d(np.asarray(directions[1], dtype=float))
         if theta.shape != phi.shape:
             raise DomainError("theta and phi arrays must have the same shape")
+        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
+            raise DomainError("non-finite direction angles")
         return theta, phi
     ds = list(directions)
     if not ds:
@@ -188,13 +230,40 @@ def _direction_angles(directions):
     )
 
 
+def _power_sums(theta, phi, c, directions, power: int) -> np.ndarray:
+    """sum_k c_k overlap(Omega_k, Omega)^power per (theta, phi) pair in `directions`.
+
+    Overlaps are formed in row blocks of at most _BLOCK_ELEMS entries;
+    powers above 64 go through exp(power * log(ov)) in place.
+    """
+    exyz = angles_to_xyz(theta, phi)
+    dxyz = angles_to_xyz(*directions)
+    block = max(1, _BLOCK_ELEMS // exyz.shape[0])
+    buf = np.empty((min(block, dxyz.shape[0]), exyz.shape[0]))
+    sums = np.empty(dxyz.shape[0])
+    for start in range(0, dxyz.shape[0], block):
+        stop = min(dxyz.shape[0], start + block)
+        ov = overlap_matrix(dxyz[start:stop], exyz, out=buf[: stop - start])
+        if power > 64:
+            # log(0) = -inf maps cleanly to 0
+            with np.errstate(divide="ignore"):
+                np.log(ov, out=ov)
+            ov *= power
+            np.exp(ov, out=ov)
+        else:
+            ov = _pow_int(ov, power)
+        # einsum reduces each row on its own (BLAS gemv groups rows), so
+        # the sums do not depend on where the blocks fall
+        np.einsum("ij,j->i", ov, c, out=sums[start:stop])
+    return sums
+
+
 def completeness_test_angles(p: FinitePovm, count: int | None = None):
-    """Default scalar-completeness probe set for a POVM.
+    """Dense probe set for a sampled scalar-completeness maximum.
 
     10 * (N+1)^2 uniform directions from a fixed stream, plus the POVM's
-    own outcome directions and both poles; the residual is band-limited
-    in the probe direction, so sampling at this density leaves no room
-    for a violation above tolerance to hide.
+    own outcome directions and both poles; pass it as ``directions=`` to
+    :func:`scalar_completeness_residual`.
     """
     if count is None:
         count = 10 * (p.copies + 1) ** 2
@@ -206,64 +275,41 @@ def completeness_test_angles(p: FinitePovm, count: int | None = None):
 
 
 def scalar_completeness_residual(p: FinitePovm, directions=None) -> float:
-    """max over probe Omega of |sum_k c_k |<Omega_k|Omega>|^(2N) - 1|."""
+    """sup over Omega of |sum_k c_k |<Omega_k|Omega>|^(2N) - 1|.
+
+    By default a certified upper bound from the harmonic residuals of the
+    POVM's own weights 4*pi c_k/(N+1) (module docstring); with
+    `directions` the maximum over those probes.
+    """
     if directions is None:
-        theta, phi = completeness_test_angles(p)
-    else:
-        theta, phi = _direction_angles(directions)
-    exyz = angles_to_xyz(p.theta, p.phi)
-    dxyz = angles_to_xyz(theta, phi)
-    worst = 0.0
-    block = max(1, int(2e7) // max(p.n, 1))
-    buf = np.empty((min(block, dxyz.shape[0]), p.n))
-    for start in range(0, dxyz.shape[0], block):
-        stop = min(dxyz.shape[0], start + block)
-        ov = buf[: stop - start]
-        np.matmul(dxyz[start:stop], exyz.T, out=ov)
-        ov += 1.0
-        ov *= 0.5
-        np.clip(ov, 0.0, 1.0, out=ov)
-        if p.copies > 64:
-            # in-place exp(N log ov); log(0) = -inf maps cleanly to 0
-            with np.errstate(divide="ignore"):
-                np.log(ov, out=ov)
-            ov *= p.copies
-            np.exp(ov, out=ov)
-            sums = ov @ p.c
-        else:
-            sums = _pow_int(ov, p.copies) @ p.c
-        worst = max(worst, float(np.max(np.abs(sums - 1.0))))
-    return worst
+        q = SphericalQuadrature(p.theta, p.phi, FOUR_PI / (p.copies + 1) * p.c)
+        return _completeness_bound(certify(q, p.copies, allow_signed=True), p.copies)
+    sums = _power_sums(p.theta, p.phi, p.c, _direction_angles(directions), p.copies)
+    return float(np.max(np.abs(sums - 1.0)))
 
 
 def _dicke_matrix(copies: int, theta, phi) -> np.ndarray:
-    """Rows of symmetric-basis amplitudes for each direction; shape (n, N+1)."""
+    """Rows of symmetric-basis amplitudes for each direction; shape (n, N+1).
+
+    Magnitudes are formed in log space, so no binomial or power
+    overflows; the clipped logs are only ever multiplied by zero exactly
+    where cos/sin vanish, and exact poles get exact zeros.
+    """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     j = np.arange(copies + 1)
     ch = np.cos(0.5 * theta)[:, None]
     sh = np.sin(0.5 * theta)[:, None]
-    if copies <= _LOG_BINOMIAL_ABOVE:
-        coeff = np.sqrt([float(math.comb(copies, int(jj))) for jj in j])
-        mag = coeff * ch ** (copies - j) * sh**j
-    else:
-        # sqrt-binomials in log space; the clipped logs are only ever
-        # multiplied by zero exactly where cos/sin vanish.
-        half_log_binom = 0.5 * np.array(
-            [
-                math.lgamma(copies + 1) - math.lgamma(jj + 1) - math.lgamma(copies - jj + 1)
-                for jj in j
-            ]
-        )
-        logmag = (
-            half_log_binom
-            + (copies - j) * np.log(np.maximum(ch, _TINY))
-            + j * np.log(np.maximum(sh, _TINY))
-        )
-        mag = np.exp(logmag)
-        # exact zeros at exact poles, matching the direct branch
-        mag[sh[:, 0] == 0.0, 1:] = 0.0
-        mag[ch[:, 0] == 0.0, :copies] = 0.0
+    lf = _log_factorials(copies)
+    half_log_binom = 0.5 * (lf[-1] - lf - lf[::-1])
+    logmag = (
+        half_log_binom
+        + (copies - j) * np.log(np.maximum(ch, _TINY))
+        + j * np.log(np.maximum(sh, _TINY))
+    )
+    mag = np.exp(logmag)
+    mag[sh[:, 0] == 0.0, 1:] = 0.0
+    mag[ch[:, 0] == 0.0, :copies] = 0.0
     return mag * np.exp(1j * phi[:, None] * j)
 
 
@@ -278,6 +324,13 @@ def dicke_amplitudes(copies: int, d: Direction) -> DickeVector:
     return DickeVector(copies=copies, amplitudes=amps)
 
 
+def _gram_residual(v: np.ndarray, w: np.ndarray, diag: float) -> float:
+    """max entry of |sum_k w_k v_k v_k^dag - diag * I| for Dicke rows v."""
+    gram = v.T @ (w[:, None] * v.conj())
+    gram[np.diag_indices_from(gram)] -= diag
+    return float(np.max(np.abs(gram)))
+
+
 def operator_completeness_residual(p: FinitePovm, cap: int = OPERATOR_CHECK_CAP) -> float:
     """max entry of |sum_k c_k v_k v_k^dag - I| in the Dicke basis.
 
@@ -287,10 +340,7 @@ def operator_completeness_residual(p: FinitePovm, cap: int = OPERATOR_CHECK_CAP)
     """
     if p.copies > cap:
         raise CapExceeded(f"operator check capped at N = {cap}, got {p.copies}")
-    v = _dicke_matrix(p.copies, p.theta, p.phi)
-    gram = v.T @ (p.c[:, None] * v.conj())
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return float(np.max(np.abs(gram)))
+    return _gram_residual(_dicke_matrix(p.copies, p.theta, p.phi), p.c, 1.0)
 
 
 def schur_moment_residual(q: SphericalQuadrature, copies: int, tol: float = DEFAULT_TOL) -> float:
@@ -300,16 +350,9 @@ def schur_moment_residual(q: SphericalQuadrature, copies: int, tol: float = DEFA
     symmetric subspace; a quadrature of strength >= N reproduces it
     exactly, entry by entry.
     """
-    if copies < 1:
-        raise DomainError(f"copies must be >= 1, got {copies}")
-    strength = detect_strength(q, copies, tol)
-    if strength < copies:
-        raise InsufficientStrength(strength, copies)
+    _require_strength(q, copies, tol)
     v = _dicke_matrix(copies, q.theta, q.phi)
-    w = q.weights / FOUR_PI
-    gram = v.T @ (w[:, None] * v.conj())
-    gram[np.diag_indices_from(gram)] -= 1.0 / (copies + 1)
-    return float(np.max(np.abs(gram)))
+    return _gram_residual(v, q.weights / FOUR_PI, 1.0 / (copies + 1))
 
 
 def spin_subspaces(copies: int) -> list[int]:
@@ -336,26 +379,19 @@ def subspace_completeness_residuals(
     must satisfy the 2s-copy scalar condition
     sum_k c_k^(s) overlap(Omega_k, Omega)^(2s) = 1 for all Omega. Each
     integrand is band-limited at order 2s <= N, so one strength-N
-    quadrature serves every block at once. Returns {2s: max residual}.
+    quadrature serves every block at once. Returns {2s: residual}: by
+    default the certified bound of the module docstring at order 2s
+    (block 0 is the weight-sum residual), with `directions` the maximum
+    over those probes.
     """
-    strength = detect_strength(q, max(copies, 1), tol)
-    if strength < copies:
-        raise InsufficientStrength(strength, copies)
+    report = _require_strength(q, copies, tol)
     if directions is None:
-        rng = substream(_TEST_DIRECTION_SEED, 1000 + copies)
-        theta, phi = sample_uniform_angles(rng, 256)
-        theta = np.concatenate((theta, [0.0, math.pi]))
-        phi = np.concatenate((phi, [0.0, 0.0]))
-    else:
-        theta, phi = _direction_angles(directions)
-    dxyz = angles_to_xyz(theta, phi)
-    exyz = angles_to_xyz(q.theta, q.phi)
-    ov = np.clip(0.5 * (1.0 + dxyz @ exyz.T), 0.0, 1.0)
+        return {two_s: _completeness_bound(report, two_s) for two_s in spin_subspaces(copies)}
+    angles = _direction_angles(directions)
     wnorm = q.weights / FOUR_PI
     out: dict[int, float] = {}
     for two_s in spin_subspaces(copies):
-        cs = (two_s + 1) * wnorm
-        sums = _pow_int(ov, two_s) @ cs
+        sums = _power_sums(q.theta, q.phi, (two_s + 1) * wnorm, angles, two_s)
         out[two_s] = float(np.max(np.abs(sums - 1.0)))
     return out
 
@@ -409,10 +445,6 @@ def mixed_legendre_bound(copies: int) -> float:
     return float(value)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def povm_to_json(p: FinitePovm) -> str:
     """Serialize with 17-significant-digit decimals (exact round trip)."""
     elements = ",\n    ".join(
@@ -438,19 +470,18 @@ def povm_from_json(text: str, label: str = "") -> FinitePovm:
     if not isinstance(obj, dict):
         raise ParseError("POVM JSON must be an object")
     try:
-        copies = int(obj["N"])
         elements = obj["elements"]
+        copies, declared = obj["N"], obj.get("n", len(elements))
+        if type(copies) is not int or type(declared) is not int:
+            raise ParseError(f"N and n must be integers, got {copies!r} and {declared!r}")
+        if declared != len(elements):
+            raise ParseError(f"declared n={declared} but found {len(elements)} elements")
         c = np.array([float(e["c"]) for e in elements])
         theta = np.array([float(e["theta"]) for e in elements])
         phi = np.array([float(e["phi"]) for e in elements])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad POVM schema: {exc}") from None
-    if "n" in obj and int(obj["n"]) != len(elements):
-        raise ParseError(f"declared n={obj['n']} but found {len(elements)} elements")
-    try:
         return FinitePovm(copies=copies, c=c, theta=theta, phi=phi, label=label)
-    except DomainError as exc:
-        raise ParseError(str(exc)) from None
+    except (KeyError, TypeError, ValueError, DomainError) as exc:
+        raise ParseError(f"bad POVM schema: {exc}") from None
 
 
 def povm_to_csv(p: FinitePovm) -> str:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotNormalized
-from .povm import FinitePovm, _direction_angles, _pow_int, optimal_score
-from .quadrature import FOUR_PI, SphericalQuadrature, product_rule
-from .sphere import Direction, TWO_PI, angles_to_xyz, substream
+from .povm import FinitePovm, _direction_angles, _pow_int, _power_sums, optimal_score
+from .quadrature import FOUR_PI, SphericalQuadrature, _fmt, product_rule
+from .sphere import Direction, TWO_PI, angles_to_xyz, overlap_matrix, substream
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 _NORMALIZATION_TOL = 1e-9
@@ -52,12 +52,11 @@ class SimulationReport:
         }
 
     def to_json(self) -> str:
-        fmt = lambda x: format(float(x), ".17g")  # noqa: E731
         return (
             "{"
             f'"N": {self.copies}, "trials": {self.trials}, "seed": {self.seed}, '
-            f'"mean_score": {fmt(self.mean_score)}, "std_error": {fmt(self.std_error)}, '
-            f'"expected": {fmt(self.expected)}, "chunks": {self.chunks}'
+            f'"mean_score": {_fmt(self.mean_score)}, "std_error": {_fmt(self.std_error)}, '
+            f'"expected": {_fmt(self.expected)}, "chunks": {self.chunks}'
             "}"
         )
 
@@ -111,8 +110,7 @@ def run_game(
         m = min(chunk_size, trials - done)
         z, phi, u = _chunk_draws(seed, i, m)
         theta = np.arccos(np.clip(z, -1.0, 1.0))
-        dxyz = angles_to_xyz(theta, phi)
-        ov = np.clip(0.5 * (1.0 + dxyz @ exyz.T), 0.0, 1.0)
+        ov = overlap_matrix(angles_to_xyz(theta, phi), exyz)
         probs = _outcome_probabilities(
             ov, p.c, p.copies, lambda r: Direction(theta[r], phi[r])
         )
@@ -149,9 +147,7 @@ def sample_outcomes(
     """Outcome counts for a fixed true direction (frequency diagnostics)."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    exyz = angles_to_xyz(p.theta, p.phi)
-    dxyz = angles_to_xyz([d.theta], [d.phi])
-    ov = np.clip(0.5 * (1.0 + dxyz @ exyz.T), 0.0, 1.0)
+    ov = overlap_matrix(angles_to_xyz([d.theta], [d.phi]), angles_to_xyz(p.theta, p.phi))
     probs = _outcome_probabilities(ov, p.c, p.copies, lambda r: d)[0]
     cum = np.cumsum(probs)
     counts = np.zeros(p.n, dtype=np.int64)
@@ -174,11 +170,7 @@ def score_by_direction(p: FinitePovm, grid) -> np.ndarray:
     order N+1, so averaging it with any quadrature of strength >= N+1
     recovers the exact optimum.
     """
-    theta, phi = _direction_angles(grid)
-    exyz = angles_to_xyz(p.theta, p.phi)
-    dxyz = angles_to_xyz(theta, phi)
-    ov = np.clip(0.5 * (1.0 + dxyz @ exyz.T), 0.0, 1.0)
-    return _pow_int(ov, p.copies + 1) @ p.c
+    return _power_sums(p.theta, p.phi, p.c, _direction_angles(grid), p.copies + 1)
 
 
 def quadrature_averaged_score(p: FinitePovm, q: SphericalQuadrature | None = None) -> float:

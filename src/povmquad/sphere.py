@@ -74,10 +74,6 @@ class UnitVector:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
 
-NORTH_POLE = Direction(0.0, 0.0)
-SOUTH_POLE = Direction(math.pi, 0.0)
-
-
 def to_cartesian(d: Direction) -> UnitVector:
     """Map (theta, phi) to (sin t cos p, sin t sin p, cos t)."""
     st = math.sin(d.theta)
@@ -168,3 +164,14 @@ def angles_to_xyz(theta, phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     st = np.sin(theta)
     return np.stack((st * np.cos(phi), st * np.sin(phi), np.cos(theta)), axis=-1)
+
+
+def overlap_matrix(dxyz: np.ndarray, exyz: np.ndarray, out=None) -> np.ndarray:
+    """Fidelities (1 + d.e)/2 for every row pair, clamped to [0, 1].
+
+    Shape (len(dxyz), len(exyz)); written into `out` when given.
+    """
+    ov = np.matmul(dxyz, exyz.T, out=out)
+    ov += 1.0
+    ov *= 0.5
+    return np.clip(ov, 0.0, 1.0, out=ov)

@@ -285,3 +285,27 @@ def test_usage_errors(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "construct" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit", [
+    {"N": 2.7}, {"N": "3"}, {"N": True}, {"n": "x"}, {"c_nan": True},
+])
+@pytest.mark.parametrize("command", ["score", "simulate"])
+def test_malformed_povm_file_is_parse_error(edit, command, tmp_path, capsys):
+    path = tmp_path / "povm3.json"
+    assert main(["construct", "3", "--out", str(path)]) == EXIT_OK
+    obj = json.loads(path.read_text())
+    if "c_nan" in edit:
+        obj["elements"][-1]["c"] = float("nan")
+    else:
+        obj.update(edit)
+    path.write_text(json.dumps(obj))
+    argv = [command, str(path)] + (["--trials", "1000", "--seed", "1"] if command == "simulate" else [])
+    assert main(argv) == EXIT_PARSE
+
+
+def test_construct_paper_order(capsys):
+    assert main(["construct", "131"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "n: 8712" in out
+    assert float(out.split("scalar_residual:")[1].split()[0]) < 1e-9

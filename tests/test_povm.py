@@ -316,3 +316,76 @@ def test_povm_validate_contracts():
     bad_sum = FinitePovm(1, np.array([1.0, 1.1]), p.theta, p.phi)
     with pytest.raises(NotNormalized):
         bad_sum.validate()
+
+
+def broken_povms(copies):
+    """One weight x 1.01, one element dropped, every theta shifted by 0.01."""
+    p = product_povm(copies)
+    c = p.c.copy()
+    c[0] *= 1.01
+    return [
+        FinitePovm(copies, c, p.theta, p.phi),
+        FinitePovm(copies, p.c[1:], p.theta[1:], p.phi[1:]),
+        FinitePovm(copies, p.c, p.theta + 0.01, p.phi),
+    ]
+
+
+@pytest.mark.parametrize("copies", [1, 3, 7, 12, 30])
+def test_default_scalar_residual_bounds_sampled_max(copies):
+    probes = random_angles(20_000, 300 + copies)
+    for bad in broken_povms(copies):
+        bound = scalar_completeness_residual(bad)
+        sampled = scalar_completeness_residual(bad, probes)
+        assert sampled <= bound <= 4.0 * sampled
+
+
+def test_default_scalar_residual_exact_for_product_rules():
+    worst = max(scalar_completeness_residual(product_povm(n)) for n in range(1, 41))
+    assert worst < 1e-13
+
+
+def test_strength_checks_reject_signed_rules():
+    signed = SphericalQuadrature(
+        [0.1, 2.0, 2.5], [0.0, 1.0, 4.0], [8.0, -1.0, FOUR_PI - 7.0]
+    )
+    with pytest.raises(WeightError):
+        schur_moment_residual(signed, 1)
+    with pytest.raises(WeightError):
+        subspace_completeness_residuals(signed, 1)
+
+
+def test_subspace_bound_and_sampled_paths_on_exact_rule():
+    q = product_rule(6)
+    probes = random_angles(5000, 41)
+    good = subspace_completeness_residuals(q, 6)
+    sampled = subspace_completeness_residuals(q, 6, probes)
+    assert set(good) == set(sampled) == {0, 2, 4, 6}
+    assert all(good[k] < 1e-13 and sampled[k] < 1e-13 for k in good)
+
+
+def test_non_finite_directions_are_rejected():
+    p = product_povm(2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            scalar_completeness_residual(p, (np.array([bad]), np.array([0.0])))
+        with pytest.raises(DomainError):
+            scalar_completeness_residual(p, (np.array([0.5]), np.array([bad])))
+
+
+def test_finite_povm_rejects_non_finite_entries():
+    p = antipodal_povm()
+    for field in ("c", "theta", "phi"):
+        values = dict(c=p.c.copy(), theta=p.theta.copy(), phi=p.phi.copy())
+        values[field][1] = np.nan
+        with pytest.raises(DomainError):
+            FinitePovm(1, **values)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("N", 2.7), ("N", "3"), ("N", True), ("n", "x"), ("n", 8.5),
+])
+def test_povm_json_rejects_non_integer_counts(key, value):
+    obj = json.loads(povm_to_json(product_povm(3)))
+    obj[key] = value
+    with pytest.raises(ParseError):
+        povm_from_json(json.dumps(obj))

@@ -126,3 +126,15 @@ def test_report_is_frozen_value_object():
     )
     with pytest.raises(AttributeError):
         report.mean_score = 0.9
+
+
+@pytest.mark.parametrize("copies", [5, 70])
+def test_score_by_direction_blocks_are_bit_identical(copies, monkeypatch):
+    # both power branches: repeated squaring (N+1 <= 64) and in-place exp/log
+    p = povm_from_quadrature(product_rule(copies), copies)
+    grid = product_rule(copies + 1)
+    whole = score_by_direction(p, (grid.theta, grid.phi))
+    monkeypatch.setattr("povmquad.povm._BLOCK_ELEMS", 7 * p.n)
+    blocked = score_by_direction(p, (grid.theta, grid.phi))
+    assert grid.n > 7 * 3
+    assert np.array_equal(whole, blocked)
