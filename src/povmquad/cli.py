@@ -215,6 +215,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_score(args) -> int:
     povm = povm_from_json(args.file.read_text(encoding="utf-8"), label=args.file.name)
+    povm.validate()
     if args.grid is None:
         score = exact_score(povm)
         averaged = quadrature_averaged_score(povm)

@@ -78,13 +78,17 @@ def weighted_harmonic_sums(l_max: int, theta, phi, weights) -> np.ndarray:
     The certification workhorse: one associated-Legendre recurrence pass
     per order m, followed by real matrix-vector products against the
     weighted azimuthal phases, O(n_points * l_max^2) total. Only m >= 0 is
-    returned; for real weights |S[l, -m]| = |S[l, m]|.
+    returned; for real weights |S[l, -m]| = |S[l, m]|. A polar angle
+    outside [0, pi] counts as the point it names: where sin(theta) < 0 that
+    is (arccos(cos theta), phi + pi).
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     w = np.asarray(weights, dtype=float)
     x = np.cos(theta)
     eiphi = np.exp(1j * phi)
+    # the recurrence takes sin(theta) = sqrt(1 - x^2) >= 0
+    eiphi[np.sin(theta) < 0.0] *= -1.0
     wphase = w.astype(complex)
     out = np.zeros((l_max + 1, l_max + 1), dtype=complex)
     for m in range(l_max + 1):

@@ -6,11 +6,30 @@ guess with the single-copy fidelity |<Omega_k|Omega>|^2. For a complete
 POVM the mean score converges to (N+1)/(N+2).
 
 Trials run in fixed-size chunks; chunk i consumes the Philox substream
-jumped(i) of the 64-bit seed, and within a chunk the draws are one block
-of cos-theta values, one of azimuths, then one of outcome uniforms. The
-per-chunk partial sums are combined in chunk order, so a report is a pure
-function of (povm, trials, seed, chunk_size) regardless of how chunks
-would be scheduled.
+jumped(i) of the 64-bit seed and first draws one block of cos-theta
+values, then one of azimuths. How the outcomes are drawn next depends on
+a check made once per call:
+
+* Rejection (c_k >= 0 and the certified scalar-completeness bound of
+  :func:`~povmquad.povm.scalar_completeness_residual` at most 1e-9):
+  while trials of the chunk are pending, one (2, P) block of uniforms
+  for the P pending trials. Row 0 proposes k ~ c_k / sum c from a Vose
+  alias table (column floor(u n), coin from the fractional part); row 1
+  accepts with probability overlap^N. Accepted outcomes follow
+  c_k overlap_k^N / sum_j c_j overlap_j^N, and the certified bound puts
+  that sum within 1e-9 of 1 for every Omega: they follow P(k|Omega), the
+  acceptance rate is 1/(N+1), and a trial costs about N+1 overlaps. The
+  chunk holds O(chunk_size) numbers, whatever the POVM size.
+* Dense (every other POVM): one block of outcome uniforms, then the
+  inverse CDF over all n outcome probabilities, formed in row blocks of
+  at most ``povm._BLOCK_ELEMS`` overlaps. Each row is checked to sum to
+  1 within 1e-9, so an incomplete POVM raises NotNormalized with the
+  first offending direction.
+
+The per-chunk partial sums are combined in chunk order, so a report is a
+pure function of (povm, trials, seed, chunk_size) regardless of how chunks
+would be scheduled. The two samplers consume the stream differently, so
+their reports on the same POVM agree statistically, not bit for bit.
 """
 from __future__ import annotations
 
@@ -19,8 +38,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import povm
 from .errors import DomainError, NotNormalized
-from .povm import FinitePovm, _direction_angles, _pow_int, _power_sums, optimal_score
+from .povm import (
+    FinitePovm,
+    _direction_angles,
+    _pow_int,
+    _power_sums,
+    optimal_score,
+    scalar_completeness_residual,
+)
 from .quadrature import FOUR_PI, SphericalQuadrature, _fmt, product_rule
 from .sphere import Direction, TWO_PI, angles_to_xyz, overlap_matrix, substream
 
@@ -61,16 +88,9 @@ class SimulationReport:
         )
 
 
-def _chunk_draws(seed: int, index: int, count: int):
-    rng = substream(seed, index)
-    z = rng.uniform(-1.0, 1.0, count)
-    phi = rng.uniform(0.0, TWO_PI, count)
-    u = rng.random(count)
-    return z, phi, u
-
-
 def _outcome_probabilities(ov: np.ndarray, c: np.ndarray, copies: int, where) -> np.ndarray:
-    probs = _pow_int(ov, copies) * c
+    probs = _pow_int(ov, copies)
+    probs *= c
     rowsum = probs.sum(axis=-1)
     bad = np.abs(rowsum - 1.0) > _NORMALIZATION_TOL
     if np.any(bad):
@@ -84,39 +104,121 @@ def _outcome_probabilities(ov: np.ndarray, c: np.ndarray, copies: int, where) ->
     return probs
 
 
-def run_game(
-    p: FinitePovm,
-    trials: int,
-    seed: int,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> SimulationReport:
-    """Play `trials` rounds of the estimation game; fully seed-deterministic.
+def _alias_table(c: np.ndarray):
+    """Vose alias table (prob, alias) for proposals k ~ c_k / sum c.
 
-    Outcomes are drawn by inverse CDF over the cumulative P(k|Omega) with
-    one uniform per trial. If any drawn Omega yields outcome probabilities
-    off 1 by more than 1e-9 the POVM is invalid and NotNormalized is
-    raised with the offending direction.
+    Column j is drawn uniformly and kept with probability prob[j], else
+    replaced by alias[j]; so P(k) = (prob[k] + sum_{alias[j] = k} (1 - prob[j])) / n.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    if chunk_size < 1:
-        raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
-    exyz = angles_to_xyz(p.theta, p.phi)
+    n = c.size
+    scaled = (c * (n / c.sum())).tolist()
+    prob = np.ones(n)
+    alias = np.arange(n)
+    small = [k for k, v in enumerate(scaled) if v < 1.0]
+    large = [k for k, v in enumerate(scaled) if v >= 1.0]
+    while small and large:
+        s, l = small.pop(), large.pop()
+        prob[s] = scaled[s]
+        alias[s] = l
+        scaled[l] = (scaled[l] + scaled[s]) - 1.0
+        (small if scaled[l] < 1.0 else large).append(l)
+    # columns left in either list hold 1 up to rounding
+    return prob, alias
+
+
+def _proposal_table(p: FinitePovm):
+    """Alias proposals k ~ c_k as (prob, outcome, e) over 2n columns.
+
+    Column 2j is outcome j and column 2j+1 its alias (outcome[i] names
+    the outcome of column i, e[:, i] is its unit vector), so the alias
+    coin of column j only picks column 2j or 2j+1.
+    """
+    prob, alias = _alias_table(p.c)
+    outcome = np.column_stack((np.arange(p.n), alias)).ravel()
+    e = np.ascontiguousarray(angles_to_xyz(p.theta[outcome], p.phi[outcome]).T)
+    return prob, outcome, e
+
+
+def _pair_overlaps(d, e: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(1 + d_i . e_{cols_i})/2, where d is three coordinate rows of length P."""
+    ov = d[0] * e[0].take(cols)
+    ov += d[1] * e[1].take(cols)
+    ov += d[2] * e[2].take(cols)
+    ov += 1.0
+    ov *= 0.5
+    return ov
+
+
+def _rejection_columns(rng, d, prob, e, copies: int) -> np.ndarray:
+    """Accepted proposal column per true direction (d: three rows of length m).
+
+    Each round draws a (2, P) uniform block for the P pending trials:
+    row 0 proposes a column from the alias table, row 1 accepts with
+    probability overlap^N. Pending trials are compacted after each round.
+    """
+    n = prob.size
+    chosen = np.empty(d.shape[1], dtype=np.intp)
+    pending = np.arange(d.shape[1])
+    while pending.size:
+        u = rng.random((2, pending.size))
+        u[0] *= n
+        col = u[0].astype(np.intp)
+        cols = col << 1
+        cols += u[0] - col >= prob.take(col)
+        ov = _pair_overlaps(d, e, cols)
+        # ov < 0 (rounding) gives nan and ov = 0 gives -inf: never accepted
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_ov = np.log(ov)
+            log_ov *= copies
+            accept = np.log(u[1]) < log_ov
+        hit = np.flatnonzero(accept)
+        if hit.size:
+            chosen[pending.take(hit)] = cols.take(hit)
+            keep = ~accept
+            pending = pending[keep]
+            d = [row[keep] for row in d]
+    return chosen
+
+
+def _dense_scores(p: FinitePovm, exyz, dxyz, theta, phi, u) -> np.ndarray:
+    """Scores of one chunk by inverse CDF over every outcome, in row blocks."""
+    block = max(1, povm._BLOCK_ELEMS // p.n)
+    scores = np.empty(u.size)
+    for start in range(0, u.size, block):
+        stop = min(u.size, start + block)
+        ov = overlap_matrix(dxyz[start:stop], exyz)
+        probs = _outcome_probabilities(
+            ov, p.c, p.copies, lambda r: Direction(theta[start + r], phi[start + r])
+        )
+        cum = np.cumsum(probs, axis=1, out=probs)
+        k = np.minimum((cum < u[start:stop, None]).sum(axis=1), p.n - 1)
+        scores[start:stop] = ov[np.arange(stop - start), k]
+    return scores
+
+
+def _game(p: FinitePovm, trials: int, seed: int, chunk_size: int, dense: bool) -> SimulationReport:
+    """run_game with the sampler chosen by the caller (dense or rejection)."""
+    if dense:
+        exyz = angles_to_xyz(p.theta, p.phi)
+    else:
+        prob, _, e = _proposal_table(p)
     n_chunks = (trials + chunk_size - 1) // chunk_size
     total = 0.0
     total_sq = 0.0
     done = 0
     for i in range(n_chunks):
         m = min(chunk_size, trials - done)
-        z, phi, u = _chunk_draws(seed, i, m)
+        rng = substream(seed, i)
+        z = rng.uniform(-1.0, 1.0, m)
+        phi = rng.uniform(0.0, TWO_PI, m)
         theta = np.arccos(np.clip(z, -1.0, 1.0))
-        ov = overlap_matrix(angles_to_xyz(theta, phi), exyz)
-        probs = _outcome_probabilities(
-            ov, p.c, p.copies, lambda r: Direction(theta[r], phi[r])
-        )
-        cum = np.cumsum(probs, axis=1)
-        k = np.minimum((cum < u[:, None]).sum(axis=1), p.n - 1)
-        scores = ov[np.arange(m), k]
+        dxyz = angles_to_xyz(theta, phi)
+        if dense:
+            scores = _dense_scores(p, exyz, dxyz, theta, phi, rng.random(m))
+        else:
+            d = dxyz.T
+            cols = _rejection_columns(rng, d, prob, e, p.copies)
+            scores = np.clip(_pair_overlaps(d, e, cols), 0.0, 1.0)
         total += float(scores.sum())
         total_sq += float((scores * scores).sum())
         done += m
@@ -135,6 +237,31 @@ def run_game(
         expected=optimal_score(p.copies),
         chunks=n_chunks,
     )
+
+
+def run_game(
+    p: FinitePovm,
+    trials: int,
+    seed: int,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+) -> SimulationReport:
+    """Play `trials` rounds of the estimation game; fully seed-deterministic.
+
+    A POVM with c_k >= 0 whose certified completeness bound is at most
+    1e-9 is sampled by rejection (alias proposals k ~ c_k, accepted with
+    probability overlap^N; about N+1 overlaps per trial and memory
+    O(chunk_size)). Any other POVM is sampled densely by inverse CDF over
+    all n outcomes, in blocks of bounded size; if a drawn Omega yields
+    outcome probabilities off 1 by more than 1e-9 the POVM is invalid and
+    NotNormalized is raised with the first offending direction. The
+    module docstring gives the stream layout of both samplers.
+    """
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    if chunk_size < 1:
+        raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
+    certified = p.c.min() >= 0.0 and scalar_completeness_residual(p) <= _NORMALIZATION_TOL
+    return _game(p, trials, seed, chunk_size, dense=not certified)
 
 
 def sample_outcomes(

@@ -304,6 +304,24 @@ def test_malformed_povm_file_is_parse_error(edit, command, tmp_path, capsys):
     assert main(argv) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("edit, code", [("scale", EXIT_PARSE), ("negate", EXIT_VERIFY)])
+def test_score_rejects_weights_that_are_not_a_povm(edit, code, tmp_path, capsys):
+    # score_quadrature_avg equals sum(c)/(N+2) for any directions, so the
+    # cross-check alone passes these files (0.808 > optimum 0.8, and 0.6)
+    path = tmp_path / "povm3.json"
+    assert main(["construct", "3", "--out", str(path)]) == EXIT_OK
+    obj = json.loads(path.read_text())
+    if edit == "scale":
+        for element in obj["elements"]:
+            element["c"] *= 1.01
+    else:
+        obj["elements"][0]["c"] *= -1
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["score", str(path)]) == code
+    assert "score_exact" not in capsys.readouterr().out
+
+
 def test_construct_paper_order(capsys):
     assert main(["construct", "131"]) == EXIT_OK
     out = capsys.readouterr().out

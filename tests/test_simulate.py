@@ -1,20 +1,36 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import povmquad
+from povmquad.cli import default_grid_dir
 from povmquad.errors import DomainError, NotNormalized
-from povmquad.povm import FinitePovm, exact_score, povm_from_quadrature
-from povmquad.quadrature import product_rule
+from povmquad.povm import (
+    FinitePovm,
+    exact_score,
+    povm_from_quadrature,
+    scalar_completeness_residual,
+)
+from povmquad.quadrature import ingest_pointset, product_rule
 from povmquad.simulate import (
+    DEFAULT_CHUNK_SIZE,
     SimulationReport,
+    _alias_table,
+    _game,
+    _proposal_table,
+    _rejection_columns,
     quadrature_averaged_score,
     run_game,
     sample_outcomes,
     score_by_direction,
 )
-from povmquad.sphere import Direction
+from povmquad.sphere import Direction, angles_to_xyz, substream
 
 
 def antipodal_povm():
@@ -138,3 +154,132 @@ def test_score_by_direction_blocks_are_bit_identical(copies, monkeypatch):
     blocked = score_by_direction(p, (grid.theta, grid.phi))
     assert grid.n > 7 * 3
     assert np.array_equal(whole, blocked)
+
+
+def _lebedev_povm(name, copies):
+    with open(default_grid_dir() / name) as fh:
+        return povm_from_quadrature(ingest_pointset(fh, "explicit", label=name), copies)
+
+
+def _perturbed_povm(copies, delta):
+    # one weight off by delta: only directions near element 0 break normalization
+    p = povm_from_quadrature(product_rule(copies), copies)
+    c = p.c.copy()
+    c[0] += delta
+    return FinitePovm(copies=copies, c=c, theta=p.theta, phi=p.phi)
+
+
+@pytest.mark.parametrize("c", [
+    povm_from_quadrature(product_rule(5), 5).c,
+    povm_from_quadrature(product_rule(40), 40).c,
+    np.array([0.0, 3.0, 1e-12, 0.5, 0.5, 2.0, 0.0]),
+    np.full(9, 0.25),
+])
+def test_alias_table_reproduces_weights(c):
+    prob, alias = _alias_table(c)
+    n = c.size
+    assert np.all((prob >= 0.0) & (prob <= 1.0))
+    recon = (prob + np.bincount(alias, weights=1.0 - prob, minlength=n)) / n
+    assert np.max(np.abs(recon - c / c.sum())) <= 1e-15
+
+
+@pytest.mark.parametrize("p", [
+    povm_from_quadrature(product_rule(5), 5),
+    _lebedev_povm("lebedev_0050.txt", 10),
+], ids=["product-5", "lebedev50-10"])
+def test_rejection_outcomes_follow_conditional(p):
+    d = Direction(1.0, 2.5)
+    dxyz = angles_to_xyz([d.theta], [d.phi])
+    probs = p.c * np.clip(0.5 * (1.0 + angles_to_xyz(p.theta, p.phi) @ dxyz[0]), 0, 1) ** p.copies
+    assert abs(probs.sum() - 1.0) < 1e-12
+    prob, outcome, e = _proposal_table(p)
+    counts = np.zeros(p.n)
+    trials, chunk = 2_000_000, 1 << 16
+    for i, start in enumerate(range(0, trials, chunk)):
+        rows = np.repeat(dxyz.T, min(chunk, trials - start), axis=1)
+        cols = _rejection_columns(substream(99, i), rows, prob, e, p.copies)
+        counts += np.bincount(outcome[cols], minlength=p.n)
+    assert counts.sum() == trials
+    sigma = np.sqrt(probs * (1.0 - probs) / trials)
+    assert np.all(np.abs(counts / trials - probs) <= 4.0 * sigma + 1e-12)
+
+
+@pytest.mark.parametrize("copies", [2, 5, 10])
+def test_rejection_game_matches_dense_and_optimum(copies):
+    p = povm_from_quadrature(product_rule(copies), copies)
+    report = run_game(p, 300_000, seed=2024)
+    assert report == _game(p, 300_000, 2024, DEFAULT_CHUNK_SIZE, dense=False)
+    dense = _game(p, 300_000, 2024, DEFAULT_CHUNK_SIZE, dense=True)
+    assert report.mean_score != dense.mean_score  # independent streams
+    both = math.hypot(report.std_error, dense.std_error)
+    assert abs(report.mean_score - dense.mean_score) < 5.0 * both
+    assert abs(report.mean_score - report.expected) < 5.0 * report.std_error
+    assert abs(dense.mean_score - dense.expected) < 5.0 * dense.std_error
+
+
+def _chunk_angles(seed, m):
+    """theta, phi of chunk 0, drawn as both samplers draw them."""
+    rng = substream(seed, 0)
+    z = rng.uniform(-1.0, 1.0, m)
+    return np.arccos(z), rng.uniform(0.0, 2.0 * math.pi, m)
+
+
+def test_dense_blocks_are_bit_identical(monkeypatch):
+    p = povm_from_quadrature(product_rule(5), 5)
+    bad = _perturbed_povm(5, 2e-9)
+    whole = _game(p, 5000, 8, 1500, dense=True)
+    with pytest.raises(NotNormalized) as whole_err:
+        _game(bad, 5000, 8, 1500, dense=True)
+    monkeypatch.setattr("povmquad.povm._BLOCK_ELEMS", 3 * p.n)
+    assert _game(p, 5000, 8, 1500, dense=True) == whole
+    with pytest.raises(NotNormalized) as blocked_err:
+        _game(bad, 5000, 8, 1500, dense=True)
+    assert blocked_err.value.direction == whole_err.value.direction
+    theta, phi = _chunk_angles(8, 1500)
+    row = next(r for r in range(1500) if Direction(theta[r], phi[r]) == whole_err.value.direction)
+    assert row >= 3  # the offender lies past the first block
+
+
+def test_run_game_falls_back_to_dense_check():
+    # certified bound above 1e-9, largest deviation only 2e-9
+    with pytest.raises(NotNormalized):
+        run_game(_perturbed_povm(5, 2e-9), 5000, seed=8)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_run_game_paper_order_within_one_gib():
+    # product rule 131: n = 8712, so one dense chunk alone would need 4.25 GiB
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from povmquad.povm import povm_from_quadrature\n"
+        "from povmquad.quadrature import product_rule\n"
+        "from povmquad.simulate import run_game\n"
+        "r = run_game(povm_from_quadrature(product_rule(131), 131), 65536, seed=1)\n"
+        "assert abs(r.mean_score - r.expected) < 5 * r.std_error, r\n"
+    )
+    src = str(Path(povmquad.__file__).resolve().parents[1])
+    # one BLAS thread: per-thread BLAS buffers would count against the limit
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_polar_angles_outside_zero_pi_are_certified_where_they_point():
+    # (-theta, phi + pi) is the same point as (theta, phi); (2pi - theta, phi)
+    # is the mirror image, which leaves the Lebedev POVM incomplete
+    p = _lebedev_povm("lebedev_0050.txt", 10)
+    flip = np.arange(p.n) % 2 == 1
+    same = FinitePovm(copies=10, c=p.c, theta=np.where(flip, -p.theta, p.theta),
+                      phi=np.where(flip, p.phi + math.pi, p.phi))
+    moved = FinitePovm(copies=10, c=p.c, theta=np.where(flip, 2 * math.pi - p.theta, p.theta),
+                       phi=p.phi)
+    assert scalar_completeness_residual(same) < 1e-13
+    sampled = scalar_completeness_residual(moved, directions=(p.theta, p.phi))
+    assert sampled > 1e-3
+    assert scalar_completeness_residual(moved) >= sampled
+    assert run_game(same, 20_000, seed=3) == _game(same, 20_000, 3, DEFAULT_CHUNK_SIZE, dense=False)
+    with pytest.raises(NotNormalized):
+        run_game(moved, 20_000, seed=3)
