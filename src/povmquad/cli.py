@@ -195,6 +195,7 @@ def cmd_strength(args) -> int:
 
 def cmd_simulate(args) -> int:
     povm = povm_from_json(args.file.read_text(encoding="utf-8"), label=args.file.name)
+    povm.validate()
     report = run_game(povm, args.trials, args.seed)
     if args.format == "json":
         print(report.to_json())

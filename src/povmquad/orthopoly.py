@@ -84,16 +84,16 @@ def _norm_coeffs(l_max: int):
     amm[0] = math.sqrt(1.0 / (4.0 * math.pi))
     for m in range(1, l_max + 1):
         amm[m] = amm[m - 1] * math.sqrt((2 * m + 1) / (2.0 * m))
+    l, m = np.tril_indices(l_max + 1, -1)
+    lf, mf = l.astype(float), m.astype(float)
     a = np.zeros((l_max + 1, l_max + 1))
     b = np.zeros((l_max + 1, l_max + 1))
-    for m in range(l_max + 1):
-        for l in range(m + 1, l_max + 1):
-            a[l, m] = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b[l, m] = -math.sqrt(
-                (2.0 * l + 1.0)
-                * ((l - 1.0) * (l - 1.0) - m * m)
-                / ((2.0 * l - 3.0) * (l * l - m * m))
-            )
+    a[l, m] = np.sqrt((4.0 * lf * lf - 1.0) / (lf * lf - mf * mf))
+    b[l, m] = -np.sqrt(
+        (2.0 * lf + 1.0)
+        * ((lf - 1.0) * (lf - 1.0) - mf * mf)
+        / ((2.0 * lf - 3.0) * (lf * lf - mf * mf))
+    )
     return amm, a, b
 
 
@@ -101,8 +101,8 @@ def assoc_legendre_column(l_max: int, m: int, x) -> np.ndarray:
     """All normalized values P~_l^m(x) for l = m..l_max in one upward pass.
 
     The result has shape (l_max - m + 1,) + shape(x); row i holds l = m + i.
-    This is the O(l_max - m) workhorse behind both single evaluations and
-    the certification loops.
+    This is the O(l_max - m) workhorse behind single evaluations; the
+    certification sums step all orders m at once (see harmonics).
     """
     if m < 0 or m > l_max:
         raise DomainError(f"order m={m} outside 0..l_max={l_max}")

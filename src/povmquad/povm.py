@@ -291,9 +291,11 @@ def scalar_completeness_residual(p: FinitePovm, directions=None) -> float:
 def _dicke_matrix(copies: int, theta, phi) -> np.ndarray:
     """Rows of symmetric-basis amplitudes for each direction; shape (n, N+1).
 
-    Magnitudes are formed in log space, so no binomial or power
-    overflows; the clipped logs are only ever multiplied by zero exactly
-    where cos/sin vanish, and exact poles get exact zeros.
+    Magnitudes are formed in log space from |cos(theta/2)| and
+    |sin(theta/2)|, so no binomial or power overflows; the clipped logs are
+    only ever multiplied by zero exactly where cos/sin vanish, and exact
+    poles get exact zeros. The signs (-1)^(N-j) and (-1)^j of negative
+    cos/sin are applied afterwards, so any finite polar angle is exact.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -304,12 +306,14 @@ def _dicke_matrix(copies: int, theta, phi) -> np.ndarray:
     half_log_binom = 0.5 * (lf[-1] - lf - lf[::-1])
     logmag = (
         half_log_binom
-        + (copies - j) * np.log(np.maximum(ch, _TINY))
-        + j * np.log(np.maximum(sh, _TINY))
+        + (copies - j) * np.log(np.maximum(np.abs(ch), _TINY))
+        + j * np.log(np.maximum(np.abs(sh), _TINY))
     )
     mag = np.exp(logmag)
     mag[sh[:, 0] == 0.0, 1:] = 0.0
     mag[ch[:, 0] == 0.0, :copies] = 0.0
+    odd = ((copies - j) * (ch < 0.0) + j * (sh < 0.0)) % 2 == 1
+    mag[odd] *= -1.0
     return mag * np.exp(1j * phi[:, None] * j)
 
 

@@ -29,6 +29,10 @@ FOUR_PI = 2.0 * TWO_PI
 DEFAULT_TOL = 1e-10
 _DUPLICATE_CHORD = 1e-9
 _UNIT_NORM_SLACK = 1e-6
+# Duplicate-scan cells per axis: 21 bits each, so three pack into an int64.
+_CELLS_PER_AXIS = 1 << 21
+# Candidate pairs the duplicate scan forms at once.
+_PAIR_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -245,21 +249,61 @@ def _parse_point_lines(stream, n_columns: int):
 
 
 def _check_duplicates(xyz: np.ndarray, line_numbers, chord_tol: float):
+    """Raise DuplicatePoint on the first pair (lowest i, then lowest j) of
+    unit vectors within chord_tol; O(n log n) for spread-out points.
+
+    Points are hashed to cubic cells of edge 2 / cells >= 2 * chord_tol, so
+    a close pair lies in the same or adjacent cells along every axis. Cell
+    coordinates pack into one int64 key (z lowest), so the cells of one
+    (dx, dy) neighbour column with dz in -1..1 are one contiguous run of
+    the sorted keys, found by two binary searches per point. Candidate
+    pairs are formed in chunks of about _PAIR_BLOCK, so clustered points
+    cost time, not memory.
+    """
     n = xyz.shape[0]
-    block = max(1, min(n, 2_000_000 // max(n, 1)))
+    cells = min(_CELLS_PER_AXIS, int(1.0 / chord_tol))
+    top = cells - 1
+    # fmax/fmin send NaN coordinates (rejected later as non-finite) to cell 0
+    cell = np.fmin(np.fmax(np.floor((xyz + 1.0) * (0.5 * cells)), 0), top).astype(np.int64)
+    key = (cell[:, 0] << 42) | (cell[:, 1] << 21) | cell[:, 2]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    z_lo = np.maximum(cell[:, 2] - 1, 0)
+    z_hi = np.minimum(cell[:, 2] + 1, top)
     tol2 = chord_tol * chord_tol
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        diff = xyz[start:stop, None, :] - xyz[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        rows, cols = np.nonzero(dist2 <= tol2)
-        for i, j in zip(rows, cols):
-            gi = start + i
-            if gi < j:
-                raise DuplicatePoint(
-                    f"points on lines {line_numbers[gi]} and {line_numbers[j]} "
-                    f"coincide within {chord_tol:g} rad"
-                )
+    best = None
+    for dx in (-1, 0, 1):
+        cx = cell[:, 0] + dx
+        for dy in (-1, 0, 1):
+            cy = cell[:, 1] + dy
+            column = (cx << 42) | (cy << 21)
+            lo = np.searchsorted(sorted_key, column | z_lo, side="left")
+            hi = np.searchsorted(sorted_key, column | z_hi, side="right")
+            inside = (cx >= 0) & (cx <= top) & (cy >= 0) & (cy <= top)
+            count = np.where(inside, hi - lo, 0)
+            ends = np.cumsum(count)
+            start = 0
+            while start < n:
+                base = ends[start] - count[start]
+                stop = max(start + 1, int(np.searchsorted(ends, base + _PAIR_BLOCK, side="right")))
+                c = count[start:stop]
+                first = ends[start:stop] - c - base  # offset of each point's run
+                i = np.repeat(np.arange(start, stop), c)
+                j = order[np.repeat(lo[start:stop] - first, c) + np.arange(i.size)]
+                pair = i < j
+                i, j = i[pair], j[pair]
+                diff = xyz[i] - xyz[j]
+                close = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= tol2)
+                if close.size:
+                    k = close[np.lexsort((j[close], i[close]))[0]]
+                    best = min(best or (n, n), (int(i[k]), int(j[k])))
+                start = stop
+    if best is not None:
+        i, j = best
+        raise DuplicatePoint(
+            f"points on lines {line_numbers[i]} and {line_numbers[j]} "
+            f"coincide within {chord_tol:g} rad"
+        )
 
 
 def ingest_pointset(stream, weight_mode: str = "uniform", label: str = "") -> SphericalQuadrature:
@@ -273,8 +317,9 @@ def ingest_pointset(stream, weight_mode: str = "uniform", label: str = "") -> Sp
       scale factor recorded on the result.
 
     Vectors are renormalized (norms more than 1e-6 off unit raise
-    ParseError, near-zero norms raise ZeroVector); two points closer than
-    1e-9 rad raise DuplicatePoint.
+    ParseError, near-zero norms raise ZeroVector, each naming the first
+    offending line); two points closer than 1e-9 rad raise DuplicatePoint,
+    found by an O(n log n) cell-hash scan.
     """
     if weight_mode not in ("uniform", "explicit"):
         raise DomainError(f"unknown weight_mode {weight_mode!r}")
@@ -282,14 +327,16 @@ def ingest_pointset(stream, weight_mode: str = "uniform", label: str = "") -> Sp
     rows, line_numbers = _parse_point_lines(stream, n_columns)
     xyz = rows[:, :3]
     norms = np.sqrt(np.einsum("ij,ij->i", xyz, xyz))
-    for i, nv in enumerate(norms):
-        if nv < 1e-9:
+    zero = norms < 1e-9
+    bad = np.flatnonzero(zero | (np.abs(norms - 1.0) > _UNIT_NORM_SLACK))
+    if bad.size:
+        i = bad[0]
+        if zero[i]:
             raise ZeroVector(f"line {line_numbers[i]}: zero vector")
-        if abs(nv - 1.0) > _UNIT_NORM_SLACK:
-            raise ParseError(
-                f"vector norm {nv!r} off unit by more than {_UNIT_NORM_SLACK:g}",
-                line=line_numbers[i],
-            )
+        raise ParseError(
+            f"vector norm {norms[i]!r} off unit by more than {_UNIT_NORM_SLACK:g}",
+            line=line_numbers[i],
+        )
     xyz = xyz / norms[:, None]
     _check_duplicates(xyz, line_numbers, _DUPLICATE_CHORD)
     n = xyz.shape[0]

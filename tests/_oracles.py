@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's harmonic/Legendre code
 paths: spherical harmonics come from scipy, Gauss-Legendre references from
-numpy.polynomial, Dicke amplitudes from a brute-force 2^N tensor product.
+numpy.polynomial, Dicke amplitudes from a brute-force 2^N tensor product,
+close point pairs from an all-pairs scan.
 """
 import cmath
 import math
@@ -64,3 +65,17 @@ def rotate_angles(theta, phi, rot):
     xyz = angles_to_xyz(theta, phi) @ rot.T
     z = np.clip(xyz[:, 2], -1.0, 1.0)
     return np.arccos(z), np.mod(np.arctan2(xyz[:, 1], xyz[:, 0]), 2 * math.pi)
+
+
+def first_close_pair(xyz, chord_tol):
+    """Lowest (i, j), then lowest j, with i < j and chord <= chord_tol, or None.
+
+    Brute force over all pairs, with the squared chord summed as in ingest.
+    """
+    xyz = np.asarray(xyz, float)
+    for i in range(len(xyz) - 1):
+        diff = xyz[i] - xyz[i + 1 :]
+        close = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= chord_tol * chord_tol)
+        if close.size:
+            return i, i + 1 + int(close[0])
+    return None

@@ -322,6 +322,21 @@ def test_score_rejects_weights_that_are_not_a_povm(edit, code, tmp_path, capsys)
     assert "score_exact" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["score", "simulate"])
+def test_zero_weight_element_is_rejected_by_score_and_simulate(command, povm1_file, capsys):
+    # the rejection sampler admits c = 0, so simulate ran this file to exit 0
+    obj = json.loads(povm1_file.read_text())
+    obj["elements"].append(dict(obj["elements"][0], c=0.0))
+    obj["n"] += 1
+    povm1_file.write_text(json.dumps(obj))
+    capsys.readouterr()
+    argv = [command, str(povm1_file)]
+    if command == "simulate":
+        argv += ["--trials", "10000", "--seed", "1"]
+    assert main(argv) == EXIT_VERIFY
+    assert "non-positive element weight" in capsys.readouterr().err
+
+
 def test_construct_paper_order(capsys):
     assert main(["construct", "131"]) == EXIT_OK
     out = capsys.readouterr().out

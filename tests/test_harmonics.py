@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
+from povmquad import harmonics
+from povmquad.cli import default_grid_dir
 from povmquad.errors import DomainError
 from povmquad.harmonics import HarmonicIndex, harmonic_row, weighted_harmonic_sums, ylm
-from povmquad.orthopoly import assoc_legendre
-from povmquad.quadrature import product_rule
+from povmquad.orthopoly import assoc_legendre, assoc_legendre_column
+from povmquad.quadrature import ingest_pointset, product_rule
 from povmquad.sphere import Direction, default_rng, sample_uniform, sample_uniform_angles
+
+from _oracles import rotate_angles, rotation_matrix
 
 INV_SQRT_4PI = 1.0 / math.sqrt(4.0 * math.pi)
 
@@ -124,3 +128,58 @@ def test_index_validation():
         ylm((-1, 0), Direction(1.0, 1.0))
     with pytest.raises(DomainError):
         harmonic_row(-1, Direction(1.0, 1.0))
+
+
+def per_m_sums(l_max, theta, phi, weights):
+    """Reference: one associated-Legendre column per order m over all points."""
+    x = np.cos(theta)
+    eiphi = np.exp(1j * np.asarray(phi, dtype=float))
+    eiphi[np.sin(theta) < 0.0] *= -1.0
+    wphase = np.asarray(weights, dtype=float).astype(complex)
+    out = np.zeros((l_max + 1, l_max + 1), dtype=complex)
+    for m in range(l_max + 1):
+        if m:
+            wphase = wphase * eiphi
+        cols = assoc_legendre_column(l_max, m, x)
+        s = cols @ wphase.real + 1j * (cols @ wphase.imag)
+        out[m:, m] = -s if m % 2 else s
+    return out
+
+
+def _kernel_cases():
+    rot = rotation_matrix([0.3, -1.1, 0.7], 0.9)
+    for order in (36, 80, 131):
+        q = product_rule(order)
+        yield f"plain-{order}", order + 2, q.theta, q.phi, q.weights
+        theta, phi = rotate_angles(q.theta, q.phi, rot)
+        yield f"rotated-{order}", order + 2, theta, phi, q.weights
+    with open(default_grid_dir() / "lebedev_0086.txt") as fh:
+        q = ingest_pointset(fh, "explicit")
+    for cap in (400, 600):
+        yield f"lebedev-86-cap-{cap}", cap, q.theta, q.phi, q.weights
+    rng = default_rng(44)
+    q = product_rule(44)
+    yield (
+        "jittered-44", 46,
+        q.theta + rng.normal(0.0, 1e-3, q.n), q.phi + rng.normal(0.0, 1e-3, q.n), q.weights,
+    )
+
+
+@pytest.mark.parametrize("case", list(_kernel_cases()), ids=lambda c: c[0])
+def test_ring_kernel_matches_per_m_reference(case):
+    _, l_max, theta, phi, w = case
+    diff = weighted_harmonic_sums(l_max, theta, phi, w) - per_m_sums(l_max, theta, phi, w)
+    assert np.max(np.abs(diff)) < 1e-13
+
+
+@pytest.mark.parametrize("rings_per_block", [1, 7])
+def test_ring_kernel_does_not_depend_on_block_budget(rings_per_block, monkeypatch):
+    rot = rotation_matrix([1.0, 0.2, -0.4], 2.1)
+    q = product_rule(20)
+    theta, phi = rotate_angles(q.theta, q.phi, rot)
+    for t, p in ((q.theta, q.phi), (theta, phi)):
+        whole = weighted_harmonic_sums(22, t, p, q.weights)
+        monkeypatch.setattr(harmonics, "_BLOCK_ELEMS", 23 * rings_per_block)
+        blocked = weighted_harmonic_sums(22, t, p, q.weights)
+        monkeypatch.undo()
+        assert np.max(np.abs(blocked - whole)) <= 1e-14

@@ -15,6 +15,7 @@ from povmquad.errors import (
 )
 from povmquad.povm import (
     DickeVector,
+    _dicke_matrix,
     FinitePovm,
     completeness_test_angles,
     dicke_amplitudes,
@@ -166,6 +167,34 @@ def test_dicke_log_space_branch_consistency():
     north = dicke_amplitudes(60, Direction(0.0, 0.0)).amplitudes
     assert north[0] == 1.0 and np.all(north[1:] == 0.0)
     assert direct.shape == (51,) and big.shape == (52,)
+
+
+def test_dicke_rows_at_polar_angles_outside_zero_pi():
+    # (-theta, phi + pi) names the point (theta, phi); theta + 2 pi names it
+    # too, with the global phase (-1)^N
+    rng = default_rng(31)
+    for copies in (1, 2, 5, 8):
+        for _ in range(20):
+            d = sample_uniform(rng)
+            ref = dicke_amplitudes(copies, d).amplitudes
+            for theta, phi in ((-d.theta, d.phi + math.pi), (d.theta + 2 * math.pi, d.phi)):
+                row = _dicke_matrix(copies, [theta], [phi])[0]
+                assert np.max(np.abs(row - tensor_dicke(copies, theta, phi))) < 1e-12
+                phase = np.vdot(ref, row)
+                assert abs(abs(phase) - 1.0) < 1e-12
+                assert np.max(np.abs(row - phase * ref)) < 1e-12
+
+
+def test_operator_completeness_at_polar_angles_outside_zero_pi():
+    p = product_povm(6)
+    flip = np.arange(p.n) % 2 == 1
+    same_points = FinitePovm(
+        copies=6,
+        c=p.c,
+        theta=np.where(flip, -p.theta, p.theta),
+        phi=np.where(flip, p.phi + math.pi, p.phi),
+    )
+    assert operator_completeness_residual(same_points) < 1e-13
 
 
 def test_dicke_vector_validation():

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import sph_harm_y
+
+from povmquad import quadrature
 
 from povmquad.cli import default_grid_dir
 from povmquad.errors import (
@@ -26,7 +30,13 @@ from povmquad.quadrature import (
     quadrature_to_json,
 )
 
-from _oracles import rotate_angles, rotation_matrix, scipy_harmonic_residuals, scipy_strength
+from _oracles import (
+    first_close_pair,
+    rotate_angles,
+    rotation_matrix,
+    scipy_harmonic_residuals,
+    scipy_strength,
+)
 
 PRODUCT_RULE_COUNTS = [2, 6, 8, 15, 18, 28, 32, 45, 50, 66, 72, 91, 98, 120, 128]
 
@@ -207,6 +217,65 @@ def test_ingest_zero_vector_and_norm_guard():
 def test_ingest_duplicate_points():
     with pytest.raises(DuplicatePoint):
         ingest_pointset(["1 0 0", "0 1 0", "1 1e-12 0"], "uniform")
+
+
+def test_ingest_norm_errors_name_the_first_offending_line():
+    with pytest.raises(ParseError) as err:
+        ingest_pointset(["0 0 1", "0 0 2", "0 0 0"], "uniform")
+    assert err.value.line == 2
+    with pytest.raises(ZeroVector, match="line 3: zero vector"):
+        ingest_pointset(["0 0 1", "", "0 0 0", "0 0 2"], "uniform")
+
+
+_CELL_EDGE = 2.0 / quadrature._CELLS_PER_AXIS
+
+
+@st.composite
+def planted_point_sets(draw):
+    """Random unit vectors with planted pairs: coincident, at chord 0.5e-9
+    (a duplicate) or 2e-9 (not one), some straddling cell boundaries on
+    every axis; line numbers increase with gaps."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xyz = rng.normal(size=(n, 3))
+    xyz /= np.linalg.norm(xyz, axis=1)[:, None]
+    plants = st.tuples(
+        st.integers(0, n - 1),
+        st.integers(0, n - 1),
+        st.sampled_from([0.0, 0.5e-9, 2e-9]),
+        st.booleans(),
+    )
+    for a, b, chord, straddle in draw(st.lists(plants, max_size=4)):
+        if a == b:
+            continue
+        if straddle:
+            # just below a cell boundary on each axis; the partner lands above
+            xyz[a] = np.round((xyz[a] + 1.0) / _CELL_EDGE) * _CELL_EDGE - 1.0 - 0.25 * chord
+            offset = np.full(3, chord / math.sqrt(3.0))
+        else:
+            direction = rng.normal(size=3)
+            offset = chord * direction / np.linalg.norm(direction)
+        xyz[b] = xyz[a] + offset
+    lines = np.cumsum(rng.integers(1, 4, n)).tolist()
+    return xyz, lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_point_sets(), st.sampled_from([1, 5, quadrature._PAIR_BLOCK]))
+def test_duplicate_scan_matches_brute_force_oracle(points, pair_block):
+    xyz, lines = points
+    expected = first_close_pair(xyz, quadrature._DUPLICATE_CHORD)
+    saved = quadrature._PAIR_BLOCK
+    quadrature._PAIR_BLOCK = pair_block
+    try:
+        if expected is None:
+            quadrature._check_duplicates(xyz, lines, quadrature._DUPLICATE_CHORD)
+        else:
+            i, j = expected
+            with pytest.raises(DuplicatePoint, match=f"lines {lines[i]} and {lines[j]} coincide"):
+                quadrature._check_duplicates(xyz, lines, quadrature._DUPLICATE_CHORD)
+    finally:
+        quadrature._PAIR_BLOCK = saved
 
 
 def test_ingest_rejects_unknown_mode_and_bad_weight_sum():
