@@ -167,14 +167,26 @@ def _require_strength(q: SphericalQuadrature, copies: int, tol: float) -> Certif
     return report
 
 
+def _funk_hecke_coeffs(power: int) -> np.ndarray:
+    """h_l = M!^2 / ((M-l)! (M+l+1)!) for l = 0..M, M = `power`.
+
+    ((1 + t)/2)^M = sum_l (2l+1) h_l P_l(t), so by the addition theorem
+    overlap(Omega_k, Omega)^M = 4pi sum_l h_l sum_m Y_l^m(Omega_k) conj(Y_l^m(Omega)).
+    Formed as h_0 = 1/(M+1) times the ratios (M-l+1)/(M+l+1), so h_l
+    carries about l rounding errors; a difference of log-factorials, each
+    about M log M in size, is off by 4e-13 relative at M = 132.
+    """
+    l = np.arange(1, power + 1)
+    return np.cumprod(np.concatenate(([1.0 / (power + 1)], (power - l + 1) / (power + l + 1))))
+
+
 def _completeness_bound(report: CertificationReport, copies: int) -> float:
     """Bound of the module docstring on |sum_k c_k overlap^N - 1|, c = (N+1) lambda/4pi.
 
     `report` must cover orders 1..N; N = 0 leaves the weight-sum term.
     """
-    lf = _log_factorials(2 * copies + 1)
     l = np.arange(1, copies + 1)
-    f = (2 * l + 1) * np.exp(2 * lf[copies] - lf[copies - l] - lf[copies + l + 1])
+    f = (2 * l + 1) * _funk_hecke_coeffs(copies)[1:]
     harmonic = float(f @ report.residual_per_l[:copies])
     return report.weight_sum_residual + (copies + 1) / math.sqrt(FOUR_PI) * harmonic
 

@@ -245,7 +245,11 @@ def _parse_point_lines(stream, n_columns: int):
         line_numbers.append(lineno)
     if not rows:
         raise ParseError("no points found in stream")
-    return np.asarray(rows, dtype=float), line_numbers
+    values = np.asarray(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise ParseError("non-finite value", line=line_numbers[bad[0]])
+    return values, line_numbers
 
 
 def _check_duplicates(xyz: np.ndarray, line_numbers, chord_tol: float):
@@ -263,8 +267,7 @@ def _check_duplicates(xyz: np.ndarray, line_numbers, chord_tol: float):
     n = xyz.shape[0]
     cells = min(_CELLS_PER_AXIS, int(1.0 / chord_tol))
     top = cells - 1
-    # fmax/fmin send NaN coordinates (rejected later as non-finite) to cell 0
-    cell = np.fmin(np.fmax(np.floor((xyz + 1.0) * (0.5 * cells)), 0), top).astype(np.int64)
+    cell = np.clip(np.floor((xyz + 1.0) * (0.5 * cells)), 0, top).astype(np.int64)
     key = (cell[:, 0] << 42) | (cell[:, 1] << 21) | cell[:, 2]
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
@@ -316,7 +319,8 @@ def ingest_pointset(stream, weight_mode: str = "uniform", label: str = "") -> Sp
     - "explicit": 4 columns; weights are rescaled to sum to 4*pi and the
       scale factor recorded on the result.
 
-    Vectors are renormalized (norms more than 1e-6 off unit raise
+    NaN or infinite values raise ParseError naming the first offending
+    line. Vectors are renormalized (norms more than 1e-6 off unit raise
     ParseError, near-zero norms raise ZeroVector, each naming the first
     offending line); two points closer than 1e-9 rad raise DuplicatePoint,
     found by an O(n log n) cell-hash scan.

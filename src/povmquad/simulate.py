@@ -40,9 +40,11 @@ import numpy as np
 
 from . import povm
 from .errors import DomainError, NotNormalized
+from .harmonics import weighted_harmonic_sums
 from .povm import (
     FinitePovm,
     _direction_angles,
+    _funk_hecke_coeffs,
     _pow_int,
     _power_sums,
     optimal_score,
@@ -301,12 +303,27 @@ def score_by_direction(p: FinitePovm, grid) -> np.ndarray:
 
 
 def quadrature_averaged_score(p: FinitePovm, q: SphericalQuadrature | None = None) -> float:
-    """Average of the conditional score against a strength >= N+1 rule.
+    """Average of the conditional score E[score|Omega] over the rule q.
 
-    Defaults to the product rule of order N+1; exactly cross-checks the
-    Monte Carlo layer against the analytic score.
+    Defaults to the product rule of order N+1, which is exact for the
+    band-limited score and so cross-checks the Monte Carlo layer against
+    the analytic optimum. With M = N+1, the addition theorem expands
+    E[score|Omega] = sum_k c_k overlap_k^M into the harmonic sums
+    A = sum_k c_k Y_l^m(Omega_k) and B = sum_j (w_j/4pi) Y_l^m(Omega_j):
+
+        avg = sum_{l=0..M} g_l [A_l0 B_l0 + 2 sum_{m>0} Re(A_lm conj(B_lm))],
+        g_l = 4pi M!^2 / ((M-l)! (M+l+1)!).
+
+    This is an identity for any POVM and any rule, exact or not. Both
+    sums come from :func:`~povmquad.harmonics.weighted_harmonic_sums`, so
+    the cost is O((R_p + R_q) N^2 + (n_p + n_q) N) time for R distinct
+    latitudes and O(N^2) memory, instead of an n_p x n_q overlap matrix.
     """
     if q is None:
         q = product_rule(p.copies + 1)
-    scores = score_by_direction(p, (q.theta, q.phi))
-    return float(scores @ (q.weights / FOUR_PI))
+    power = p.copies + 1
+    a = weighted_harmonic_sums(power, p.theta, p.phi, p.c)
+    b = weighted_harmonic_sums(power, q.theta, q.phi, q.weights / FOUR_PI)
+    cross = a.real * b.real + a.imag * b.imag
+    cross[:, 1:] *= 2.0
+    return float(FOUR_PI * (_funk_hecke_coeffs(power) @ cross.sum(axis=1)))

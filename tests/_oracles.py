@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's harmonic/Legendre code
 paths: spherical harmonics come from scipy, Gauss-Legendre references from
 numpy.polynomial, Dicke amplitudes from a brute-force 2^N tensor product,
-close point pairs from an all-pairs scan.
+close point pairs from an all-pairs scan, quadrature-averaged scores from
+the overlap matrix raised to the power N+1.
 """
 import cmath
 import math
@@ -79,3 +80,19 @@ def first_close_pair(xyz, chord_tol):
         if close.size:
             return i, i + 1 + int(close[0])
     return None
+
+
+def direct_averaged_score(p, q, block=512):
+    """sum_j (w_j/4pi) sum_k c_k overlap(Omega_k, Omega_j)^(N+1), term by term.
+
+    The overlap matrix of POVM p against rule q is formed in row blocks of
+    q and raised to the power N+1 directly.
+    """
+    exyz = angles_to_xyz(p.theta, p.phi)
+    dxyz = angles_to_xyz(q.theta, q.phi)
+    wnorm = np.asarray(q.weights, float) / (4.0 * math.pi)
+    total = 0.0
+    for start in range(0, dxyz.shape[0], block):
+        ov = np.clip(0.5 * (1.0 + dxyz[start:start + block] @ exyz.T), 0.0, 1.0)
+        total += float(wnorm[start:start + block] @ (ov ** (p.copies + 1) @ p.c))
+    return total

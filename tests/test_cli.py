@@ -342,3 +342,19 @@ def test_construct_paper_order(capsys):
     out = capsys.readouterr().out
     assert "n: 8712" in out
     assert float(out.split("scalar_residual:")[1].split()[0]) < 1e-9
+
+
+@pytest.mark.parametrize("lines", [
+    ("1 0 0", "nan 0 0", "0 0 1"),
+    ("1 0 0 1", "0 1 0 nan", "0 0 1 1"),
+    ("1 0 0 1", "0 1 0 inf", "0 0 1 1"),
+    ("1 0 0", "0 -inf 0", "0 0 1"),
+], ids=["nan-coordinate", "nan-weight", "inf-weight", "inf-coordinate"])
+def test_certify_non_finite_value_is_parse_error_on_its_line(lines, tmp_path, capsys, recwarn):
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["certify", str(path), "--lmax", "2"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "line 2: non-finite value" in err
+    assert err.count("\n") == 1
+    assert len(recwarn) == 0

@@ -391,3 +391,14 @@ def test_ingest_accepts_file_like_streams():
     text = "\n".join(OCTAHEDRON_LINES)
     q = ingest_pointset(io.StringIO(text), "uniform")
     assert q.n == 6
+
+
+@pytest.mark.parametrize("mode, lines", [
+    ("uniform", ["0 0 1", "# comment", "", "1 nan 0"]),
+    ("explicit", ["0 0 1 2", "1 0 0 -inf"]),
+    ("explicit", ["0 0 1 2", "1 0 0 1", "0 1 0 inf"]),
+])
+def test_ingest_rejects_non_finite_values_with_their_line(mode, lines):
+    with pytest.raises(ParseError, match="non-finite value") as err:
+        ingest_pointset(lines, mode)
+    assert err.value.line == len(lines)

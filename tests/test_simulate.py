@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from povmquad.povm import (
     povm_from_quadrature,
     scalar_completeness_residual,
 )
-from povmquad.quadrature import ingest_pointset, product_rule
+from povmquad.quadrature import SphericalQuadrature, ingest_pointset, product_rule
 from povmquad.simulate import (
     DEFAULT_CHUNK_SIZE,
     SimulationReport,
@@ -31,6 +32,8 @@ from povmquad.simulate import (
     score_by_direction,
 )
 from povmquad.sphere import Direction, angles_to_xyz, substream
+
+from _oracles import direct_averaged_score, rotate_angles, rotation_matrix
 
 
 def antipodal_povm():
@@ -283,3 +286,57 @@ def test_polar_angles_outside_zero_pi_are_certified_where_they_point():
     assert run_game(same, 20_000, seed=3) == _game(same, 20_000, 3, DEFAULT_CHUNK_SIZE, dense=False)
     with pytest.raises(NotNormalized):
         run_game(moved, 20_000, seed=3)
+
+
+def _rotated_product_povm(copies):
+    q = product_rule(copies)
+    theta, phi = rotate_angles(q.theta, q.phi, rotation_matrix([0.3, -1.0, 0.7], 0.9))
+    return povm_from_quadrature(SphericalQuadrature(theta, phi, q.weights), copies)
+
+
+def _jittered_povm(copies):
+    p = povm_from_quadrature(product_rule(copies), copies)
+    rng = np.random.default_rng(5)
+    theta = p.theta + rng.normal(scale=1e-2, size=p.n)
+    phi = p.phi + rng.normal(scale=1e-2, size=p.n)
+    return FinitePovm(copies=copies, c=p.c, theta=theta, phi=phi)
+
+
+@pytest.mark.parametrize("copies", list(range(1, 41)) + [51, 65, 131])
+def test_harmonic_average_matches_direct_sum_on_product_rules(copies):
+    p = povm_from_quadrature(product_rule(copies), copies)
+    averaged = quadrature_averaged_score(p)
+    assert abs(averaged - direct_averaged_score(p, product_rule(copies + 1))) <= 1e-13
+    assert abs(averaged - exact_score(p)) < 1e-10
+
+
+@pytest.mark.parametrize("p, q, exact", [
+    (_rotated_product_povm(30), product_rule(31), True),
+    (_rotated_product_povm(40), product_rule(41), True),
+    (_lebedev_povm("lebedev_0050.txt", 11), product_rule(12), True),
+    (povm_from_quadrature(product_rule(30), 30), product_rule(28), True),
+    (_rotated_product_povm(12), product_rule(10), False),
+    (_jittered_povm(9), product_rule(7), False),
+    (_jittered_povm(9), product_rule(10), True),
+], ids=["rotated-30", "rotated-40", "lebedev50-11", "product-30-grid-below",
+        "rotated-12-grid-below", "perturbed-9-grid-below", "perturbed-9"])
+def test_harmonic_average_matches_direct_sum_off_product_rules(p, q, exact):
+    # An identity for any POVM and grid. Any POVM averaged over a grid of
+    # strength >= N+1 gives sum(c)/(N+2). A grid of lower strength misses it,
+    # except for an axis-aligned product-rule POVM, whose harmonic sums
+    # vanish through order N and share no nonzero order-(N+1) term with it.
+    averaged = quadrature_averaged_score(p, q)
+    assert abs(averaged - direct_averaged_score(p, q)) <= 1e-13
+    assert (abs(averaged - exact_score(p)) < 1e-10) == exact
+
+
+def test_harmonic_average_memory_at_paper_order():
+    # the direct route's n x n_grid overlap blocks peaked at 153 MB
+    p = povm_from_quadrature(product_rule(131), 131)
+    tracemalloc.start()
+    try:
+        quadrature_averaged_score(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
