@@ -12,6 +12,7 @@ grids bundled with the package.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -43,7 +44,7 @@ from .povm import (
     spin_subspaces,
 )
 from .quadrature import _fmt, certify, ingest_pointset, product_rule, product_rule_count
-from .simulate import quadrature_averaged_score, run_game, score_by_direction
+from .simulate import _NORMALIZATION_TOL, quadrature_averaged_score, run_game, score_by_direction
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -72,6 +73,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def _seed_value(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
@@ -87,14 +102,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("copies", type=_positive_int, metavar="N")
     p.add_argument("--out", type=Path, help="write the POVM to this file")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--residual-tol", type=float, default=1e-9,
+    p.add_argument("--residual-tol", type=_positive_finite, default=1e-9,
                    help="completeness residual bound for exit status")
 
     p = sub.add_parser("certify", help="residuals per harmonic order of a point-set file")
     p.add_argument("file", type=Path)
     p.add_argument("--lmax", type=_positive_int, default=20)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--expect", type=int, help="exit 1 unless strength >= this order")
+    p.add_argument("--expect", type=_non_negative_int,
+                   help="exit 1 unless strength >= this order")
     p.add_argument("--weights", choices=("auto", "uniform", "explicit"), default="auto")
     p.add_argument("--signed", action="store_true",
                    help="measure exactness even if some weights are negative")
@@ -125,6 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grids", type=Path, help=f"grid directory (default ${ENV_GRIDS} or bundled)")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     return parser
+
+
+# Building the parser costs about 20 parses, so main builds it once per process.
+_shared_parser = functools.cache(build_parser)
 
 
 def _read_lines(path: Path):
@@ -217,6 +237,14 @@ def cmd_simulate(args) -> int:
 def cmd_score(args) -> int:
     povm = povm_from_json(args.file.read_text(encoding="utf-8"), label=args.file.name)
     povm.validate()
+    # score_quadrature_avg is sum(c)/(N+2) for any directions, so only a
+    # certified completeness bound catches moved outcome directions
+    bound = scalar_completeness_residual(povm)
+    if not bound <= _NORMALIZATION_TOL:
+        raise NotNormalized(
+            f"{args.file.name}: certified completeness bound {bound:.3e} "
+            f"exceeds {_NORMALIZATION_TOL:g}"
+        )
     if args.grid is None:
         score = exact_score(povm)
         averaged = quadrature_averaged_score(povm)
@@ -378,9 +406,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -11,10 +11,12 @@ exactness checks downstream test the vanishing of weighted sums of these
 values, so they are insensitive to the phase choice; the normalization is
 what ties quadrature weights to POVM coefficients.
 
-Single values (`ylm`, `harmonic_row`) run one associated-Legendre column
-per order m. The weighted sums behind certification instead separate
-variables: azimuthal sums per latitude ring first, then one recurrence in
-l for all m at once over the R distinct latitudes, O(R l_max^2 + n l_max).
+`ylm` runs one associated-Legendre column per order m, the independent
+reference the tests hold the ring kernel to. Everything else goes through
+`weighted_harmonic_sums`, which separates variables: azimuthal sums per
+latitude ring first, then one recurrence in l for all m at once over the
+R distinct latitudes, O(R l_max^2 + n l_max); `harmonic_row` is its
+one-point, unit-weight case.
 """
 from __future__ import annotations
 
@@ -63,22 +65,16 @@ def harmonic_row(l_max: int, d: Direction) -> list[np.ndarray]:
     """All Y_l^m(d) for l = 0..l_max in one O(l_max^2) recurrence pass.
 
     Returns a ragged list where row l is a complex array of length 2l + 1
-    indexed by m + l (m runs from -l to l).
+    indexed by m + l (m runs from -l to l). The m >= 0 half is
+    weighted_harmonic_sums of the single point d with weight 1; the rest
+    is the mirror Y_l^{-m} = (-1)^m conj(Y_l^m).
     """
     if l_max < 0:
         raise DomainError(f"l_max must be >= 0, got {l_max}")
-    x = math.cos(d.theta)
-    rows = [np.zeros(2 * l + 1, dtype=complex) for l in range(l_max + 1)]
-    for m in range(l_max + 1):
-        col = assoc_legendre_column(l_max, m, x)
-        phase = complex(math.cos(m * d.phi), math.sin(m * d.phi))
-        sign = -1.0 if m % 2 else 1.0
-        for i, l in enumerate(range(m, l_max + 1)):
-            v = sign * col[i] * phase
-            rows[l][l + m] = v
-            if m:
-                rows[l][l - m] = sign * v.conjugate()
-    return rows
+    y = weighted_harmonic_sums(l_max, [d.theta], [d.phi], [1.0])
+    mirror = y.conj()
+    mirror[:, 1::2] *= -1.0
+    return [np.concatenate((mirror[l, l:0:-1], y[l, : l + 1])) for l in range(l_max + 1)]
 
 
 def weighted_harmonic_sums(l_max: int, theta, phi, weights) -> np.ndarray:

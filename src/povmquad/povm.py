@@ -57,7 +57,7 @@ from .quadrature import (
 from .sphere import Direction, angles_to_xyz, overlap_matrix, sample_uniform_angles, substream
 
 OPERATOR_CHECK_CAP = 60
-# Overlaps held at once by the blocked power-sum kernel.
+# Overlaps per block of _overlap_blocks, the one overlap loop of the package.
 _BLOCK_ELEMS = int(2e7)
 
 # Fixed stream for default verification directions: libraries and CLI must
@@ -133,24 +133,27 @@ class DickeVector:
 
 
 def _pow_int(a: np.ndarray, n: int) -> np.ndarray:
-    """a**n for integer n >= 0; exact squaring for small n, exp/log above."""
+    """a**n in place for integer n >= 0 and a >= 0; returns `a`.
+
+    Repeated squaring up to n = 64, with at most one extra buffer, which
+    the last multiplication writes back into `a`; above 64, exp(n log a),
+    where log 0 = -inf maps cleanly to 0.
+    """
+    if n > 64:
+        with np.errstate(divide="ignore"):
+            np.log(a, out=a)
+        a *= n
+        return np.exp(a, out=a)
     if n == 0:
-        return np.ones_like(a)
-    if n == 1:
-        return a.copy()
-    if n <= 64:
-        result = None
-        base = a
-        k = n
-        while k:
-            if k & 1:
-                result = base.copy() if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-    with np.errstate(divide="ignore"):
-        return np.exp(n * np.log(np.maximum(a, 0.0)))
+        a.fill(1.0)
+        return a
+    result = None
+    while n > 1:
+        if n & 1:
+            result = a.copy() if result is None else np.multiply(result, a, out=result)
+        n >>= 1
+        a *= a
+    return a if result is None else np.multiply(result, a, out=a)
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -242,31 +245,30 @@ def _direction_angles(directions):
     )
 
 
-def _power_sums(theta, phi, c, directions, power: int) -> np.ndarray:
-    """sum_k c_k overlap(Omega_k, Omega)^power per (theta, phi) pair in `directions`.
+def _overlap_blocks(theta, phi, directions):
+    """Overlaps of each (theta, phi) pair in `directions` with every element.
 
-    Overlaps are formed in row blocks of at most _BLOCK_ELEMS entries;
-    powers above 64 go through exp(power * log(ov)) in place.
+    Yields (start, stop, ov), ov the overlap rows start:stop against the
+    elements (theta, phi), in blocks of at most _BLOCK_ELEMS entries. Each
+    block overwrites the one buffer of the last, so a caller may work in
+    ov in place but is done with it when it asks for the next block.
     """
     exyz = angles_to_xyz(theta, phi)
     dxyz = angles_to_xyz(*directions)
     block = max(1, _BLOCK_ELEMS // exyz.shape[0])
     buf = np.empty((min(block, dxyz.shape[0]), exyz.shape[0]))
-    sums = np.empty(dxyz.shape[0])
     for start in range(0, dxyz.shape[0], block):
         stop = min(dxyz.shape[0], start + block)
-        ov = overlap_matrix(dxyz[start:stop], exyz, out=buf[: stop - start])
-        if power > 64:
-            # log(0) = -inf maps cleanly to 0
-            with np.errstate(divide="ignore"):
-                np.log(ov, out=ov)
-            ov *= power
-            np.exp(ov, out=ov)
-        else:
-            ov = _pow_int(ov, power)
+        yield start, stop, overlap_matrix(dxyz[start:stop], exyz, out=buf[: stop - start])
+
+
+def _power_sums(theta, phi, c, directions, power: int) -> np.ndarray:
+    """sum_k c_k overlap(Omega_k, Omega)^power per (theta, phi) pair in `directions`."""
+    sums = np.empty(np.size(directions[0]))
+    for start, stop, ov in _overlap_blocks(theta, phi, directions):
         # einsum reduces each row on its own (BLAS gemv groups rows), so
         # the sums do not depend on where the blocks fall
-        np.einsum("ij,j->i", ov, c, out=sums[start:stop])
+        np.einsum("ij,j->i", _pow_int(ov, power), c, out=sums[start:stop])
     return sums
 
 

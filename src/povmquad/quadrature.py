@@ -186,21 +186,21 @@ def certify(
 
     Raises WeightError on any non-positive weight unless `allow_signed`
     is set (signed rules exist in the published Lebedev tables and can be
-    measured for exactness, but never define a POVM).
+    measured for exactness, but never define a POVM), and DomainError
+    unless `tol` is positive and finite (an infinite one passes every order).
     """
     if l_max < 1:
         raise DomainError(f"l_max must be >= 1, got {l_max}")
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     if not allow_signed and not q.all_weights_positive:
         raise WeightError(
             f"{q.label or 'quadrature'} has a non-positive weight "
             f"(min {q.weights.min()!r})"
         )
     sums = weighted_harmonic_sums(l_max, q.theta, q.phi, q.weights)
-    residual_per_l = np.empty(l_max)
-    for l in range(1, l_max + 1):
-        residual_per_l[l - 1] = np.max(np.abs(sums[l, : l + 1]))
+    # entries above the diagonal (m > l) are zero
+    residual_per_l = np.abs(sums[1:]).max(axis=1)
     failing = np.nonzero(residual_per_l > tol)[0]
     strength = l_max if failing.size == 0 else int(failing[0])
     return CertificationReport(

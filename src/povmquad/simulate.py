@@ -21,10 +21,10 @@ a check made once per call:
   acceptance rate is 1/(N+1), and a trial costs about N+1 overlaps. The
   chunk holds O(chunk_size) numbers, whatever the POVM size.
 * Dense (every other POVM): one block of outcome uniforms, then the
-  inverse CDF over all n outcome probabilities, formed in row blocks of
-  at most ``povm._BLOCK_ELEMS`` overlaps. Each row is checked to sum to
-  1 within 1e-9, so an incomplete POVM raises NotNormalized with the
-  first offending direction.
+  inverse CDF over all n outcome probabilities, formed in the bounded
+  row blocks of povm's overlap loop. Each row is checked to sum to 1
+  within 1e-9, so an incomplete POVM raises NotNormalized with the first
+  offending direction.
 
 The per-chunk partial sums are combined in chunk order, so a report is a
 pure function of (povm, trials, seed, chunk_size) regardless of how chunks
@@ -38,20 +38,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import povm
 from .errors import DomainError, NotNormalized
 from .harmonics import weighted_harmonic_sums
 from .povm import (
     FinitePovm,
     _direction_angles,
     _funk_hecke_coeffs,
+    _overlap_blocks,
     _pow_int,
     _power_sums,
     optimal_score,
     scalar_completeness_residual,
 )
 from .quadrature import FOUR_PI, SphericalQuadrature, _fmt, product_rule
-from .sphere import Direction, TWO_PI, angles_to_xyz, overlap_matrix, substream
+from .sphere import Direction, TWO_PI, angles_to_xyz, substream
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 _NORMALIZATION_TOL = 1e-9
@@ -91,6 +91,7 @@ class SimulationReport:
 
 
 def _outcome_probabilities(ov: np.ndarray, c: np.ndarray, copies: int, where) -> np.ndarray:
+    """c_k ov^N in place of the overlap rows `ov`; NotNormalized names the first row off 1."""
     probs = _pow_int(ov, copies)
     probs *= c
     rowsum = probs.sum(axis=-1)
@@ -182,15 +183,13 @@ def _rejection_columns(rng, d, prob, e, copies: int) -> np.ndarray:
     return chosen
 
 
-def _dense_scores(p: FinitePovm, exyz, dxyz, theta, phi, u) -> np.ndarray:
+def _dense_scores(p: FinitePovm, theta, phi, u) -> np.ndarray:
     """Scores of one chunk by inverse CDF over every outcome, in row blocks."""
-    block = max(1, povm._BLOCK_ELEMS // p.n)
     scores = np.empty(u.size)
-    for start in range(0, u.size, block):
-        stop = min(u.size, start + block)
-        ov = overlap_matrix(dxyz[start:stop], exyz)
+    for start, stop, ov in _overlap_blocks(p.theta, p.phi, (theta, phi)):
+        # the power works in place, and ov still gives the drawn outcome's score
         probs = _outcome_probabilities(
-            ov, p.c, p.copies, lambda r: Direction(theta[start + r], phi[start + r])
+            ov.copy(), p.c, p.copies, lambda r: Direction(theta[start + r], phi[start + r])
         )
         cum = np.cumsum(probs, axis=1, out=probs)
         k = np.minimum((cum < u[start:stop, None]).sum(axis=1), p.n - 1)
@@ -200,9 +199,7 @@ def _dense_scores(p: FinitePovm, exyz, dxyz, theta, phi, u) -> np.ndarray:
 
 def _game(p: FinitePovm, trials: int, seed: int, chunk_size: int, dense: bool) -> SimulationReport:
     """run_game with the sampler chosen by the caller (dense or rejection)."""
-    if dense:
-        exyz = angles_to_xyz(p.theta, p.phi)
-    else:
+    if not dense:
         prob, _, e = _proposal_table(p)
     n_chunks = (trials + chunk_size - 1) // chunk_size
     total = 0.0
@@ -214,11 +211,10 @@ def _game(p: FinitePovm, trials: int, seed: int, chunk_size: int, dense: bool) -
         z = rng.uniform(-1.0, 1.0, m)
         phi = rng.uniform(0.0, TWO_PI, m)
         theta = np.arccos(np.clip(z, -1.0, 1.0))
-        dxyz = angles_to_xyz(theta, phi)
         if dense:
-            scores = _dense_scores(p, exyz, dxyz, theta, phi, rng.random(m))
+            scores = _dense_scores(p, theta, phi, rng.random(m))
         else:
-            d = dxyz.T
+            d = angles_to_xyz(theta, phi).T
             cols = _rejection_columns(rng, d, prob, e, p.copies)
             scores = np.clip(_pair_overlaps(d, e, cols), 0.0, 1.0)
         total += float(scores.sum())
@@ -276,9 +272,8 @@ def sample_outcomes(
     """Outcome counts for a fixed true direction (frequency diagnostics)."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    ov = overlap_matrix(angles_to_xyz([d.theta], [d.phi]), angles_to_xyz(p.theta, p.phi))
-    probs = _outcome_probabilities(ov, p.c, p.copies, lambda r: d)[0]
-    cum = np.cumsum(probs)
+    _, _, ov = next(_overlap_blocks(p.theta, p.phi, ([d.theta], [d.phi])))
+    cum = np.cumsum(_outcome_probabilities(ov, p.c, p.copies, lambda r: d)[0])
     counts = np.zeros(p.n, dtype=np.int64)
     done = 0
     index = 0

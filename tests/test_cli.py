@@ -10,6 +10,7 @@ from povmquad.cli import (
     EXIT_PARSE,
     EXIT_USAGE,
     EXIT_VERIFY,
+    _shared_parser,
     default_grid_dir,
     main,
 )
@@ -274,12 +275,28 @@ def test_table_json_row_schema(capsys):
     }
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(octa_file, capsys):
     assert main([]) == EXIT_USAGE
     assert main(["unknown-command"]) == EXIT_USAGE
     assert main(["construct"]) == EXIT_USAGE
     assert main(["simulate", "x.json", "--seed", "-3"]) == EXIT_USAGE
     assert main(["table", "--nmax", "0"]) == EXIT_USAGE
+    for tol in ("nan", "-1", "0", "inf"):
+        assert main(["construct", "3", "--residual-tol", tol]) == EXIT_USAGE
+    assert main(["certify", str(octa_file), "--expect", "-3"]) == EXIT_USAGE
+    # an infinite tolerance would certify the octahedron (strength 3) to order 9
+    assert main(["certify", str(octa_file), "--lmax", "9", "--expect", "9", "--tol", "inf"]) == EXIT_USAGE
+    assert main(["strength", str(octa_file), "--tol", "inf"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+def test_main_builds_its_parser_once_and_leaks_no_arguments(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["construct", "2", "--format", "csv", "--out", str(a)]) == EXIT_OK
+    assert main(["construct", "2", "--out", str(b)]) == EXIT_OK
+    assert a.read_text().startswith("# N=2")
+    assert json.loads(b.read_text())["N"] == 2
+    assert _shared_parser.cache_info().misses == 1
 
 
 def test_help_exits_zero(capsys):
@@ -304,22 +321,30 @@ def test_malformed_povm_file_is_parse_error(edit, command, tmp_path, capsys):
     assert main(argv) == EXIT_PARSE
 
 
-@pytest.mark.parametrize("edit, code", [("scale", EXIT_PARSE), ("negate", EXIT_VERIFY)])
-def test_score_rejects_weights_that_are_not_a_povm(edit, code, tmp_path, capsys):
+@pytest.mark.parametrize("edit, code", [
+    ("scale", EXIT_PARSE), ("negate", EXIT_VERIFY), ("move", EXIT_PARSE),
+])
+def test_score_rejects_weights_that_are_not_a_povm(edit, code, octa_file, tmp_path, capsys):
     # score_quadrature_avg equals sum(c)/(N+2) for any directions, so the
-    # cross-check alone passes these files (0.808 > optimum 0.8, and 0.6)
+    # cross-check alone passes these files (0.808 > optimum 0.8, 0.6, and
+    # the optimum itself for moved directions)
     path = tmp_path / "povm3.json"
     assert main(["construct", "3", "--out", str(path)]) == EXIT_OK
     obj = json.loads(path.read_text())
     if edit == "scale":
         for element in obj["elements"]:
             element["c"] *= 1.01
-    else:
+    elif edit == "negate":
         obj["elements"][0]["c"] *= -1
+    else:
+        obj["elements"][0]["theta"] += 0.3
+        obj["elements"][1]["phi"] += 1.0
     path.write_text(json.dumps(obj))
     capsys.readouterr()
     assert main(["score", str(path)]) == code
-    assert "score_exact" not in capsys.readouterr().out
+    assert capsys.readouterr().out == ""
+    assert main(["score", str(path), "--grid", str(octa_file)]) == code
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command", ["score", "simulate"])

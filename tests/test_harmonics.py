@@ -41,11 +41,12 @@ def test_harmonic_row_single_entry():
 
 
 def test_harmonic_row_north_pole_kills_nonzero_m():
-    rows = harmonic_row(2, Direction(0.0, 0.0))
-    for l in range(3):
-        for m in range(-l, l + 1):
-            if m != 0:
-                assert rows[l][l + m] == 0.0
+    for d in (Direction(0.0, 0.0), Direction(math.pi, 0.0)):
+        rows = harmonic_row(12, d)
+        for l in range(13):
+            for m in range(-l, l + 1):
+                if m != 0:
+                    assert rows[l][l + m] == 0.0
 
 
 def test_harmonic_row_consistent_with_ylm():

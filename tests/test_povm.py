@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from povmquad.errors import (
 from povmquad.povm import (
     DickeVector,
     _dicke_matrix,
+    _pow_int,
     FinitePovm,
     completeness_test_angles,
     dicke_amplitudes,
@@ -381,6 +383,30 @@ def test_strength_checks_reject_signed_rules():
         schur_moment_residual(signed, 1)
     with pytest.raises(WeightError):
         subspace_completeness_residuals(signed, 1)
+
+
+def test_pow_int_works_in_place_across_both_regimes():
+    a = np.concatenate(([0.0, 1.0], np.linspace(1e-3, 0.999, 200)))
+    for n in range(71):
+        b = a.copy()
+        assert _pow_int(b, n) is b
+        assert np.allclose(b, a**n, rtol=1e-12, atol=0.0)
+        assert b[0] == (n == 0) and b[1] == 1.0
+
+
+def test_sampled_residual_holds_two_overlap_blocks():
+    # one block of overlaps plus the power's one extra buffer (N = 15 has
+    # four set bits, so the buffer is used)
+    p = product_povm(15)
+    probes = random_angles(4000, 7)
+    block = probes[0].size * p.n * 8
+    tracemalloc.start()
+    try:
+        scalar_completeness_residual(p, probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * block
 
 
 def test_subspace_bound_and_sampled_paths_on_exact_rule():

@@ -149,8 +149,9 @@ def test_certify_guards():
     q = product_rule(2)
     with pytest.raises(DomainError):
         certify(q, 0)
-    with pytest.raises(DomainError):
-        certify(q, 3, tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            certify(q, 3, tol=tol)
     signed = SphericalQuadrature(
         [0.1, 2.0, 2.5], [0.0, 1.0, 4.0], [8.0, -1.0, FOUR_PI - 7.0]
     )

@@ -227,9 +227,11 @@ def _chunk_angles(seed, m):
     return np.arccos(z), rng.uniform(0.0, 2.0 * math.pi, m)
 
 
-def test_dense_blocks_are_bit_identical(monkeypatch):
-    p = povm_from_quadrature(product_rule(5), 5)
-    bad = _perturbed_povm(5, 2e-9)
+@pytest.mark.parametrize("copies", [5, 70])
+def test_dense_blocks_are_bit_identical(copies, monkeypatch):
+    # both power branches: repeated squaring (N <= 64) and in-place exp/log
+    p = povm_from_quadrature(product_rule(copies), copies)
+    bad = _perturbed_povm(copies, 2e-9)
     whole = _game(p, 5000, 8, 1500, dense=True)
     with pytest.raises(NotNormalized) as whole_err:
         _game(bad, 5000, 8, 1500, dense=True)
