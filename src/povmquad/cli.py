@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmax", type=_positive_int, default=20)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--expect", type=_non_negative_int,
-                   help="exit 1 unless strength >= this order")
+                   help="exit 1 unless strength >= this order (at most --lmax)")
     p.add_argument("--weights", choices=("auto", "uniform", "explicit"), default="auto")
     p.add_argument("--signed", action="store_true",
                    help="measure exactness even if some weights are negative")
@@ -188,6 +188,10 @@ def cmd_construct(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.expect is not None and args.expect > args.lmax:
+        raise DomainError(
+            f"--expect {args.expect} exceeds --lmax {args.lmax}; strength is never above --lmax"
+        )
     q = _load_pointset(args.file, args.weights)
     report = certify(q, args.lmax, args.tol, allow_signed=args.signed)
     if args.format == "json":

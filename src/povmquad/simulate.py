@@ -6,25 +6,36 @@ guess with the single-copy fidelity |<Omega_k|Omega>|^2. For a complete
 POVM the mean score converges to (N+1)/(N+2).
 
 Trials run in fixed-size chunks; chunk i consumes the Philox substream
-jumped(i) of the 64-bit seed and first draws one block of cos-theta
-values, then one of azimuths. How the outcomes are drawn next depends on
-a check made once per call:
+jumped(i) of the 64-bit seed. How it is read depends on a check made
+once per call:
 
-* Rejection (c_k >= 0 and the certified scalar-completeness bound of
-  :func:`~povmquad.povm.scalar_completeness_residual` at most 1e-9):
-  while trials of the chunk are pending, one (2, P) block of uniforms
-  for the P pending trials. Row 0 proposes k ~ c_k / sum c from a Vose
-  alias table (column floor(u n), coin from the fractional part); row 1
-  accepts with probability overlap^N. Accepted outcomes follow
-  c_k overlap_k^N / sum_j c_j overlap_j^N, and the certified bound puts
-  that sum within 1e-9 of 1 for every Omega: they follow P(k|Omega), the
-  acceptance rate is 1/(N+1), and a trial costs about N+1 overlaps. The
-  chunk holds O(chunk_size) numbers, whatever the POVM size.
-* Dense (every other POVM): one block of outcome uniforms, then the
-  inverse CDF over all n outcome probabilities, formed in the bounded
-  row blocks of povm's overlap loop. Each row is checked to sum to 1
-  within 1e-9, so an incomplete POVM raises NotNormalized with the first
-  offending direction.
+* Outcome first (c_k >= 0 and the certified scalar-completeness bound of
+  :func:`~povmquad.povm.scalar_completeness_residual` at most 1e-9): one
+  (3, m) block of uniforms for the m trials of the chunk. Row 0 draws
+  k ~ c_k / sum c from a Vose alias table (column floor(u n), coin from
+  the fractional part), row 1 the overlap t = (1 - u)^(1/(N+1)), a
+  Beta(N+1, 1) draw, and row 2 a uniform azimuth psi about Omega_k; then
+  Omega = (2t - 1) e_k + 2 sqrt(t(1 - t)) (cos psi a_k + sin psi b_k) in
+  an orthonormal frame (e_k, a_k, b_k) built once per call. The score is
+  the fidelity of that (Omega, k) pair, computed from the two vectors.
+  Why this is the game: for every direction Omega_k,
+  int |<Omega_k|Omega>|^(2N) dOmega = 4 pi/(N+1), so the pairs drawn have
+  the joint law c_k overlap_k(Omega)^N (N+1) / (4 pi sum c), and Omega's
+  marginal is S(Omega) (N+1) / (4 pi sum c) with
+  S(Omega) = sum_k c_k overlap_k(Omega)^N. The game needs Omega uniform
+  and k drawn from P(k|Omega) = c_k overlap_k^N, a joint law
+  c_k overlap_k^N / (4 pi). The certified bound puts S within 1e-9 of 1
+  for every Omega (and so sum c within about 1e-9 of N+1), so the two
+  laws agree up to a pointwise factor within about 2e-9. Without the
+  certificate Omega would not be uniform: it is the only way in. A trial
+  costs O(1) and the chunk holds O(chunk_size) numbers, whatever N and
+  the POVM size.
+* Dense (every other POVM): one block of cos-theta values, one of
+  azimuths and one of outcome uniforms, then the inverse CDF over all n
+  outcome probabilities, formed in the bounded row blocks of povm's
+  overlap loop. Each row is checked to sum to 1 within 1e-9, so an
+  incomplete POVM raises NotNormalized with the first offending
+  direction.
 
 The per-chunk partial sums are combined in chunk order, so a report is a
 pure function of (povm, trials, seed, chunk_size) regardless of how chunks
@@ -108,7 +119,7 @@ def _outcome_probabilities(ov: np.ndarray, c: np.ndarray, copies: int, where) ->
 
 
 def _alias_table(c: np.ndarray):
-    """Vose alias table (prob, alias) for proposals k ~ c_k / sum c.
+    """Vose alias table (prob, alias) for draws k ~ c_k / sum c.
 
     Column j is drawn uniformly and kept with probability prob[j], else
     replaced by alias[j]; so P(k) = (prob[k] + sum_{alias[j] = k} (1 - prob[j])) / n.
@@ -129,58 +140,45 @@ def _alias_table(c: np.ndarray):
     return prob, alias
 
 
-def _proposal_table(p: FinitePovm):
-    """Alias proposals k ~ c_k as (prob, outcome, e) over 2n columns.
+def _outcome_table(p: FinitePovm):
+    """Alias table and orthonormal outcome frames (prob, alias, frame).
 
-    Column 2j is outcome j and column 2j+1 its alias (outcome[i] names
-    the outcome of column i, e[:, i] is its unit vector), so the alias
-    coin of column j only picks column 2j or 2j+1.
+    frame[0][:, k] is the unit vector e_k of outcome k, frame[1][:, k] is
+    a_k = de/dtheta and frame[2][:, k] is b_k = (-sin phi, cos phi, 0);
+    the three are orthonormal for any finite theta, in [0, pi] or not.
     """
     prob, alias = _alias_table(p.c)
-    outcome = np.column_stack((np.arange(p.n), alias)).ravel()
-    e = np.ascontiguousarray(angles_to_xyz(p.theta[outcome], p.phi[outcome]).T)
-    return prob, outcome, e
+    b = np.stack((-np.sin(p.phi), np.cos(p.phi), np.zeros(p.n)))
+    frame = np.stack((
+        angles_to_xyz(p.theta, p.phi).T, angles_to_xyz(p.theta + 0.5 * math.pi, p.phi).T, b
+    ))
+    return prob, alias, frame
 
 
-def _pair_overlaps(d, e: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(1 + d_i . e_{cols_i})/2, where d is three coordinate rows of length P."""
-    ov = d[0] * e[0].take(cols)
-    ov += d[1] * e[1].take(cols)
-    ov += d[2] * e[2].take(cols)
-    ov += 1.0
-    ov *= 0.5
-    return ov
+def _outcome_first(rng, m: int, prob, alias, frame, copies: int):
+    """Outcomes k, true directions Omega and e_k of m trials, outcome first.
 
-
-def _rejection_columns(rng, d, prob, e, copies: int) -> np.ndarray:
-    """Accepted proposal column per true direction (d: three rows of length m).
-
-    Each round draws a (2, P) uniform block for the P pending trials:
-    row 0 proposes a column from the alias table, row 1 accepts with
-    probability overlap^N. Pending trials are compacted after each round.
+    One (3, m) uniform block: row 0 draws k ~ c_k / sum c from the alias
+    table (column floor(u n), coin from the fractional part), row 1 the
+    overlap t = (1 - u)^(1/(N+1)) ~ Beta(N+1, 1) and row 2 the azimuth psi
+    about e_k. Omega = (2t - 1) e_k + 2 sqrt(t(1 - t)) (cos psi a_k +
+    sin psi b_k); Omega and e_k come back as three coordinate rows each.
     """
-    n = prob.size
-    chosen = np.empty(d.shape[1], dtype=np.intp)
-    pending = np.arange(d.shape[1])
-    while pending.size:
-        u = rng.random((2, pending.size))
-        u[0] *= n
-        col = u[0].astype(np.intp)
-        cols = col << 1
-        cols += u[0] - col >= prob.take(col)
-        ov = _pair_overlaps(d, e, cols)
-        # ov < 0 (rounding) gives nan and ov = 0 gives -inf: never accepted
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_ov = np.log(ov)
-            log_ov *= copies
-            accept = np.log(u[1]) < log_ov
-        hit = np.flatnonzero(accept)
-        if hit.size:
-            chosen[pending.take(hit)] = cols.take(hit)
-            keep = ~accept
-            pending = pending[keep]
-            d = [row[keep] for row in d]
-    return chosen
+    u = rng.random((3, m))
+    u[0] *= prob.size
+    col = u[0].astype(np.intp)
+    k = np.where(u[0] - col < prob.take(col), col, alias.take(col))
+    e, a, b = frame.take(k, axis=2)
+    t = np.power(1.0 - u[1], 1.0 / (copies + 1))
+    radial = np.sqrt(t * (1.0 - t))
+    radial *= 2.0
+    psi = u[2] * TWO_PI
+    # Omega is built in the gathered copy of a_k: two fewer (3, m) temporaries
+    a *= radial * np.cos(psi)
+    b *= radial * np.sin(psi)
+    a += b
+    a += (2.0 * t - 1.0) * e
+    return k, a, e
 
 
 def _dense_scores(p: FinitePovm, theta, phi, u) -> np.ndarray:
@@ -198,9 +196,9 @@ def _dense_scores(p: FinitePovm, theta, phi, u) -> np.ndarray:
 
 
 def _game(p: FinitePovm, trials: int, seed: int, chunk_size: int, dense: bool) -> SimulationReport:
-    """run_game with the sampler chosen by the caller (dense or rejection)."""
+    """run_game with the sampler chosen by the caller (dense or outcome first)."""
     if not dense:
-        prob, _, e = _proposal_table(p)
+        table = _outcome_table(p)
     n_chunks = (trials + chunk_size - 1) // chunk_size
     total = 0.0
     total_sq = 0.0
@@ -208,15 +206,17 @@ def _game(p: FinitePovm, trials: int, seed: int, chunk_size: int, dense: bool) -
     for i in range(n_chunks):
         m = min(chunk_size, trials - done)
         rng = substream(seed, i)
-        z = rng.uniform(-1.0, 1.0, m)
-        phi = rng.uniform(0.0, TWO_PI, m)
-        theta = np.arccos(np.clip(z, -1.0, 1.0))
         if dense:
+            z = rng.uniform(-1.0, 1.0, m)
+            phi = rng.uniform(0.0, TWO_PI, m)
+            theta = np.arccos(np.clip(z, -1.0, 1.0))
             scores = _dense_scores(p, theta, phi, rng.random(m))
         else:
-            d = angles_to_xyz(theta, phi).T
-            cols = _rejection_columns(rng, d, prob, e, p.copies)
-            scores = np.clip(_pair_overlaps(d, e, cols), 0.0, 1.0)
+            _, omega, e = _outcome_first(rng, m, *table, p.copies)
+            scores = np.einsum("ij,ij->j", omega, e)
+            scores += 1.0
+            scores *= 0.5
+            np.clip(scores, 0.0, 1.0, out=scores)
         total += float(scores.sum())
         total_sq += float((scores * scores).sum())
         done += m
@@ -246,11 +246,13 @@ def run_game(
     """Play `trials` rounds of the estimation game; fully seed-deterministic.
 
     A POVM with c_k >= 0 whose certified completeness bound is at most
-    1e-9 is sampled by rejection (alias proposals k ~ c_k, accepted with
-    probability overlap^N; about N+1 overlaps per trial and memory
-    O(chunk_size)). Any other POVM is sampled densely by inverse CDF over
-    all n outcomes, in blocks of bounded size; if a drawn Omega yields
-    outcome probabilities off 1 by more than 1e-9 the POVM is invalid and
+    1e-9 is played outcome first: k ~ c_k from an alias table, then Omega
+    about Omega_k with overlap t ~ Beta(N+1, 1) and a uniform azimuth;
+    O(1) work per trial and memory O(chunk_size). The certificate is what
+    makes that Omega uniform and k follow P(k|Omega) (module docstring).
+    Any other POVM is sampled densely by inverse CDF over all n outcomes,
+    in blocks of bounded size; if a drawn Omega yields outcome
+    probabilities off 1 by more than 1e-9 the POVM is invalid and
     NotNormalized is raised with the first offending direction. The
     module docstring gives the stream layout of both samplers.
     """

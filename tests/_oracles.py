@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's harmonic/Legendre code
 paths: spherical harmonics come from scipy, Gauss-Legendre references from
 numpy.polynomial, Dicke amplitudes from a brute-force 2^N tensor product,
 close point pairs from an all-pairs scan, quadrature-averaged scores from
-the overlap matrix raised to the power N+1.
+the overlap matrix raised to the power N+1, and game outcomes from the
+rejection sampler (alias proposals k ~ c_k, accepted with probability
+overlap^N) that the outcome-first sampler replaced.
 """
 import cmath
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 from scipy.special import sph_harm_y
 
+from povmquad.simulate import _alias_table
 from povmquad.sphere import angles_to_xyz
 
 
@@ -96,3 +99,57 @@ def direct_averaged_score(p, q, block=512):
         ov = np.clip(0.5 * (1.0 + dxyz[start:start + block] @ exyz.T), 0.0, 1.0)
         total += float(wnorm[start:start + block] @ (ov ** (p.copies + 1) @ p.c))
     return total
+
+
+def _proposal_table(p):
+    """Alias proposals k ~ c_k as (prob, outcome, e) over 2n columns.
+
+    Column 2j is outcome j and column 2j+1 its alias (outcome[i] names
+    the outcome of column i, e[:, i] is its unit vector), so the alias
+    coin of column j only picks column 2j or 2j+1.
+    """
+    prob, alias = _alias_table(p.c)
+    outcome = np.column_stack((np.arange(p.n), alias)).ravel()
+    e = np.ascontiguousarray(angles_to_xyz(p.theta[outcome], p.phi[outcome]).T)
+    return prob, outcome, e
+
+
+def _pair_overlaps(d, e: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(1 + d_i . e_{cols_i})/2, where d is three coordinate rows of length P."""
+    ov = d[0] * e[0].take(cols)
+    ov += d[1] * e[1].take(cols)
+    ov += d[2] * e[2].take(cols)
+    ov += 1.0
+    ov *= 0.5
+    return ov
+
+
+def _rejection_columns(rng, d, prob, e, copies: int) -> np.ndarray:
+    """Accepted proposal column per true direction (d: three rows of length m).
+
+    Each round draws a (2, P) uniform block for the P pending trials:
+    row 0 proposes a column from the alias table, row 1 accepts with
+    probability overlap^N. Pending trials are compacted after each round.
+    """
+    n = prob.size
+    chosen = np.empty(d.shape[1], dtype=np.intp)
+    pending = np.arange(d.shape[1])
+    while pending.size:
+        u = rng.random((2, pending.size))
+        u[0] *= n
+        col = u[0].astype(np.intp)
+        cols = col << 1
+        cols += u[0] - col >= prob.take(col)
+        ov = _pair_overlaps(d, e, cols)
+        # ov < 0 (rounding) gives nan and ov = 0 gives -inf: never accepted
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_ov = np.log(ov)
+            log_ov *= copies
+            accept = np.log(u[1]) < log_ov
+        hit = np.flatnonzero(accept)
+        if hit.size:
+            chosen[pending.take(hit)] = cols.take(hit)
+            keep = ~accept
+            pending = pending[keep]
+            d = [row[keep] for row in d]
+    return chosen

@@ -287,7 +287,16 @@ def test_usage_errors(octa_file, capsys):
     # an infinite tolerance would certify the octahedron (strength 3) to order 9
     assert main(["certify", str(octa_file), "--lmax", "9", "--expect", "9", "--tol", "inf"]) == EXIT_USAGE
     assert main(["strength", str(octa_file), "--tol", "inf"]) == EXIT_USAGE
+    assert main(["certify", str(octa_file), "--lmax", "2", "--expect", "3"]) == EXIT_USAGE
     assert capsys.readouterr().out == ""
+
+
+def test_certify_expect_above_lmax_is_refused_before_reading(tmp_path, capsys):
+    # strength never exceeds --lmax, so the file cannot meet the expectation
+    assert main(["certify", str(tmp_path / "absent.txt"), "--lmax", "2", "--expect", "3"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--expect 3" in captured.err and "--lmax 2" in captured.err
 
 
 def test_main_builds_its_parser_once_and_leaks_no_arguments(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 import povmquad
 from povmquad.cli import default_grid_dir
 from povmquad.errors import DomainError, NotNormalized
+from povmquad.harmonics import weighted_harmonic_sums
 from povmquad.povm import (
     FinitePovm,
     exact_score,
@@ -24,8 +25,8 @@ from povmquad.simulate import (
     SimulationReport,
     _alias_table,
     _game,
-    _proposal_table,
-    _rejection_columns,
+    _outcome_first,
+    _outcome_table,
     quadrature_averaged_score,
     run_game,
     sample_outcomes,
@@ -33,7 +34,13 @@ from povmquad.simulate import (
 )
 from povmquad.sphere import Direction, angles_to_xyz, substream
 
-from _oracles import direct_averaged_score, rotate_angles, rotation_matrix
+from _oracles import (
+    _proposal_table,
+    _rejection_columns,
+    direct_averaged_score,
+    rotate_angles,
+    rotation_matrix,
+)
 
 
 def antipodal_povm():
@@ -342,3 +349,73 @@ def test_harmonic_average_memory_at_paper_order():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _outcome_first_stats(p, draws, seed, chunk=1 << 16):
+    """Outcome counts, sum t, sum t^2 and harmonic sums to order N+1 of draws."""
+    table = _outcome_table(p)
+    counts = np.zeros(p.n)
+    t_sum = t_sq = 0.0
+    moments = 0.0
+    for i, start in enumerate(range(0, draws, chunk)):
+        k, omega, e = _outcome_first(substream(seed, i), min(chunk, draws - start), *table, p.copies)
+        counts += np.bincount(k, minlength=p.n)
+        t = 0.5 * (1.0 + np.einsum("ij,ij->j", omega, e))
+        t_sum += t.sum()
+        t_sq += (t * t).sum()
+        theta = np.arccos(np.clip(omega[2], -1.0, 1.0))
+        phi = np.arctan2(omega[1], omega[0])
+        moments = moments + weighted_harmonic_sums(p.copies + 1, theta, phi, np.ones(k.size))
+    return counts, t_sum, t_sq, moments / draws
+
+
+def _moment_z_scores(moments, draws):
+    """|mean Y_l^m| parts in units of their standard error under uniform Omega, l >= 1.
+
+    Var Y_l^0 = 1/(4 pi); for m > 0 the real and imaginary parts each have 1/(8 pi).
+    """
+    sigma = np.full(moments.shape, math.sqrt(1.0 / (8.0 * math.pi * draws)))
+    sigma[:, 0] = math.sqrt(1.0 / (4.0 * math.pi * draws))
+    z = np.maximum(np.abs(moments.real), np.abs(moments.imag)) / sigma
+    return np.tril(z)[1:]
+
+
+@pytest.mark.parametrize("p", [
+    povm_from_quadrature(product_rule(5), 5),
+    _rotated_product_povm(20),
+    _lebedev_povm("lebedev_0050.txt", 10),
+], ids=["product-5", "rotated-20", "lebedev50-10"])
+def test_outcome_first_draws_follow_the_game(p):
+    assert p.c.min() >= 0.0 and scalar_completeness_residual(p) <= 1e-9
+    draws = 2_000_000
+    counts, t_sum, t_sq, moments = _outcome_first_stats(p, draws, seed=314)
+    # k ~ c_k / sum c
+    probs = p.c / p.c.sum()
+    sigma = np.sqrt(probs * (1.0 - probs) / draws)
+    assert counts.sum() == draws
+    assert np.all(np.abs(counts / draws - probs) <= 4.0 * sigma + 1e-12)
+    # t = overlap(Omega, Omega_k) ~ Beta(N+1, 1): E[t^j] = a/(a+j)
+    a = p.copies + 1
+    raw = [a / (a + j) for j in range(5)]
+    mean, var = raw[1], raw[2] - raw[1] ** 2
+    m4 = raw[4] - 4 * raw[3] * mean + 6 * raw[2] * mean**2 - 3 * mean**4
+    t_mean = t_sum / draws
+    t_var = t_sq / draws - t_mean**2
+    assert abs(t_mean - mean) <= 4.0 * math.sqrt(var / draws)
+    assert abs(t_var - var) <= 4.0 * math.sqrt((m4 - var * var) / draws)
+    # Omega uniform: every harmonic moment of order 1..N+1 vanishes
+    assert moments.shape == (a + 1, a + 1)
+    assert np.max(_moment_z_scores(moments, draws)) <= 4.0
+
+
+def test_outcome_first_draws_need_a_complete_povm():
+    # c >= 0 but incomplete: run_game would send it to the dense sampler, and
+    # drawn outcome first its Omega lean toward the moved element
+    p = povm_from_quadrature(product_rule(5), 5)
+    theta = p.theta.copy()
+    theta[0] += 0.3
+    moved = FinitePovm(copies=5, c=p.c, theta=theta, phi=p.phi)
+    assert scalar_completeness_residual(moved) > 1e-9
+    draws = 2_000_000
+    _, _, _, moments = _outcome_first_stats(moved, draws, seed=314)
+    assert np.max(_moment_z_scores(moments, draws)) > 10.0
