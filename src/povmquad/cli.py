@@ -2,7 +2,8 @@
 
 Subcommands: construct, certify, strength, simulate, score, table.
 Exit codes: 0 success, 1 verification failure, 2 I/O error,
-3 insufficient data, 64 usage error, 65 parse error.
+3 insufficient data, 64 usage error (including a request over the size
+budget, quadrature.SIZE_BUDGET_BYTES), 65 parse error.
 
 Every subcommand is deterministic given its flags; `simulate` therefore
 requires an explicit --seed. The grid directory for `table` resolves as
@@ -22,6 +23,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import (
+    CapExceeded,
     DomainError,
     DuplicatePoint,
     NotNormalized,
@@ -327,6 +329,8 @@ def _scan_grids(grids_dir: Path, cap: int):
         try:
             q = _load_pointset(path, "auto")
             report = certify(q, cap, allow_signed=is_lebedev)
+        except CapExceeded:
+            raise  # the cap, not the file, is at fault
         except (PovmQuadError, OSError) as exc:
             print(f"povmquad table: skipping {path.name}: {exc}", file=sys.stderr)
             continue
@@ -422,7 +426,7 @@ def main(argv=None) -> int:
     except (ParseError, ZeroVector, DuplicatePoint, NotNormalized) as exc:
         print(f"povmquad {args.command}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except DomainError as exc:
+    except (DomainError, CapExceeded) as exc:
         print(f"povmquad {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (WeightError, PovmQuadError) as exc:

@@ -6,10 +6,28 @@ to make sum_k lambda_k f(Omega_k) equal integral f dOmega (over the full
 *strength* is the largest L such that every spherical harmonic with
 1 <= l <= L sums to zero (constants are covered by sum lambda = 4*pi).
 
-Certification is direct: evaluate max_m |sum_k lambda_k Y_l^m(Omega_k)|
-for each l and compare against a tolerance. Construction errors of a
-genuine rule sit at the 1e-13 level while the first non-exact order is
-typically >= 1e-3, so strength detection is robust.
+Certification evaluates max_m |sum_k lambda_k Y_l^m(Omega_k)| for each l
+and compares it against a tolerance. Construction errors of a genuine rule
+sit at the 1e-13 level while the first non-exact order is typically
+>= 1e-3, so strength detection is robust. The sums come from one of two
+kernels, chosen by a cost model on the point count n, the number R of
+distinct latitudes and the order L:
+
+* the exact ring kernel (harmonics.weighted_harmonic_sums),
+  O(R L^2 + n L): product rules, Lebedev orbits, every set with shared
+  latitudes;
+* the double-Fourier-sphere route (harmonics._dfs_harmonic_sums),
+  O(n w^2 + L^2 log L + L^3) with w = 16, taken when
+  R L^2 > _DFS_COST_RATIO (n w^2 + L^3): large sets without shared
+  latitudes, such as rotated rules. Its type-1 NUFFT carries an error of
+  about 1e-15 sum |lambda| with no rigorous bound, so every residual it
+  yields is raised by the allowance a_l = 10 _DFS_EPS sum|lambda| sqrt(2l+1)
+  (5.6e-12 at l = 1002 for weights summing to 4 pi, below tol / 10 at the
+  default tol). Residuals stay upper bounds, and every consumer of
+  residual_per_l reads them without knowing which route ran.
+
+Both routes are checked against SIZE_BUDGET_BYTES before any work array is
+allocated; so is product_rule. Breaking it raises CapExceeded.
 """
 from __future__ import annotations
 
@@ -19,8 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, DuplicatePoint, ParseError, WeightError, ZeroVector
-from .harmonics import weighted_harmonic_sums
+from . import _nufft
+from .errors import CapExceeded, DomainError, DuplicatePoint, ParseError, WeightError, ZeroVector
+from .harmonics import _dfs_harmonic_sums, _ring_count, weighted_harmonic_sums
 from .orthopoly import gauss_legendre_rule
 from .sphere import TWO_PI, Direction
 
@@ -33,6 +52,27 @@ _UNIT_NORM_SLACK = 1e-6
 _CELLS_PER_AXIS = 1 << 21
 # Candidate pairs the duplicate scan forms at once.
 _PAIR_BLOCK = 1 << 20
+# Bytes one certify or product_rule call may hold in arrays sized by its
+# order: 1 GiB, which covers certify at L = 1002 on either route and
+# construct 1000 with room to spare.
+SIZE_BUDGET_BYTES = 1 << 30
+# Bytes per point of the three arrays (theta, phi, weights) of a rule.
+_POINT_BYTES = 24
+# The double-Fourier-sphere route runs when R L^2 > this ratio times
+# n w^2 + L^3. Rotated product rules tie near 9 (order 56, one BLAS thread:
+# 15 ms either way); by 11 the route takes half the time (order 64).
+_DFS_COST_RATIO = 10.0
+# Error unit of the allowance added to residuals on that route, relative
+# to sum |lambda|.
+_DFS_EPS = 1e-15
+
+
+def _check_budget(nbytes: int, what: str):
+    if nbytes > SIZE_BUDGET_BYTES:
+        raise CapExceeded(
+            f"{what} needs about {nbytes / 2**30:.3g} GiB, over the "
+            f"{SIZE_BUDGET_BYTES / 2**30:g} GiB size budget"
+        )
 
 
 @dataclass(frozen=True)
@@ -104,7 +144,9 @@ class CertificationReport:
     """Per-order residuals of a quadrature and its detected strength.
 
     residual_per_l[l - 1] is max over m of |sum_k lambda_k Y_l^m(Omega_k)|
-    for 1 <= l <= l_max_tested; strength is the largest L with all orders
+    for 1 <= l <= l_max_tested, plus the transform allowance a_l when the
+    sums took the double-Fourier-sphere route (module docstring), so it is
+    an upper bound either way; strength is the largest L with all orders
     l <= L at or below tol. The l = 0 condition is the weight sum, which
     must equal 4*pi and is recorded separately.
     """
@@ -146,6 +188,12 @@ class CertificationReport:
         }
 
 
+def _dfs_allowance(l_max: int, weights) -> np.ndarray:
+    """a_l = 10 _DFS_EPS sum |w| sqrt(2l + 1) for l = 0..l_max (module docstring)."""
+    l = np.arange(l_max + 1)
+    return 10.0 * _DFS_EPS * np.abs(weights).sum() * np.sqrt(2 * l + 1)
+
+
 def product_rule(order: int) -> SphericalQuadrature:
     """Separated-variables rule exact for all harmonics up to the order.
 
@@ -155,8 +203,8 @@ def product_rule(order: int) -> SphericalQuadrature:
     (exact through polynomial degree order). Point count is exactly
     (order + 1) * ceil((order + 1) / 2).
     """
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order}")
+    n = product_rule_count(order)
+    _check_budget(_POINT_BYTES * n, f"product rule of order {order} ({n} points)")
     n1 = order + 1
     n2 = (order + 2) // 2
     gl = gauss_legendre_rule(n2)
@@ -186,8 +234,12 @@ def certify(
 
     Raises WeightError on any non-positive weight unless `allow_signed`
     is set (signed rules exist in the published Lebedev tables and can be
-    measured for exactness, but never define a POVM), and DomainError
-    unless `tol` is positive and finite (an infinite one passes every order).
+    measured for exactness, but never define a POVM), DomainError unless
+    `tol` is positive and finite (an infinite one passes every order), and
+    CapExceeded when the order's coefficient table breaks the size budget.
+    The sums run on the exact ring kernel or, for large sets without
+    shared latitudes, on the double-Fourier-sphere route, whose residuals
+    include the transform allowance of the module docstring.
     """
     if l_max < 1:
         raise DomainError(f"l_max must be >= 1, got {l_max}")
@@ -198,9 +250,25 @@ def certify(
             f"{q.label or 'quadrature'} has a non-positive weight "
             f"(min {q.weights.min()!r})"
         )
-    sums = weighted_harmonic_sums(l_max, q.theta, q.phi, q.weights)
+    # the (a, b) recurrence coefficient table both routes step through
+    table = 16 * (l_max + 1) ** 2
+    _check_budget(table, f"certification to order {l_max}")
+    # cost model: ring kernel R L^2 against NUFFT spreading n w^2 plus the
+    # L^3 recurrence over virtual rings; R <= n, so count R only if needed
+    dfs_cost = _DFS_COST_RATIO * (q.n * _nufft.WIDTH**2 + l_max**3)
+    dfs = (
+        table + _nufft.work_bytes(l_max) <= SIZE_BUDGET_BYTES
+        and q.n * l_max**2 > dfs_cost
+        and _ring_count(q.theta) * l_max**2 > dfs_cost
+    )
+    if dfs:
+        sums = _dfs_harmonic_sums(l_max, q.theta, q.phi, q.weights)
+    else:
+        sums = weighted_harmonic_sums(l_max, q.theta, q.phi, q.weights)
     # entries above the diagonal (m > l) are zero
     residual_per_l = np.abs(sums[1:]).max(axis=1)
+    if dfs:
+        residual_per_l += _dfs_allowance(l_max, q.weights)[1:]
     failing = np.nonzero(residual_per_l > tol)[0]
     strength = l_max if failing.size == 0 else int(failing[0])
     return CertificationReport(

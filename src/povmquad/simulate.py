@@ -182,17 +182,25 @@ def _outcome_first(rng, m: int, prob, alias, frame, copies: int):
 
 
 def _dense_scores(p: FinitePovm, theta, phi, u) -> np.ndarray:
-    """Scores of one chunk by inverse CDF over every outcome, in row blocks."""
+    """Scores of one chunk by inverse CDF over every outcome, in row blocks.
+
+    The power, the probabilities and their running sum all overwrite the
+    overlap block, so one block and _pow_int's buffer are all it holds; the
+    drawn outcome's score is clip((1 + Omega . e_k)/2) of the two unit vectors.
+    """
     scores = np.empty(u.size)
+    dxyz = angles_to_xyz(theta, phi)
+    exyz = angles_to_xyz(p.theta, p.phi)
     for start, stop, ov in _overlap_blocks(p.theta, p.phi, (theta, phi)):
-        # the power works in place, and ov still gives the drawn outcome's score
         probs = _outcome_probabilities(
-            ov.copy(), p.c, p.copies, lambda r: Direction(theta[start + r], phi[start + r])
+            ov, p.c, p.copies, lambda r: Direction(theta[start + r], phi[start + r])
         )
         cum = np.cumsum(probs, axis=1, out=probs)
         k = np.minimum((cum < u[start:stop, None]).sum(axis=1), p.n - 1)
-        scores[start:stop] = ov[np.arange(stop - start), k]
-    return scores
+        scores[start:stop] = np.einsum("ij,ij->i", dxyz[start:stop], exyz[k])
+    scores += 1.0
+    scores *= 0.5
+    return np.clip(scores, 0.0, 1.0, out=scores)
 
 
 def _game(p: FinitePovm, trials: int, seed: int, chunk_size: int, dense: bool) -> SimulationReport:

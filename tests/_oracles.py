@@ -33,6 +33,23 @@ def scipy_harmonic_residuals(theta, phi, weights, l_max):
     return out
 
 
+def scipy_harmonic_sums(l_max, theta, phi, weights):
+    """S[l, m] = sum_k w_k Y_l^m for 0 <= m <= l <= l_max via scipy harmonics.
+
+    A polar angle outside [0, pi] names the point (theta mod 2 pi, phi) if
+    that lies in [0, pi], else (2 pi - theta mod 2 pi, phi + pi), without
+    passing through cos(theta), so points near the poles keep their accuracy.
+    """
+    theta = np.mod(np.asarray(theta, float), 2 * math.pi)
+    flip = theta > math.pi
+    theta = np.where(flip, 2 * math.pi - theta, theta)
+    phi = np.asarray(phi, float) + math.pi * flip
+    l, m = np.tril_indices(l_max + 1)
+    out = np.zeros((l_max + 1, l_max + 1), dtype=complex)
+    out[l, m] = sph_harm_y(l[:, None], m[:, None], theta, phi) @ np.asarray(weights, float)
+    return out
+
+
 def scipy_strength(theta, phi, weights, cap, tol=1e-10):
     res = scipy_harmonic_residuals(theta, phi, weights, cap)
     failing = np.nonzero(res > tol)[0]

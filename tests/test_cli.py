@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -297,6 +298,28 @@ def test_certify_expect_above_lmax_is_refused_before_reading(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--expect 3" in captured.err and "--lmax 2" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "{points}", "--lmax", "100000"],
+    ["strength", "{points}", "--cap", "100000"],
+    ["table", "--nmax", "20000"],
+    ["construct", "100000"],
+], ids=["certify-lmax", "strength-cap", "table-nmax", "construct"])
+def test_size_budget_is_a_usage_error(argv, octa_file, capsys):
+    # each once ended in a MemoryError traceback: at once for the 149 GiB and
+    # 6 GiB coefficient tables, after 47 s for construct; the budget is now
+    # checked from closed-form sizes before anything is allocated
+    argv = [a.format(points=octa_file) for a in argv]
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "size budget" in captured.err
+    assert captured.err.count("\n") == 1  # no traceback, no per-grid "skipping" lines
+    assert elapsed < 1.0
 
 
 def test_main_builds_its_parser_once_and_leaks_no_arguments(tmp_path):

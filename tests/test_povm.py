@@ -37,6 +37,7 @@ from povmquad.povm import (
     subspace_completeness_residuals,
 )
 from povmquad.quadrature import FOUR_PI, SphericalQuadrature, product_rule
+from povmquad.simulate import _dense_scores
 from povmquad.sphere import Direction, default_rng, overlap_sq, sample_uniform
 
 from _oracles import tensor_dicke
@@ -407,6 +408,24 @@ def test_sampled_residual_holds_two_overlap_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * block
+
+
+def test_dense_sampler_holds_two_overlap_blocks():
+    # the overlap block and the power's one extra buffer (N = 30 has four
+    # set bits); the drawn outcome's score comes from the unit vectors, not
+    # from a kept copy of the block
+    p = product_povm(30)
+    theta, phi = random_angles(4000, 11)
+    u = default_rng(12).random(theta.size)
+    block = theta.size * p.n * 8
+    tracemalloc.start()
+    try:
+        scores = _dense_scores(p, theta, phi, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * block
+    assert np.all((scores >= 0.0) & (scores <= 1.0))
 
 
 def test_subspace_bound_and_sampled_paths_on_exact_rule():

@@ -8,19 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
-from povmquad import quadrature
-
-from povmquad.cli import default_grid_dir
+from povmquad import _nufft, quadrature
+from povmquad.cli import EXIT_OK, _load_pointset, default_grid_dir, main
 from povmquad.errors import (
+    CapExceeded,
     DomainError,
     DuplicatePoint,
     ParseError,
     WeightError,
     ZeroVector,
 )
+from povmquad.harmonics import weighted_harmonic_sums
+from povmquad.povm import povm_from_quadrature, scalar_completeness_residual
 from povmquad.quadrature import (
+    DEFAULT_TOL,
     FOUR_PI,
+    SIZE_BUDGET_BYTES,
     SphericalQuadrature,
+    _dfs_allowance,
     certify,
     detect_strength,
     ingest_pointset,
@@ -29,6 +34,7 @@ from povmquad.quadrature import (
     product_rule_count,
     quadrature_to_json,
 )
+from povmquad.sphere import angles_to_xyz
 
 from _oracles import (
     first_close_pair,
@@ -403,3 +409,75 @@ def test_ingest_rejects_non_finite_values_with_their_line(mode, lines):
     with pytest.raises(ParseError, match="non-finite value") as err:
         ingest_pointset(lines, mode)
     assert err.value.line == len(lines)
+
+
+def _refuse_dfs(*args):
+    raise AssertionError("took the double-Fourier-sphere route")
+
+
+def test_sets_with_shared_latitudes_stay_on_the_ring_kernel(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(quadrature, "_dfs_harmonic_sums", _refuse_dfs)
+    for order in (1, 9, 36, 80, 131, 300):
+        assert certify(product_rule(order), order + 3).strength >= order
+    for copies in (15, 40, 131):  # what construct certifies, twice per request
+        assert scalar_completeness_residual(povm_from_quadrature(product_rule(copies), copies)) < 1e-9
+    # the CLI's JSON report is the exact kernel's, to the byte
+    q = product_rule(24)
+    rule = tmp_path / "pr_024.txt"
+    np.savetxt(rule, np.column_stack((angles_to_xyz(q.theta, q.phi), q.weights)), fmt="%.17g")
+    files = [rule] + sorted(default_grid_dir().glob("*.txt"))
+    for path in files:
+        for cap in (26, 400, 600):
+            argv = ["certify", str(path), "--lmax", str(cap), "--format", "json", "--signed"]
+            assert main(argv) == EXIT_OK
+            g = _load_pointset(path, "auto")
+            residual = np.abs(weighted_harmonic_sums(cap, g.theta, g.phi, g.weights)[1:]).max(axis=1)
+            failing = np.nonzero(residual > DEFAULT_TOL)[0]
+            expected = {
+                "label": path.name,
+                "n": g.n,
+                "l_max_tested": cap,
+                "tol": DEFAULT_TOL,
+                "strength": cap if failing.size == 0 else int(failing[0]),
+                "weight_sum": g.weight_sum,
+                "all_weights_positive": g.all_weights_positive,
+                "residual_per_l": {str(l): float(residual[l - 1]) for l in range(1, cap + 1)},
+            }
+            assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_rotated_rule_takes_the_dfs_route_with_its_allowance(monkeypatch):
+    q = product_rule(80)
+    theta, phi = rotate_angles(q.theta, q.phi, rotation_matrix([0.4, 1.0, -0.3], 0.8))
+    rotated = SphericalQuadrature(theta, phi, q.weights)
+    calls = []
+    route = quadrature._dfs_harmonic_sums
+    monkeypatch.setattr(
+        quadrature, "_dfs_harmonic_sums", lambda *a: calls.append(a[0]) or route(*a)
+    )
+    report = certify(rotated, 82)
+    assert calls == [82]
+    exact = np.abs(weighted_harmonic_sums(82, theta, phi, q.weights)[1:]).max(axis=1)
+    allowance = _dfs_allowance(82, q.weights)[1:]
+    # upper bounds that carry the allowance, and the same strength
+    assert np.all(report.residual_per_l >= exact + 0.9 * allowance)
+    assert np.all(report.residual_per_l <= exact + 1.1 * allowance)
+    assert report.strength == certify(product_rule(80), 82).strength == 80
+
+
+def test_dfs_allowance_leaves_strength_detection_alone():
+    # a_l <= tol / 10 through l = 1002 for weights summing to 4 pi
+    assert _dfs_allowance(1002, np.full(10, FOUR_PI / 10))[-1] <= DEFAULT_TOL / 10
+
+
+def test_size_budget_is_checked_before_allocating():
+    q = product_rule(4)
+    with pytest.raises(CapExceeded):
+        certify(q, 100_000)
+    with pytest.raises(CapExceeded):
+        product_rule(100_000)
+    # what the budget must still admit: certify at L = 1002 on either route
+    # (coefficient table, NUFFT grid, its transform and a stencil block), and
+    # the rule of construct 1000
+    assert 16 * 1003**2 + _nufft.work_bytes(1002) <= SIZE_BUDGET_BYTES
+    assert 24 * product_rule_count(1000) <= SIZE_BUDGET_BYTES
