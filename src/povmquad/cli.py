@@ -149,9 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
 _shared_parser = functools.cache(build_parser)
 
 
-def _read_lines(path: Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.readlines()
+def _read_text(path: Path) -> str:
+    """The file as UTF-8 text; other bytes raise ParseError naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path.name} is not UTF-8 text ({exc})") from None
 
 
 def _detect_weight_mode(lines) -> str:
@@ -163,7 +166,7 @@ def _detect_weight_mode(lines) -> str:
 
 
 def _load_pointset(path: Path, mode: str):
-    lines = _read_lines(path)
+    lines = _read_text(path).split("\n")
     if mode == "auto":
         mode = _detect_weight_mode(lines)
     return ingest_pointset(lines, mode, label=path.name)
@@ -220,7 +223,7 @@ def cmd_strength(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    povm = povm_from_json(args.file.read_text(encoding="utf-8"), label=args.file.name)
+    povm = povm_from_json(_read_text(args.file), label=args.file.name)
     povm.validate()
     report = run_game(povm, args.trials, args.seed)
     if args.format == "json":
@@ -241,7 +244,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    povm = povm_from_json(args.file.read_text(encoding="utf-8"), label=args.file.name)
+    povm = povm_from_json(_read_text(args.file), label=args.file.name)
     povm.validate()
     # score_quadrature_avg is sum(c)/(N+2) for any directions, so only a
     # certified completeness bound catches moved outcome directions

@@ -483,7 +483,8 @@ def povm_from_json(text: str, label: str = "") -> FinitePovm:
     """Parse the POVM JSON schema; schema violations raise ParseError."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError: a JSONDecodeError or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("POVM JSON must be an object")
@@ -498,7 +499,7 @@ def povm_from_json(text: str, label: str = "") -> FinitePovm:
         theta = np.array([float(e["theta"]) for e in elements])
         phi = np.array([float(e["phi"]) for e in elements])
         return FinitePovm(copies=copies, c=c, theta=theta, phi=phi, label=label)
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
         raise ParseError(f"bad POVM schema: {exc}") from None
 
 

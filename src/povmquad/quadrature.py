@@ -48,10 +48,9 @@ FOUR_PI = 2.0 * TWO_PI
 DEFAULT_TOL = 1e-10
 _DUPLICATE_CHORD = 1e-9
 _UNIT_NORM_SLACK = 1e-6
-# Duplicate-scan cells per axis: 21 bits each, so three pack into an int64.
-_CELLS_PER_AXIS = 1 << 21
-# Candidate pairs the duplicate scan forms at once.
-_PAIR_BLOCK = 1 << 20
+# Duplicate-scan sweep axis, (1, sqrt 2, pi) normalized: it lines up with
+# no coordinate axis and no symmetry of the bundled grids.
+_SWEEP_AXIS = np.array([1.0, math.sqrt(2.0), math.pi]) / math.sqrt(3.0 + math.pi**2)
 # Bytes one certify or product_rule call may hold in arrays sized by its
 # order: 1 GiB, which covers certify at L = 1002 on either route and
 # construct 1000 with room to spare.
@@ -322,55 +321,37 @@ def _parse_point_lines(stream, n_columns: int):
 
 def _check_duplicates(xyz: np.ndarray, line_numbers, chord_tol: float):
     """Raise DuplicatePoint on the first pair (lowest i, then lowest j) of
-    unit vectors within chord_tol; O(n log n) for spread-out points.
+    unit vectors within chord_tol.
 
-    Points are hashed to cubic cells of edge 2 / cells >= 2 * chord_tol, so
-    a close pair lies in the same or adjacent cells along every axis. Cell
-    coordinates pack into one int64 key (z lowest), so the cells of one
-    (dx, dy) neighbour column with dz in -1..1 are one contiguous run of
-    the sorted keys, found by two binary searches per point. Candidate
-    pairs are formed in chunks of about _PAIR_BLOCK, so clustered points
-    cost time, not memory.
+    Sort and sweep: |a . (x_i - x_j)| <= |x_i - x_j| for the unit sweep
+    axis a, so a close pair lies within one slab of width chord_tol (plus
+    a few ulps of rounding) in the sorted projections. Offsets d = 1, 2, ...
+    are swept until one has no pair inside a slab; pairs d + 1 apart can
+    only be inside where pairs d apart are. Cost: O(n log n) for the sort,
+    plus one pass per offset, O(n) for the first and over the previous
+    offset's survivors after, in O(n) memory. A run of k points whose
+    projections fall inside one slab costs k passes: time, not memory.
     """
     n = xyz.shape[0]
-    cells = min(_CELLS_PER_AXIS, int(1.0 / chord_tol))
-    top = cells - 1
-    cell = np.clip(np.floor((xyz + 1.0) * (0.5 * cells)), 0, top).astype(np.int64)
-    key = (cell[:, 0] << 42) | (cell[:, 1] << 21) | cell[:, 2]
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    z_lo = np.maximum(cell[:, 2] - 1, 0)
-    z_hi = np.minimum(cell[:, 2] + 1, top)
-    tol2 = chord_tol * chord_tol
-    best = None
-    for dx in (-1, 0, 1):
-        cx = cell[:, 0] + dx
-        for dy in (-1, 0, 1):
-            cy = cell[:, 1] + dy
-            column = (cx << 42) | (cy << 21)
-            lo = np.searchsorted(sorted_key, column | z_lo, side="left")
-            hi = np.searchsorted(sorted_key, column | z_hi, side="right")
-            inside = (cx >= 0) & (cx <= top) & (cy >= 0) & (cy <= top)
-            count = np.where(inside, hi - lo, 0)
-            ends = np.cumsum(count)
-            start = 0
-            while start < n:
-                base = ends[start] - count[start]
-                stop = max(start + 1, int(np.searchsorted(ends, base + _PAIR_BLOCK, side="right")))
-                c = count[start:stop]
-                first = ends[start:stop] - c - base  # offset of each point's run
-                i = np.repeat(np.arange(start, stop), c)
-                j = order[np.repeat(lo[start:stop] - first, c) + np.arange(i.size)]
-                pair = i < j
-                i, j = i[pair], j[pair]
-                diff = xyz[i] - xyz[j]
-                close = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= tol2)
-                if close.size:
-                    k = close[np.lexsort((j[close], i[close]))[0]]
-                    best = min(best or (n, n), (int(i[k]), int(j[k])))
-                start = stop
-    if best is not None:
-        i, j = best
+    proj = xyz @ _SWEEP_AXIS
+    order = np.argsort(proj)
+    proj = np.append(proj[order], np.inf)  # no pair reaches past the end
+    # each projection of a near-unit vector is off by under 3 ulps of 1
+    slab = chord_tol + 8.0 * np.finfo(float).eps
+    start = np.arange(n)  # sorted positions whose pair d apart is in a slab
+    best = n * n  # i * n + j of the first close pair
+    d = 0
+    while start.size:
+        d += 1
+        start = start[proj[start + d] - proj[start] <= slab]
+        a, b = order[start], order[start + d]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        diff = xyz[i] - xyz[j]
+        close = np.einsum("ij,ij->i", diff, diff) <= chord_tol * chord_tol
+        if close.any():
+            best = min(best, int((i * n + j)[close].min()))
+    if best < n * n:
+        i, j = divmod(best, n)
         raise DuplicatePoint(
             f"points on lines {line_numbers[i]} and {line_numbers[j]} "
             f"coincide within {chord_tol:g} rad"
@@ -391,7 +372,7 @@ def ingest_pointset(stream, weight_mode: str = "uniform", label: str = "") -> Sp
     line. Vectors are renormalized (norms more than 1e-6 off unit raise
     ParseError, near-zero norms raise ZeroVector, each naming the first
     offending line); two points closer than 1e-9 rad raise DuplicatePoint,
-    found by an O(n log n) cell-hash scan.
+    found by one sort of their projections onto a fixed axis.
     """
     if weight_mode not in ("uniform", "explicit"):
         raise DomainError(f"unknown weight_mode {weight_mode!r}")

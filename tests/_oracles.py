@@ -88,17 +88,29 @@ def rotate_angles(theta, phi, rot):
     return np.arccos(z), np.mod(np.arctan2(xyz[:, 1], xyz[:, 0]), 2 * math.pi)
 
 
-def first_close_pair(xyz, chord_tol):
+def first_close_pair(xyz, chord_tol, block=32):
     """Lowest (i, j), then lowest j, with i < j and chord <= chord_tol, or None.
 
-    Brute force over all pairs, with the squared chord summed as in ingest.
+    Brute force over all pairs i < j, in blocks of rows. Each pair is
+    screened by its squared chord in Gram form, |x_i|^2 + |x_j|^2 -
+    2 x_i . x_j, with a margin of 128 eps max |x|^2, far above the rounding
+    error of that form; the pairs that pass are decided on the squared
+    chord summed as in ingest.
     """
     xyz = np.asarray(xyz, float)
-    for i in range(len(xyz) - 1):
-        diff = xyz[i] - xyz[i + 1 :]
+    sq = np.einsum("ij,ij->i", xyz, xyz)
+    floor = sq - chord_tol * chord_tol - 128 * np.finfo(float).eps * sq.max()
+    for start in range(0, len(xyz), block):
+        rows = slice(start, start + block)
+        # 2 x_i . x_j - |x_j|^2 >= |x_i|^2 - chord_tol^2 - margin
+        gram = (2.0 * xyz[rows]) @ xyz[start:].T
+        gram -= sq[start:]
+        i, j = np.divmod(np.flatnonzero(gram >= floor[rows, None]), gram.shape[1])
+        i, j = i[i < j] + start, j[i < j] + start  # ordered by i, then j
+        diff = xyz[i] - xyz[j]
         close = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= chord_tol * chord_tol)
         if close.size:
-            return i, i + 1 + int(close[0])
+            return int(i[close[0]]), int(j[close[0]])
     return None
 
 

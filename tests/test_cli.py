@@ -2,7 +2,10 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from povmquad.cli import (
     EXIT_INSUFFICIENT,
@@ -15,6 +18,8 @@ from povmquad.cli import (
     default_grid_dir,
     main,
 )
+from povmquad.povm import povm_from_quadrature, povm_to_json
+from povmquad.quadrature import product_rule
 
 GOLDEN = Path(__file__).parent / "data" / "golden_povm_n1.json"
 
@@ -415,3 +420,164 @@ def test_certify_non_finite_value_is_parse_error_on_its_line(lines, tmp_path, ca
     assert "line 2: non-finite value" in err
     assert err.count("\n") == 1
     assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "{bad}"],
+    ["strength", "{bad}"],
+    ["score", "{bad}"],
+    ["score", "{povm}", "--grid", "{bad}"],
+    ["simulate", "{bad}", "--trials", "200", "--seed", "1"],
+], ids=["certify", "strength", "score", "score-grid", "simulate"])
+def test_non_utf8_file_is_parse_error_naming_it(argv, povm1_file, tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert main([a.format(bad=bad, povm=povm1_file) for a in argv]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "latin1.txt" in err and "UTF-8" in err
+
+
+def test_table_skips_non_utf8_grid(tmp_path, capsys):
+    (tmp_path / "design_latin1.txt").write_bytes(b"\xff" + OCTAHEDRON.encode())
+    (tmp_path / "design_0006.txt").write_text(OCTAHEDRON)
+    assert main(["table", "--nmax", "3", "--grids", str(tmp_path), "--format", "json"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err.startswith("povmquad table: skipping design_latin1.txt:") and err.count("\n") == 1
+    assert [row["design"] for row in json.loads(out)["rows"]] == [6, 6, 6]
+
+
+@pytest.mark.parametrize("text", [
+    '{"N": 1, "elements": ' + "[" * 5000 + "]" * 5000 + "}",
+    '{"N": 1' + "0" * 5000 + ', "elements": []}',
+    '{"N": 1, "elements": [{"c": 1' + "0" * 399 + ', "theta": 0, "phi": 0}]}',
+], ids=["nested-5000-deep", "5001-digit-N", "400-digit-c"])
+@pytest.mark.parametrize("command", ["score", "simulate"])
+def test_povm_json_past_nesting_or_number_limits_is_parse_error(text, command, tmp_path, capsys):
+    path = tmp_path / "povm.json"
+    path.write_text(text)
+    argv = [command, str(path)] + (["--trials", "200", "--seed", "1"] if command == "simulate" else [])
+    assert main(argv) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+
+
+# Property tests over input files: whatever a bounded point or POVM file
+# holds, the CLI answers with one of its exit codes, never a traceback.
+EXIT_CODES = {EXIT_OK, EXIT_VERIFY, EXIT_IO, EXIT_INSUFFICIENT, EXIT_USAGE, EXIT_PARSE}
+POVM3 = povm_to_json(povm_from_quadrature(product_rule(3), 3))
+
+_tokens = st.one_of(
+    st.floats().map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["#", "nan", "-inf", "1e400", "1e-320", "1_0", "0x10", "", "\t", "\u00a0", "\r"]),
+    st.text(max_size=6),
+)
+_json_leaves = (
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=5)
+    | st.sampled_from([10**400, -(10**30), 1e308])
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+# N is bounded by 40; everything else about it may be wrong
+_copies = st.integers(-2, 40) | _json_values.filter(lambda v: type(v) is not int)
+
+
+@st.composite
+def point_files(draw):
+    """Bytes of a point file of at most 40 lines: unit vectors with or
+    without weights, some lines replaced or joined by arbitrary tokens and
+    text; or arbitrary bytes."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xyz = rng.normal(size=(draw(st.integers(0, 40)), 3))
+    xyz /= np.linalg.norm(xyz, axis=1)[:, None]
+    weights = rng.uniform(0.0, 1.0, (len(xyz), 1)) if draw(st.booleans()) else np.empty((len(xyz), 0))
+    lines = [" ".join(repr(float(v)) for v in row) for row in np.hstack((xyz, weights))]
+    edit = st.tuples(st.booleans(), st.integers(0, 40), st.lists(_tokens, max_size=5).map(" ".join))
+    for replace, k, line in draw(st.lists(edit, max_size=4)):
+        lines[k:k + replace] = [line]
+    return "\n".join(lines[:40]).encode()
+
+
+@st.composite
+def povm_files(draw):
+    """Bytes of a POVM file: a mutated construct-3 file, a truncated one,
+    arbitrary JSON or arbitrary bytes."""
+    kind = draw(st.sampled_from(["mutated", "mutated", "truncated", "json", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=200))
+    if kind == "json":
+        return json.dumps(draw(_json_values)).encode()
+    if kind == "truncated":
+        return POVM3[:draw(st.integers(0, len(POVM3)))].encode()
+    obj = json.loads(POVM3)
+    mutations = st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(["n", "elements", "label", "extra"]), _json_values),
+        st.tuples(st.just("set"), st.just("N"), _copies),
+        st.tuples(st.just("delete"), st.sampled_from(["N", "n", "elements"]), st.none()),
+        st.tuples(st.just("element"), st.integers(0, 39),
+                  st.tuples(st.sampled_from(["c", "theta", "phi", "extra"]), _json_values)),
+        st.tuples(st.just("drop"), st.integers(0, 39), st.none()),
+        st.tuples(st.just("copy"), st.integers(0, 39), st.none()),
+    )
+    for op, key, value in draw(st.lists(mutations, max_size=3)):
+        elements = obj.get("elements")
+        if op == "set":
+            obj[key] = value
+        elif op == "delete":
+            obj.pop(key, None)
+        elif not isinstance(elements, list) or key >= len(elements):
+            continue
+        elif op == "element" and isinstance(elements[key], dict):
+            elements[key][value[0]] = value[1]
+        elif op == "drop":
+            del elements[key]
+        elif op == "copy" and len(elements) < 40:
+            elements.append(elements[key])
+    return json.dumps(obj).encode()
+
+
+_file_settings = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@_file_settings
+@given(
+    content=point_files(),
+    command=st.sampled_from(["certify", "strength"]),
+    order=st.integers(1, 6),
+    flags=st.lists(st.sampled_from(["--signed", "--weights=uniform", "--weights=explicit"]),
+                   max_size=2, unique=True),
+)
+def test_any_point_file_gets_an_exit_code(content, command, order, flags, tmp_path_factory):
+    path = tmp_path_factory.mktemp("points") / "points.txt"
+    path.write_bytes(content)
+    bound = "--lmax" if command == "certify" else "--cap"
+    assert main([command, str(path), bound, str(order), *flags]) in EXIT_CODES
+
+
+@_file_settings
+@given(content=povm_files(), grid=st.none() | point_files())
+def test_any_povm_file_gets_an_exit_code_from_score(content, grid, tmp_path_factory):
+    work = tmp_path_factory.mktemp("score")
+    (work / "povm.json").write_bytes(content)
+    argv = ["score", str(work / "povm.json")]
+    if grid is not None:
+        (work / "grid.txt").write_bytes(grid)
+        argv += ["--grid", str(work / "grid.txt"), "--out", str(work / "scores.csv")]
+    assert main(argv) in EXIT_CODES
+
+
+@_file_settings
+@given(content=povm_files())
+def test_any_povm_file_gets_an_exit_code_from_simulate(content, tmp_path_factory):
+    path = tmp_path_factory.mktemp("simulate") / "povm.json"
+    path.write_bytes(content)
+    assert main(["simulate", str(path), "--trials", "200", "--seed", "1"]) in EXIT_CODES

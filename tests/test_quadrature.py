@@ -234,55 +234,118 @@ def test_ingest_norm_errors_name_the_first_offending_line():
         ingest_pointset(["0 0 1", "", "0 0 0", "0 0 2"], "uniform")
 
 
-_CELL_EDGE = 2.0 / quadrature._CELLS_PER_AXIS
+_AXIS = quadrature._SWEEP_AXIS
+_CHORD = quadrature._DUPLICATE_CHORD
+# coincident, inside, on and either side of the threshold, and outside
+_PLANT_CHORDS = [0.0, 0.5e-9, (1 - 1e-6) * _CHORD, _CHORD, (1 + 1e-6) * _CHORD, 2e-9]
+
+
+def _across_axis(rng):
+    """A random unit vector perpendicular to the sweep axis."""
+    u = rng.normal(size=3)
+    u -= (u @ _AXIS) * _AXIS
+    return u / np.linalg.norm(u)
 
 
 @st.composite
 def planted_point_sets(draw):
-    """Random unit vectors with planted pairs: coincident, at chord 0.5e-9
-    (a duplicate) or 2e-9 (not one), some straddling cell boundaries on
-    every axis; line numbers increase with gaps."""
+    """Random unit vectors with planted points; line numbers increase with gaps.
+
+    - near: a partner at a chord from _PLANT_CHORDS, offset in a random
+      direction, along the sweep axis (projections one chord apart) or
+      across it (equal projections);
+    - mirror: the image across a plane containing the axis, far away at
+      an equal projection;
+    - ring: two to five turns of one point about the axis, a run of points
+      inside one slab, so the sweep must look past neighbouring positions.
+    """
     n = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     xyz = rng.normal(size=(n, 3))
     xyz /= np.linalg.norm(xyz, axis=1)[:, None]
-    plants = st.tuples(
-        st.integers(0, n - 1),
-        st.integers(0, n - 1),
-        st.sampled_from([0.0, 0.5e-9, 2e-9]),
-        st.booleans(),
+    index = st.integers(0, n - 1)
+    plants = st.one_of(
+        st.tuples(st.just("near"), index, index, st.sampled_from(_PLANT_CHORDS),
+                  st.sampled_from(["random", "along", "across"])),
+        st.tuples(st.just("mirror"), index, index),
+        st.tuples(st.just("ring"), index, st.lists(index, min_size=2, max_size=5)),
     )
-    for a, b, chord, straddle in draw(st.lists(plants, max_size=4)):
-        if a == b:
+    for kind, a, b, *rest in draw(st.lists(plants, max_size=4)):
+        if kind == "ring":
+            for c in b:
+                if c != a:
+                    xyz[c] = rotation_matrix(_AXIS, rng.uniform(0, 2 * math.pi)) @ xyz[a]
+        elif a == b:
             continue
-        if straddle:
-            # just below a cell boundary on each axis; the partner lands above
-            xyz[a] = np.round((xyz[a] + 1.0) / _CELL_EDGE) * _CELL_EDGE - 1.0 - 0.25 * chord
-            offset = np.full(3, chord / math.sqrt(3.0))
+        elif kind == "mirror":
+            u = _across_axis(rng)
+            xyz[b] = xyz[a] - 2.0 * (xyz[a] @ u) * u
         else:
-            direction = rng.normal(size=3)
-            offset = chord * direction / np.linalg.norm(direction)
-        xyz[b] = xyz[a] + offset
+            chord, direction = rest
+            if direction == "along":
+                u = _AXIS
+            elif direction == "across":
+                u = _across_axis(rng)
+            else:
+                u = rng.normal(size=3)
+                u /= np.linalg.norm(u)
+            xyz[b] = xyz[a] + chord * u
     lines = np.cumsum(rng.integers(1, 4, n)).tolist()
     return xyz, lines
 
 
+def _assert_scan_matches_oracle(xyz, lines):
+    expected = first_close_pair(xyz, _CHORD)
+    if expected is None:
+        quadrature._check_duplicates(xyz, lines, _CHORD)
+    else:
+        i, j = expected
+        with pytest.raises(DuplicatePoint, match=f"lines {lines[i]} and {lines[j]} coincide"):
+            quadrature._check_duplicates(xyz, lines, _CHORD)
+    return expected
+
+
 @settings(max_examples=300, deadline=None)
-@given(planted_point_sets(), st.sampled_from([1, 5, quadrature._PAIR_BLOCK]))
-def test_duplicate_scan_matches_brute_force_oracle(points, pair_block):
-    xyz, lines = points
-    expected = first_close_pair(xyz, quadrature._DUPLICATE_CHORD)
-    saved = quadrature._PAIR_BLOCK
-    quadrature._PAIR_BLOCK = pair_block
-    try:
-        if expected is None:
-            quadrature._check_duplicates(xyz, lines, quadrature._DUPLICATE_CHORD)
-        else:
-            i, j = expected
-            with pytest.raises(DuplicatePoint, match=f"lines {lines[i]} and {lines[j]} coincide"):
-                quadrature._check_duplicates(xyz, lines, quadrature._DUPLICATE_CHORD)
-    finally:
-        quadrature._PAIR_BLOCK = saved
+@given(planted_point_sets())
+def test_duplicate_scan_matches_brute_force_oracle(points):
+    _assert_scan_matches_oracle(*points)
+
+
+def test_duplicate_scan_looks_a_few_ulps_past_the_chord_along_its_axis():
+    # a partner one chord along the sweep axis: the squared chord rounds to
+    # the threshold or below about half the time, and the projections of
+    # such a pair may differ by a few ulps more than the chord
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(400, 3))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    found = [_assert_scan_matches_oracle(np.array([p, p + _CHORD * _AXIS]), [1, 2]) for p in x]
+    assert 0 < found.count(None) < len(found)
+
+
+def _rule_and_grid_points():
+    """Plain and rotated product rules of orders 1-131, then the bundled grids."""
+    rot = rotation_matrix([0.3, -1.2, 0.8], 0.7)
+    for order in range(1, 132):
+        q = product_rule(order)
+        xyz = angles_to_xyz(q.theta, q.phi)
+        yield xyz
+        yield xyz @ rot.T
+    for path in sorted(default_grid_dir().glob("*.txt")):
+        xyz = np.loadtxt(path, ndmin=2)[:, :3]
+        yield xyz / np.linalg.norm(xyz, axis=1)[:, None]
+
+
+def test_duplicate_scan_matches_oracle_on_rules_and_grids():
+    sets = 0
+    for xyz in _rule_and_grid_points():
+        n = xyz.shape[0]
+        # a copy of point n // 3 inserted at position 2n // 3
+        planted = np.insert(xyz, 2 * n // 3, xyz[n // 3], axis=0)
+        assert _assert_scan_matches_oracle(xyz, list(range(1, n + 1))) is None
+        found = _assert_scan_matches_oracle(planted, list(range(1, n + 2)))
+        assert found == (n // 3, 2 * n // 3)
+        sets += 1
+    assert sets == 2 * 131 + 11
 
 
 def test_ingest_rejects_unknown_mode_and_bad_weight_sum():
