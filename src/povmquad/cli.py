@@ -46,7 +46,13 @@ from .povm import (
     spin_subspaces,
 )
 from .quadrature import _fmt, certify, ingest_pointset, product_rule, product_rule_count
-from .simulate import _NORMALIZATION_TOL, quadrature_averaged_score, run_game, score_by_direction
+from .simulate import (
+    _NORMALIZATION_TOL,
+    _averaged_score,
+    _certified_sums,
+    run_game,
+    score_by_direction,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -103,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build the product-rule POVM for N copies")
     p.add_argument("copies", type=_positive_int, metavar="N")
     p.add_argument("--out", type=Path, help="write the POVM to this file")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=("json", "csv"),
+                   help="file format for --out (default json)")
     p.add_argument("--residual-tol", type=_positive_finite, default=1e-9,
                    help="completeness residual bound for exit status")
 
@@ -135,8 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", type=Path)
     p.add_argument("--grid", type=Path,
                    help="emit E[score|direction] for directions in this point file")
-    p.add_argument("--out", type=Path)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", type=Path, help="write the --grid table to this file")
+    p.add_argument("--format", choices=("csv", "json"),
+                   help="format of the --grid table (default csv)")
 
     p = sub.add_parser("table", help="element counts per construction method")
     p.add_argument("--nmax", type=_positive_int, default=15)
@@ -173,13 +181,15 @@ def _load_pointset(path: Path, mode: str):
 
 
 def cmd_construct(args) -> int:
+    if args.format is not None and args.out is None:
+        raise DomainError("--format applies only to the file written by --out")
     povm = povm_from_quadrature(product_rule(args.copies), args.copies)
     scalar = scalar_completeness_residual(povm)
     operator = None
     if args.copies <= OPERATOR_CHECK_CAP:
         operator = operator_completeness_residual(povm)
     if args.out is not None:
-        text = povm_to_json(povm) if args.format == "json" else povm_to_csv(povm)
+        text = povm_to_csv(povm) if args.format == "csv" else povm_to_json(povm)
         args.out.write_text(text, encoding="utf-8")
     print(f"n: {povm.n}")
     print(f"score_exact: {exact_score(povm)!r}")
@@ -244,11 +254,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_score(args) -> int:
+    if args.grid is None and (args.out is not None or args.format is not None):
+        raise DomainError("--out and --format apply only to the --grid table")
     povm = povm_from_json(_read_text(args.file), label=args.file.name)
     povm.validate()
     # score_quadrature_avg is sum(c)/(N+2) for any directions, so only a
-    # certified completeness bound catches moved outcome directions
-    bound = scalar_completeness_residual(povm)
+    # certified completeness bound catches moved outcome directions; one
+    # order-(N+1) sum of the POVM serves both
+    bound, sums = _certified_sums(povm)
     if not bound <= _NORMALIZATION_TOL:
         raise NotNormalized(
             f"{args.file.name}: certified completeness bound {bound:.3e} "
@@ -256,7 +269,7 @@ def cmd_score(args) -> int:
         )
     if args.grid is None:
         score = exact_score(povm)
-        averaged = quadrature_averaged_score(povm)
+        averaged = _averaged_score(sums, povm.copies + 1)
         print(f"score_exact: {score!r}")
         print(f"score_quadrature_avg: {averaged!r}")
         print(f"difference: {abs(score - averaged):.3e}")

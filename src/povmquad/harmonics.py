@@ -88,15 +88,14 @@ def _ring_phases(rows: int, eiphi, w, ring_starts) -> np.ndarray:
 
     Points are grouped by ring, ring r starting at index ring_starts[r].
     """
-    ring_phase = np.empty((rows, 2, ring_starts.size))
+    phase = np.empty((rows, ring_starts.size), dtype=complex)
     wphase = w.astype(complex)
     for m in range(rows):
         if m:
             wphase *= eiphi
-        s = np.add.reduceat(wphase, ring_starts)
-        ring_phase[m, 0] = s.real
-        ring_phase[m, 1] = s.imag
-    return ring_phase
+        np.add.reduceat(wphase, ring_starts, out=phase[m])
+    # a view: W[m, :, r] is the (re, im) pair phase[m, r] holds
+    return phase.view(float).reshape(rows, -1, 2).transpose(0, 2, 1)
 
 
 def _ring_recurrence(ring_phase: np.ndarray, xr, s2r, sums: np.ndarray):

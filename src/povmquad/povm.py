@@ -27,15 +27,37 @@ and sum_l f_l = 1, so for every Omega, with W = sum_k lambda_k,
 
 Passing ``directions=`` (e.g. :func:`completeness_test_angles`) gives the
 sampled maximum over those probes instead.
+
+A POVM built by :func:`povm_from_quadrature` carries the certificate of
+its own weights (FinitePovm.certificate), so the bound costs nothing
+more; any other FinitePovm (read from a file, built by hand or by
+dataclasses.replace) has none and is certified when asked.
+
+The operator and moment checks build no n x (N+1) Dicke matrix. Dicke
+magnitudes depend on theta only and phases on phi only, so the Gram
+matrix of the weights w_k (c_k, or lambda_k/4pi) is summed over the R
+distinct polar angles theta_r of the elements,
+
+    G[j, j'] = sum_r mag_j(theta_r) mag_j'(theta_r) W_r[j - j'],
+    W_r[d] = sum_{k : theta_k = theta_r} w_k e^{i d phi_k},
+
+in O(n N + R N^2) time, with the magnitudes taken from the half-angles
+and the phases from harmonics._ring_phases (no Legendre recurrence, so
+the check stays independent of the scalar bound). Beyond sorted copies
+of the inputs and the (N+1) x (N+1) result, each working array holds at
+most _GRAM_BLOCK_ELEMS values, whatever n and N. A set without shared
+polar angles is simply R = n.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     CapExceeded,
@@ -46,6 +68,7 @@ from .errors import (
     ParseError,
     WeightError,
 )
+from .harmonics import _ring_phases
 from .quadrature import (
     DEFAULT_TOL,
     FOUR_PI,
@@ -56,9 +79,12 @@ from .quadrature import (
 )
 from .sphere import Direction, angles_to_xyz, overlap_matrix, sample_uniform_angles, substream
 
-OPERATOR_CHECK_CAP = 60
+OPERATOR_CHECK_CAP = 300
 # Overlaps per block of _overlap_blocks, the one overlap loop of the package.
 _BLOCK_ELEMS = int(2e7)
+# Values per working array of the ring Gram: (N + 1) times the rings of one
+# block, 0.5 MB per array.
+_GRAM_BLOCK_ELEMS = 1 << 16
 
 # Fixed stream for default verification directions: libraries and CLI must
 # be deterministic without a user-provided seed.
@@ -68,13 +94,26 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class FinitePovm:
-    """Weighted coherent-state projectors for N copies."""
+    """Weighted coherent-state projectors for N copies.
+
+    `certificate` is the CertificationReport of the POVM's own weights
+    4*pi c_k/(N+1) to order N, set only by :func:`povm_from_quadrature`,
+    which has just certified them; scalar_completeness_residual (and so
+    run_game's choice of sampler) trusts it instead of certifying again.
+    It is not a constructor argument, so no caller can hand one in, and
+    dataclasses.replace drops it: a POVM built any other way, read from a
+    file or derived from a certified one has none and is certified when
+    asked.
+    """
 
     copies: int
     c: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
     label: str = ""
+    certificate: CertificationReport | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.copies < 1:
@@ -156,8 +195,13 @@ def _pow_int(a: np.ndarray, n: int) -> np.ndarray:
     return a if result is None else np.multiply(result, a, out=a)
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    return np.array([math.lgamma(k + 1) for k in range(n + 1)])
+@functools.lru_cache(maxsize=16)
+def _half_log_binomials(n: int) -> np.ndarray:
+    """0.5 log C(n, j) for j = 0..n, read-only (callers share it)."""
+    lf = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    out = 0.5 * (lf[-1] - lf - lf[::-1])
+    out.setflags(write=False)
+    return out
 
 
 def _require_strength(q: SphericalQuadrature, copies: int, tol: float) -> CertificationReport:
@@ -183,15 +227,23 @@ def _funk_hecke_coeffs(power: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0 / (power + 1)], (power - l + 1) / (power + l + 1))))
 
 
-def _completeness_bound(report: CertificationReport, copies: int) -> float:
+def _completeness_bound(residual_per_l, weight_sum_residual: float, copies: int) -> float:
     """Bound of the module docstring on |sum_k c_k overlap^N - 1|, c = (N+1) lambda/4pi.
 
-    `report` must cover orders 1..N; N = 0 leaves the weight-sum term.
+    `residual_per_l` holds r_l for l = 1..N (or more); N = 0 leaves the
+    weight-sum term |W/4pi - 1|.
     """
     l = np.arange(1, copies + 1)
     f = (2 * l + 1) * _funk_hecke_coeffs(copies)[1:]
-    harmonic = float(f @ report.residual_per_l[:copies])
-    return report.weight_sum_residual + (copies + 1) / math.sqrt(FOUR_PI) * harmonic
+    harmonic = float(f @ residual_per_l[:copies])
+    return weight_sum_residual + (copies + 1) / math.sqrt(FOUR_PI) * harmonic
+
+
+def _certify_povm(p: FinitePovm, tol: float = DEFAULT_TOL) -> CertificationReport:
+    """Certificate of the POVM's own weights lambda_k = 4pi c_k/(N+1) to order N."""
+    lam = FOUR_PI / (p.copies + 1) * p.c
+    return certify(SphericalQuadrature(p.theta, p.phi, lam, label=p.label), p.copies, tol,
+                   allow_signed=True)
 
 
 def povm_from_quadrature(q: SphericalQuadrature, copies: int, tol: float = DEFAULT_TOL) -> FinitePovm:
@@ -199,12 +251,23 @@ def povm_from_quadrature(q: SphericalQuadrature, copies: int, tol: float = DEFAU
 
     c_k = (N + 1) * lambda_k / (4*pi). Raises InsufficientStrength when
     the certified strength falls short of N (and WeightError for signed
-    rules, which can never be POVMs).
+    rules, which can never be POVMs). The one certification, of the
+    POVM's own weights 4*pi c_k/(N+1), rides on the result as its
+    `certificate`.
     """
-    _require_strength(q, copies, tol)
     c = (copies + 1) / FOUR_PI * q.weights
     label = f"{q.label or 'quadrature'} as povm N={copies}"
-    return FinitePovm(copies=copies, c=c, theta=q.theta, phi=q.phi, label=label)
+    p = FinitePovm(copies=copies, c=c, theta=q.theta, phi=q.phi, label=label)
+    if not q.all_weights_positive:
+        raise WeightError(
+            f"{q.label or 'quadrature'} has a non-positive weight "
+            f"(min {q.weights.min()!r})"
+        )
+    report = _certify_povm(p, tol)
+    if report.strength < copies:
+        raise InsufficientStrength(report.strength, copies)
+    object.__setattr__(p, "certificate", report)
+    return p
 
 
 def exact_score(p: FinitePovm) -> float:
@@ -292,43 +355,52 @@ def scalar_completeness_residual(p: FinitePovm, directions=None) -> float:
     """sup over Omega of |sum_k c_k |<Omega_k|Omega>|^(2N) - 1|.
 
     By default a certified upper bound from the harmonic residuals of the
-    POVM's own weights 4*pi c_k/(N+1) (module docstring); with
-    `directions` the maximum over those probes.
+    POVM's own weights 4*pi c_k/(N+1) (module docstring), read from the
+    carried `certificate` when there is one and certified here otherwise;
+    with `directions` the maximum over those probes.
     """
     if directions is None:
-        q = SphericalQuadrature(p.theta, p.phi, FOUR_PI / (p.copies + 1) * p.c)
-        return _completeness_bound(certify(q, p.copies, allow_signed=True), p.copies)
+        report = p.certificate if p.certificate is not None else _certify_povm(p)
+        return _completeness_bound(report.residual_per_l, report.weight_sum_residual, p.copies)
     sums = _power_sums(p.theta, p.phi, p.c, _direction_angles(directions), p.copies)
     return float(np.max(np.abs(sums - 1.0)))
 
 
-def _dicke_matrix(copies: int, theta, phi) -> np.ndarray:
-    """Rows of symmetric-basis amplitudes for each direction; shape (n, N+1).
+def _dicke_magnitudes(copies: int, theta) -> np.ndarray:
+    """Signed sqrt(C(N, j)) cos^(N-j)(theta/2) sin^j(theta/2); shape (n, N+1).
 
-    Magnitudes are formed in log space from |cos(theta/2)| and
-    |sin(theta/2)|, so no binomial or power overflows; the clipped logs are
-    only ever multiplied by zero exactly where cos/sin vanish, and exact
-    poles get exact zeros. The signs (-1)^(N-j) and (-1)^j of negative
-    cos/sin are applied afterwards, so any finite polar angle is exact.
+    Formed in log space from |cos(theta/2)| and |sin(theta/2)|, so no
+    binomial or power overflows; the clipped logs are only ever multiplied
+    by zero exactly where cos/sin vanish, and exact poles get exact zeros.
+    The signs (-1)^(N-j) and (-1)^j of negative cos/sin are applied
+    afterwards, so any finite polar angle is exact. The half-angles keep
+    full relative accuracy near the poles, where anything formed from
+    cos(theta) loses eps/theta^2.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    half = 0.5 * np.atleast_1d(np.asarray(theta, dtype=float))
+    j = np.arange(copies + 1)
+    ch = np.cos(half)[:, None]
+    sh = np.sin(half)[:, None]
+    logmag = (copies - j) * np.log(np.maximum(np.abs(ch), _TINY))
+    logmag += _half_log_binomials(copies)
+    logmag += j * np.log(np.maximum(np.abs(sh), _TINY))
+    mag = np.exp(logmag, out=logmag)
+    # the masks and signs touch only poles and theta outside [0, pi]
+    cmin, smin = ch.min(), sh.min()
+    if smin <= 0.0:
+        mag[sh[:, 0] == 0.0, 1:] = 0.0
+    if cmin <= 0.0:
+        mag[ch[:, 0] == 0.0, :copies] = 0.0
+    if min(cmin, smin) < 0.0:
+        mag[((copies - j) * (ch < 0.0) + j * (sh < 0.0)) % 2 == 1] *= -1.0
+    return mag
+
+
+def _dicke_matrix(copies: int, theta, phi) -> np.ndarray:
+    """Rows of symmetric-basis amplitudes for each direction; shape (n, N+1)."""
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     j = np.arange(copies + 1)
-    ch = np.cos(0.5 * theta)[:, None]
-    sh = np.sin(0.5 * theta)[:, None]
-    lf = _log_factorials(copies)
-    half_log_binom = 0.5 * (lf[-1] - lf - lf[::-1])
-    logmag = (
-        half_log_binom
-        + (copies - j) * np.log(np.maximum(np.abs(ch), _TINY))
-        + j * np.log(np.maximum(np.abs(sh), _TINY))
-    )
-    mag = np.exp(logmag)
-    mag[sh[:, 0] == 0.0, 1:] = 0.0
-    mag[ch[:, 0] == 0.0, :copies] = 0.0
-    odd = ((copies - j) * (ch < 0.0) + j * (sh < 0.0)) % 2 == 1
-    mag[odd] *= -1.0
-    return mag * np.exp(1j * phi[:, None] * j)
+    return _dicke_magnitudes(copies, theta) * np.exp(1j * phi[:, None] * j)
 
 
 def dicke_amplitudes(copies: int, d: Direction) -> DickeVector:
@@ -342,23 +414,67 @@ def dicke_amplitudes(copies: int, d: Direction) -> DickeVector:
     return DickeVector(copies=copies, amplitudes=amps)
 
 
-def _gram_residual(v: np.ndarray, w: np.ndarray, diag: float) -> float:
-    """max entry of |sum_k w_k v_k v_k^dag - diag * I| for Dicke rows v."""
-    gram = v.T @ (w[:, None] * v.conj())
-    gram[np.diag_indices_from(gram)] -= diag
-    return float(np.max(np.abs(gram)))
+def _ring_gram_residual(copies: int, theta, phi, w, diag: float) -> float:
+    """max entry of |sum_k w_k v_k v_k^dag - diag * I| for the Dicke rows v_k.
+
+    Summed over the distinct polar angles (module docstring): entry
+    (j + d, j) of the Gram is sum_r mag_{j+d}(theta_r) mag_j(theta_r) W_r[d],
+    and the entries above the diagonal are its conjugates. Rings go in
+    blocks of at most _GRAM_BLOCK_ELEMS // (N + 1), and the offsets d of a
+    block in chunks, so each working array holds at most _GRAM_BLOCK_ELEMS
+    values: at small N one chunk covers every d.
+    """
+    order = np.argsort(theta, kind="stable")
+    theta = theta[order]
+    # ring r holds the sorted points bounds[r]:bounds[r + 1]
+    edge = np.ones(theta.size + 1, dtype=bool)
+    np.not_equal(theta[1:], theta[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    starts = bounds[:-1]
+    eiphi = np.exp(1j * phi[order])
+    w = w[order]
+    rows = copies + 1
+    gram = np.zeros((rows, rows, 2))  # gram[d, j, (re, im)] = G[j + d, j]
+    block = max(1, _GRAM_BLOCK_ELEMS // rows)
+    for r0 in range(0, starts.size, block):
+        r1 = min(starts.size, r0 + block)
+        k0, k1 = bounds[r0], bounds[r1]
+        ring_phase = _ring_phases(rows, eiphi[k0:k1], w[k0:k1], starts[r0:r1] - k0)
+        # magnitudes by column, padded with zeros past j = N, and
+        # shifted[d, j, r] = mag_{j+d}(theta_r): each d is one contiguous slab
+        mag = np.zeros((2 * rows - 1, r1 - r0))
+        mag[:rows] = _dicke_magnitudes(copies, theta[starts[r0:r1]]).T
+        s_j, s_r = mag.strides
+        shifted = as_strided(mag, (rows, rows, r1 - r0), (s_j, s_j, s_r), writeable=False)
+        step = max(1, _GRAM_BLOCK_ELEMS // ((r1 - r0) * rows))
+        prod = np.empty((min(step, rows), rows, r1 - r0))
+        for d0 in range(0, rows, step):
+            d1 = min(rows, d0 + step)
+            # prod[d - d0, j, r] = mag_{j+d}(theta_r) mag_j(theta_r)
+            np.multiply(shifted[d0:d1], mag[:rows], out=prod[: d1 - d0])
+            gram[d0:d1] += prod[: d1 - d0] @ ring_phase[d0:d1].transpose(0, 2, 1)
+    gram[0, :, 0] -= diag
+    return float(np.hypot(gram[..., 0], gram[..., 1]).max())
 
 
 def operator_completeness_residual(p: FinitePovm, cap: int = OPERATOR_CHECK_CAP) -> float:
     """max entry of |sum_k c_k v_k v_k^dag - I| in the Dicke basis.
 
     Stronger than the scalar check (tests every matrix entry, not just
-    diagonal expectation values over coherent states). The (N+1)^2 Gram
-    accumulation is cheap but capped to keep misuse obvious.
+    diagonal expectation values over coherent states), and independent of
+    it: Dicke magnitudes from the half-angles and ring phases, no
+    harmonic sums. Costs O(n N + R N^2) for R distinct polar angles,
+    in working arrays of at most _GRAM_BLOCK_ELEMS values (module
+    docstring): a product-rule POVM takes under 1 ms at N = 40, 5-7 ms
+    at N = 131 and about 60 ms at N = 300 (1.6 MB and 6 MB traced at the
+    last two; one BLAS thread).
+    Capped at `cap` (default OPERATOR_CHECK_CAP = 300) to keep misuse
+    obvious: a set without shared polar angles has R = n and costs
+    O(n N^2).
     """
     if p.copies > cap:
         raise CapExceeded(f"operator check capped at N = {cap}, got {p.copies}")
-    return _gram_residual(_dicke_matrix(p.copies, p.theta, p.phi), p.c, 1.0)
+    return _ring_gram_residual(p.copies, p.theta, p.phi, p.c, 1.0)
 
 
 def schur_moment_residual(q: SphericalQuadrature, copies: int, tol: float = DEFAULT_TOL) -> float:
@@ -369,8 +485,7 @@ def schur_moment_residual(q: SphericalQuadrature, copies: int, tol: float = DEFA
     exactly, entry by entry.
     """
     _require_strength(q, copies, tol)
-    v = _dicke_matrix(copies, q.theta, q.phi)
-    return _gram_residual(v, q.weights / FOUR_PI, 1.0 / (copies + 1))
+    return _ring_gram_residual(copies, q.theta, q.phi, q.weights / FOUR_PI, 1.0 / (copies + 1))
 
 
 def spin_subspaces(copies: int) -> list[int]:
@@ -404,7 +519,10 @@ def subspace_completeness_residuals(
     """
     report = _require_strength(q, copies, tol)
     if directions is None:
-        return {two_s: _completeness_bound(report, two_s) for two_s in spin_subspaces(copies)}
+        return {
+            two_s: _completeness_bound(report.residual_per_l, report.weight_sum_residual, two_s)
+            for two_s in spin_subspaces(copies)
+        }
     angles = _direction_angles(directions)
     wnorm = q.weights / FOUR_PI
     out: dict[int, float] = {}
@@ -463,12 +581,19 @@ def mixed_legendre_bound(copies: int) -> float:
     return float(value)
 
 
+def _element_values(p: FinitePovm) -> tuple:
+    """(c_0, theta_0, phi_0, c_1, ...) as Python floats, for one %-format per file."""
+    return tuple(np.column_stack((p.c, p.theta, p.phi)).ravel().tolist())
+
+
 def povm_to_json(p: FinitePovm) -> str:
-    """Serialize with 17-significant-digit decimals (exact round trip)."""
-    elements = ",\n    ".join(
-        f'{{"c": {_fmt(c)}, "theta": {_fmt(t)}, "phi": {_fmt(f)}}}'
-        for c, t, f in zip(p.c, p.theta, p.phi)
-    )
+    """Serialize with 17-significant-digit decimals (exact round trip).
+
+    '%.17g' is the format(x, '.17g') of quadrature._fmt; one % over a
+    repeated template formats every element in a single call.
+    """
+    template = '{"c": %.17g, "theta": %.17g, "phi": %.17g}'
+    elements = ",\n    ".join([template] * p.n) % _element_values(p)
     return (
         "{\n"
         f'  "N": {p.copies},\n'
@@ -505,13 +630,5 @@ def povm_from_json(text: str, label: str = "") -> FinitePovm:
 
 def povm_to_csv(p: FinitePovm) -> str:
     """CSV with '.' decimals and '#' metadata lines; columns c, theta, phi."""
-    lines = [
-        f"# N={p.copies}",
-        f"# n={p.n}",
-        f"# score_exact={_fmt(exact_score(p))}",
-        "c,theta,phi",
-    ]
-    lines += [
-        f"{_fmt(c)},{_fmt(t)},{_fmt(f)}" for c, t, f in zip(p.c, p.theta, p.phi)
-    ]
-    return "\n".join(lines) + "\n"
+    header = f"# N={p.copies}\n# n={p.n}\n# score_exact={_fmt(exact_score(p))}\nc,theta,phi\n"
+    return header + "".join(["%.17g,%.17g,%.17g\n"] * p.n) % _element_values(p)

@@ -4,9 +4,11 @@ Everything here deliberately avoids the package's harmonic/Legendre code
 paths: spherical harmonics come from scipy, Gauss-Legendre references from
 numpy.polynomial, Dicke amplitudes from a brute-force 2^N tensor product,
 close point pairs from an all-pairs scan, quadrature-averaged scores from
-the overlap matrix raised to the power N+1, and game outcomes from the
-rejection sampler (alias proposals k ~ c_k, accepted with probability
-overlap^N) that the outcome-first sampler replaced.
+the overlap matrix raised to the power N+1, Dicke-basis Gram residuals
+from the dense n x (N+1) matrix of Dicke rows, POVM files from one
+`format` call per value, and game outcomes from the rejection sampler
+(alias proposals k ~ c_k, accepted with probability overlap^N) that the
+outcome-first sampler replaced.
 """
 import cmath
 import math
@@ -69,6 +71,46 @@ def tensor_dicke(copies, theta, phi):
         amps[bin(idx).count("1")] += full[idx]
     norm = np.sqrt([math.comb(copies, j) for j in range(copies + 1)])
     return amps / norm
+
+
+def dense_gram_residual(v, w, diag):
+    """max entry of |sum_k w_k v_k v_k^dag - diag * I| for Dicke rows v (n x (N+1))."""
+    gram = v.T @ (np.asarray(w, float)[:, None] * v.conj())
+    gram[np.diag_indices_from(gram)] -= diag
+    return float(np.max(np.abs(gram)))
+
+
+def _fmt17(x):
+    return format(float(x), ".17g")
+
+
+def povm_to_json_reference(p):
+    """POVM JSON written one format call per value."""
+    elements = ",\n    ".join(
+        f'{{"c": {_fmt17(c)}, "theta": {_fmt17(t)}, "phi": {_fmt17(f)}}}'
+        for c, t, f in zip(p.c, p.theta, p.phi)
+    )
+    score = _fmt17(float(p.c.sum()) / (p.copies + 2))
+    return (
+        "{\n"
+        f'  "N": {p.copies},\n'
+        f'  "n": {p.n},\n'
+        f'  "elements": [\n    {elements}\n  ],\n'
+        f'  "score_exact": {score}\n'
+        "}\n"
+    )
+
+
+def povm_to_csv_reference(p):
+    """POVM CSV written one format call per value."""
+    lines = [
+        f"# N={p.copies}",
+        f"# n={p.n}",
+        f"# score_exact={_fmt17(float(p.c.sum()) / (p.copies + 2))}",
+        "c,theta,phi",
+    ]
+    lines += [f"{_fmt17(c)},{_fmt17(t)},{_fmt17(f)}" for c, t, f in zip(p.c, p.theta, p.phi)]
+    return "\n".join(lines) + "\n"
 
 
 def rotation_matrix(axis, angle):

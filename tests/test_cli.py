@@ -18,6 +18,7 @@ from povmquad.cli import (
     default_grid_dir,
     main,
 )
+from povmquad import cli, povm, quadrature, simulate
 from povmquad.povm import povm_from_quadrature, povm_to_json
 from povmquad.quadrature import product_rule
 
@@ -66,6 +67,42 @@ def test_construct_csv_format(tmp_path):
     assert lines[0] == "# N=2"
     assert lines[3] == "c,theta,phi"
     assert len(lines) == 4 + 6
+
+
+@pytest.mark.parametrize("extra", [
+    ["--format", "json"],
+    ["--format", "csv"],
+    ["--out", "s.csv"],
+    ["--out", "s.csv", "--format", "json"],
+])
+def test_score_flags_without_grid_are_usage_errors(povm1_file, tmp_path, capsys, extra, monkeypatch):
+    # --out and --format only shape the --grid table; without it they were
+    # silently ignored (exit 0, the plain report, no file written)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    for path in (povm1_file, tmp_path / "missing.json"):  # refused before any file is read
+        assert main(["score", str(path)] + extra) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_construct_format_without_out_is_usage_error(capsys, fmt):
+    assert main(["construct", "3", "--format", fmt]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_explicit_default_formats_keep_working(povm1_file, octa_file, tmp_path):
+    out = tmp_path / "p.json"
+    assert main(["construct", "1", "--out", str(out), "--format", "json"]) == EXIT_OK
+    assert out.read_text() == povm1_file.read_text()
+    grid = tmp_path / "g.csv"
+    assert main(["score", str(povm1_file), "--grid", str(octa_file), "--out", str(grid)]) == EXIT_OK
+    assert grid.read_text().startswith("theta,phi,score\n")
 
 
 def test_construct_zero_is_usage_error(capsys):
@@ -207,6 +244,60 @@ def test_score_grid_json(povm1_file, octa_file, tmp_path):
     ]) == EXIT_OK
     obj = json.loads(out.read_text())
     assert obj["N"] == 1 and len(obj["scores"]) == 6
+
+
+def _record_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("copies", [1, 15, 40])
+def test_construct_certifies_once(copies, tmp_path, monkeypatch):
+    calls = _record_calls(monkeypatch, povm, "certify")
+    cli_calls = _record_calls(monkeypatch, cli, "certify")
+    assert main(["construct", str(copies), "--out", str(tmp_path / "p.json")]) == EXIT_OK
+    assert len(calls) == 1 and calls[0][1] == copies
+    assert cli_calls == []
+
+
+@pytest.mark.parametrize("copies", [1, 15])
+def test_score_sums_the_povm_once(copies, octa_file, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "p.json"
+    assert main(["construct", str(copies), "--out", str(path)]) == EXIT_OK
+    n = product_rule(copies).n
+    sums = _record_calls(monkeypatch, simulate, "weighted_harmonic_sums")
+    certified = _record_calls(monkeypatch, povm, "certify")
+    kernel = _record_calls(monkeypatch, quadrature, "weighted_harmonic_sums")
+    # one order-(N+1) sum of the POVM, one of the cross-check grid
+    assert main(["score", str(path)]) == EXIT_OK
+    assert [(args[0], args[1].size) for args in sums] == [
+        (copies + 1, n), (copies + 1, product_rule(copies + 1).n)
+    ]
+    # with --grid only the POVM's sum, for the completeness bound
+    sums.clear()
+    assert main(["score", str(path), "--grid", str(octa_file)]) == EXIT_OK
+    assert [(args[0], args[1].size) for args in sums] == [(copies + 1, n)]
+    assert certified == [] and kernel == []
+
+
+def test_simulate_still_certifies_the_file_once(povm1_file, monkeypatch, capsys):
+    calls = _record_calls(monkeypatch, povm, "certify")
+    assert main(["simulate", str(povm1_file), "--trials", "1000", "--seed", "3"]) == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_construct_prints_operator_residual_at_the_paper_order(capsys):
+    assert main(["construct", "131"]) == EXIT_OK
+    line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("operator_residual:")]
+    assert len(line) == 1
+    assert float(line[0].split(":")[1]) < 1e-12
 
 
 def test_score_write_failure_is_io_error(povm1_file, octa_file, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -5,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from povmquad import povm as povm_module
+from povmquad.cli import default_grid_dir
 from povmquad.errors import (
     CapExceeded,
     DomainError,
@@ -36,11 +39,18 @@ from povmquad.povm import (
     spin_subspaces,
     subspace_completeness_residuals,
 )
-from povmquad.quadrature import FOUR_PI, SphericalQuadrature, product_rule
+from povmquad.quadrature import FOUR_PI, SphericalQuadrature, ingest_pointset, product_rule
 from povmquad.simulate import _dense_scores
 from povmquad.sphere import Direction, default_rng, overlap_sq, sample_uniform
 
-from _oracles import tensor_dicke
+from _oracles import (
+    dense_gram_residual,
+    povm_to_csv_reference,
+    povm_to_json_reference,
+    rotate_angles,
+    rotation_matrix,
+    tensor_dicke,
+)
 
 MIXED_PRODUCT_RULE_COUNTS = [2, 7, 10, 22, 28, 50, 60, 95, 110, 161, 182, 252, 280, 372, 408]
 
@@ -463,3 +473,201 @@ def test_povm_json_rejects_non_integer_counts(key, value):
     obj[key] = value
     with pytest.raises(ParseError):
         povm_from_json(json.dumps(obj))
+
+
+def dense_operator_residual(p):
+    return dense_gram_residual(_dicke_matrix(p.copies, p.theta, p.phi), p.c, 1.0)
+
+
+def dense_schur_residual(q, copies):
+    v = _dicke_matrix(copies, q.theta, q.phi)
+    return dense_gram_residual(v, q.weights / FOUR_PI, 1.0 / (copies + 1))
+
+
+@pytest.mark.parametrize("copies", list(range(1, 61)) + [131])
+def test_ring_gram_matches_dense_oracle_on_product_rules(copies):
+    p = product_povm(copies)
+    ring = operator_completeness_residual(p)
+    assert abs(ring - dense_operator_residual(p)) <= 2e-15
+    assert ring < 1e-12
+
+
+@pytest.mark.parametrize("copies", [1, 4, 9, 15, 24])
+def test_ring_gram_matches_dense_oracle_without_shared_latitudes(copies):
+    q = product_rule(copies)
+    theta, phi = rotate_angles(q.theta, q.phi, rotation_matrix([0.3, -1.0, 0.7], 0.9))
+    assert np.unique(theta).size == theta.size  # R = n
+    p = FinitePovm(copies, (copies + 1) / FOUR_PI * q.weights, theta, phi)
+    ring = operator_completeness_residual(p)
+    assert abs(ring - dense_operator_residual(p)) <= 2e-15
+    assert ring < 1e-12
+
+
+@pytest.mark.parametrize("name, strength", [
+    ("lebedev_0006.txt", 3), ("lebedev_0014.txt", 5), ("lebedev_0026.txt", 7),
+    ("lebedev_0038.txt", 9), ("lebedev_0050.txt", 11), ("lebedev_0086.txt", 15),
+])
+def test_ring_schur_residual_matches_dense_oracle_on_lebedev_grids(name, strength):
+    with open(default_grid_dir() / name, encoding="utf-8") as fh:
+        q = ingest_pointset(fh, "explicit", label=name)
+    for copies in range(1, strength + 1):
+        ring = schur_moment_residual(q, copies)
+        assert abs(ring - dense_schur_residual(q, copies)) <= 2e-15
+        assert ring < 1e-13
+
+
+def test_ring_gram_matches_dense_oracle_at_polar_angles_outside_zero_pi():
+    # (-theta, phi + pi) names the point (theta, phi); theta + 2 pi names it
+    # with the global phase (-1)^N, which the Gram does not see
+    p = product_povm(6)
+    k = np.arange(p.n) % 3
+    theta = np.select([k == 1, k == 2], [-p.theta, p.theta + 2 * math.pi], p.theta)
+    phi = np.where(k == 1, p.phi + math.pi, p.phi)
+    same_points = FinitePovm(copies=6, c=p.c, theta=theta, phi=phi)
+    ring = operator_completeness_residual(same_points)
+    assert abs(ring - dense_operator_residual(same_points)) <= 2e-15
+    assert ring < 1e-13
+
+
+def _incomplete_povms(copies):
+    p = product_povm(copies)
+    rng = np.random.default_rng(copies)
+    keep = slice(1, None)
+    return [
+        FinitePovm(copies, p.c[keep], p.theta[keep], p.phi[keep]),
+        FinitePovm(copies, p.c, p.theta + rng.normal(scale=1e-2, size=p.n),
+                   p.phi + rng.normal(scale=1e-2, size=p.n)),
+    ]
+
+
+@pytest.mark.parametrize("copies", [1, 2, 5, 10, 20, 40])
+def test_ring_gram_matches_dense_oracle_on_incomplete_povms(copies):
+    for bad in _incomplete_povms(copies):
+        ring = operator_completeness_residual(bad)
+        dense = dense_operator_residual(bad)
+        assert ring > 1e-4
+        assert abs(ring - dense) <= 1e-12 * dense
+
+
+@pytest.mark.parametrize("copies", [3, 12, 40])
+def test_ring_gram_does_not_depend_on_block_budget(copies, monkeypatch):
+    # default blocks; one ring per block (one offset per chunk); and three
+    # rings per block with offsets in chunks of several
+    cases = [product_povm(copies)] + _incomplete_povms(copies)
+    default = [operator_completeness_residual(p) for p in cases]
+    rows = copies + 1
+    for budget in (rows, 3 * rows * 5):
+        monkeypatch.setattr(povm_module, "_GRAM_BLOCK_ELEMS", budget)
+        for p, ref in zip(cases, default):
+            assert abs(operator_completeness_residual(p) - ref) <= 1e-15
+
+
+def test_operator_and_schur_checks_build_no_dense_dicke_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense Dicke matrix built")
+
+    monkeypatch.setattr(povm_module, "_dicke_matrix", refuse)
+    assert operator_completeness_residual(product_povm(20)) < 1e-13
+    assert schur_moment_residual(product_rule(20), 20) < 1e-13
+
+
+def test_operator_check_memory_is_bounded_by_its_blocks():
+    p = product_povm(131)
+    tracemalloc.start()
+    try:
+        operator_completeness_residual(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # O(n) sorted copies of the inputs, the (N+1) x 2 x (N+1) Gram and a few
+    # blocks of _GRAM_BLOCK_ELEMS values; the dense Gram's Dicke matrix alone
+    # would be 18 MB
+    assert peak < 3e6
+
+
+def test_default_operator_cap_is_300():
+    assert povm_module.OPERATOR_CHECK_CAP == 300
+    assert operator_completeness_residual(product_povm(300)) < 1e-12
+    with pytest.raises(CapExceeded):
+        operator_completeness_residual(product_povm(301))
+
+
+def test_dicke_magnitudes_keep_their_accuracy_near_the_poles():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    copies = 13
+    thetas = [1e-6, 4.6e-4, 0.3, math.pi - 1e-6]
+    mags = povm_module._dicke_magnitudes(copies, thetas)
+    for theta, row in zip(thetas, mags):
+        half = mpmath.mpf(theta) / 2
+        for j, value in enumerate(row):
+            ref = mpmath.sqrt(mpmath.binomial(copies, j)) * mpmath.cos(half) ** (copies - j) \
+                * mpmath.sin(half) ** j
+            # log-space rounding grows with |log ref| (190 at j = 13 here);
+            # magnitudes formed from cos(theta) would be off by eps/theta^2
+            assert abs(value - ref) <= 1e-13 * abs(ref)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_povm_from_quadrature_carries_its_certificate(monkeypatch):
+    calls = _count_calls(monkeypatch, povm_module, "certify")
+    p = product_povm(12)
+    assert len(calls) == 1
+    report = p.certificate
+    assert report is not None and report.l_max_tested == 12 and report.strength == 12
+    bound = scalar_completeness_residual(p)
+    assert len(calls) == 1  # the carried report, not a second certification
+    fresh = dataclasses.replace(p)
+    assert fresh.certificate is None
+    assert scalar_completeness_residual(fresh) == bound
+    assert len(calls) == 2
+    assert fresh == p and "certificate" not in repr(p)
+
+
+def test_povms_built_any_other_way_carry_no_certificate():
+    p = product_povm(3)
+    assert povm_from_json(povm_to_json(p)).certificate is None
+    assert FinitePovm(3, p.c, p.theta, p.phi).certificate is None
+    assert dataclasses.replace(p, label="copy").certificate is None
+    with pytest.raises(TypeError):
+        FinitePovm(3, p.c, p.theta, p.phi, certificate=p.certificate)
+
+
+def test_replaced_weights_are_recertified(monkeypatch):
+    p = product_povm(5)
+    calls = _count_calls(monkeypatch, povm_module, "certify")
+    bad = dataclasses.replace(p, c=1.01 * p.c)
+    assert scalar_completeness_residual(bad) > 1e-9
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("copies", list(range(1, 41)) + [131])
+def test_povm_files_match_the_per_value_writer(copies):
+    p = product_povm(copies)
+    assert povm_to_json(p) == povm_to_json_reference(p)
+    assert povm_to_csv(p) == povm_to_csv_reference(p)
+
+
+def test_povm_files_match_the_per_value_writer_on_extreme_values():
+    tiny = np.nextafter(0.0, 1.0)
+    values = np.array([
+        -0.0, 0.0, tiny, -tiny, 2.5e-320, 2.2250738585072014e-308, 1e-300, 0.1, 1.0 / 3.0,
+        1e16, 1e17, 123456789.123456789, 1e300, 1.7976931348623157e308, -1e-5, math.pi,
+    ])
+    p = FinitePovm(2, 0.5 * np.abs(values[::-1]), values, values[::-1])
+    assert povm_to_json(p) == povm_to_json_reference(p)
+    assert povm_to_csv(p) == povm_to_csv_reference(p)
+    back = povm_from_json(povm_to_json(p))
+    assert np.array_equal(back.c, p.c)
+    assert np.array_equal(back.theta, p.theta) and np.array_equal(back.phi, p.phi)
