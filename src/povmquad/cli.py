@@ -33,7 +33,6 @@ from .errors import (
     ZeroVector,
 )
 from .povm import (
-    OPERATOR_CHECK_CAP,
     exact_score,
     legendre_pure_counts,
     mixed_min_elements,
@@ -134,7 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo estimation game on a POVM file")
     p.add_argument("file", type=Path)
-    p.add_argument("--trials", type=_positive_int, default=1_000_000)
+    p.add_argument("--trials", type=_positive_int, default=1_000_000,
+                   help="games to play (default 1000000): a trial of a certified POVM "
+                        "costs O(1) time whatever N, and memory is bounded per chunk "
+                        "of trials, so the count sets the time only")
     p.add_argument("--seed", type=_seed_value, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -185,21 +187,18 @@ def cmd_construct(args) -> int:
         raise DomainError("--format applies only to the file written by --out")
     povm = povm_from_quadrature(product_rule(args.copies), args.copies)
     scalar = scalar_completeness_residual(povm)
-    operator = None
-    if args.copies <= OPERATOR_CHECK_CAP:
-        operator = operator_completeness_residual(povm)
+    # OPERATOR_CHECK_CAP bounds the cost of the check on any POVM; a
+    # product rule's rings have period N + 1, which leaves the Gram only its
+    # diagonal, at O(n + R N) within the size budget of product_rule
+    operator = operator_completeness_residual(povm, cap=args.copies)
     if args.out is not None:
         text = povm_to_csv(povm) if args.format == "csv" else povm_to_json(povm)
         args.out.write_text(text, encoding="utf-8")
     print(f"n: {povm.n}")
     print(f"score_exact: {exact_score(povm)!r}")
     print(f"scalar_residual: {scalar:.3e}")
-    if operator is None:
-        print(f"operator_residual: skipped (N > {OPERATOR_CHECK_CAP})")
-    else:
-        print(f"operator_residual: {operator:.3e}")
-    residuals = [scalar] + ([operator] if operator is not None else [])
-    return EXIT_OK if all(r < args.residual_tol for r in residuals) else EXIT_VERIFY
+    print(f"operator_residual: {operator:.3e}")
+    return EXIT_OK if max(scalar, operator) < args.residual_tol else EXIT_VERIFY
 
 
 def cmd_certify(args) -> int:

@@ -22,6 +22,24 @@ to rounding; `harmonic_row` is its one-point, unit-weight case.
 (the double Fourier sphere), O(n w^2 + l_max^2 log l_max + l_max^3)
 whatever R, and is approximate: certify chooses between the two and adds
 an allowance for the transform (see quadrature).
+
+Equispaced rings (Driscoll & Healy 1994; Healy, Rockmore, Kostelec &
+Moore 2003). On a ring of s equal weights at azimuths phi_0 + 2 pi j / s,
+sum_j w e^{i m phi_j} vanishes unless s divides m. `_ring_periods` finds
+such rings in O(n) after the sort by cos(theta), and measures each point's
+deviation delta_j from its ideal azimuth against 2 pi / s carried as a
+double-double. `_ring_sums` then steps the recurrence for those rings only
+at the orders m = 0, s, 2s, ..., one recurrence per period: a product rule
+costs O(n + R l_max) instead of O(R l_max^2), plus an FFT of the
+deviations, O(n log s). The orders a ring cancels are returned as exact
+zeros; what its deviations add there is bounded by the allowance a_l of
+`_ring_sums`, from the first-order expansion of e^{i m delta_j} and
+|P~_l^m|^2 <= (2l+1)/8pi: max_m |exact S[l, m]| <= max(max_m |S[l, m]|, a_l).
+For construct's product rules a_l is 1.5e-14 at N = 15 and 4.2e-12 at
+N = 1000. A caller that must not let a_l decide a verdict passes a ceiling
+(certify: tol / 2): above it every ring takes the all-orders path. Sets
+with no equispaced ring, and sums below order _ROUTE_MIN_ROWS - 1, run
+the all-orders path bit for bit as before.
 """
 from __future__ import annotations
 
@@ -33,11 +51,27 @@ import numpy as np
 from . import _nufft
 from .errors import DomainError
 from .orthopoly import _norm_coeffs, assoc_legendre_column
-from .sphere import Direction
+from .sphere import TWO_PI, Direction
 
 # Legendre values per working array of weighted_harmonic_sums: (l_max + 1)
 # rows times the rings of one block; small enough to stay in cache.
 _BLOCK_ELEMS = 1 << 16
+# A ring's azimuths count as equispaced when each is within this many
+# radians of phi_0 + 2 pi j / s: 16 units in the last place of 2 pi.
+# Azimuths formed as 2 pi j / s, or read back through atan2, are within a
+# few.
+_RING_SLACK = 16 * math.ulp(TWO_PI)
+_EPS = float(np.finfo(float).eps)
+# 2 pi - fl(2 pi), the low half of 2 pi as a double-double
+_TWO_PI_LO = 2.4492935982947064e-16
+# Bound on |delta - computed delta| in _ring_periods, for |phi| <= 4 pi and
+# |delta| <= _RING_SLACK: eps/2 |delta| for the last addition plus about
+# 10.5 pi eps^2 for the low-order terms, with a factor 2 to spare.
+_DELTA_ERR = _EPS * _RING_SLACK + 24.0 * math.pi * _EPS * _EPS
+# Rings are routed on their period only from this many orders (l_max + 1)
+# on: finding them costs about as many numpy calls as the all-orders
+# recurrence takes for a few rings below it.
+_ROUTE_MIN_ROWS = 16
 
 
 class HarmonicIndex(NamedTuple):
@@ -98,53 +132,377 @@ def _ring_phases(rows: int, eiphi, w, ring_starts) -> np.ndarray:
     return phase.view(float).reshape(rows, -1, 2).transpose(0, 2, 1)
 
 
-def _ring_recurrence(ring_phase: np.ndarray, xr, s2r, sums: np.ndarray):
-    """Add sum_r P~_l^m(xr_r) W[m, :, r] to sums[l, m, :] for 0 <= m <= l < rows.
+def _ring_recurrence(ring_phase: np.ndarray, xr, s2r, sums: np.ndarray, step: int = 1):
+    """Add sum_r P~_l^m(xr_r) W[k, :, r] to sums[l, m, :] for m = k step <= l < rows.
 
-    One normalized associated-Legendre recurrence steps l once for all
-    orders m at once, over blocks of at most _BLOCK_ELEMS Legendre values.
+    One normalized associated-Legendre recurrence steps l once for the
+    orders m = 0, step, 2 step, ... at once, over blocks of at most
+    _BLOCK_ELEMS Legendre values; row k of ring_phase holds order k step.
     Ring r lies at cos(theta) = xr[r] and sin(theta)^2 = s2r[r] (>= 0).
     No Condon-Shortley phase.
     """
-    rows = ring_phase.shape[0]
+    rows = sums.shape[0]
+    orders = ring_phase.shape[0]
     amm, a, b = _norm_coeffs(rows - 1)
-    block = max(1, _BLOCK_ELEMS // rows)
+    block = max(1, _BLOCK_ELEMS // orders)
     for r0 in range(0, xr.size, block):
         r1 = min(xr.size, r0 + block)
         x = xr[r0:r1]
         s2 = s2r[r0:r1]
         phase = np.ascontiguousarray(ring_phase[:, :, r0:r1])
-        # Row m of prev/cur is zero until step l = m writes it, so the first
-        # step of an order, P~_{m+1}^m = a x P~_m^m, needs no special case
-        # (b[m + 1, m] = 0 multiplies a zero row).
-        prev = np.zeros((rows, r1 - r0))
-        cur = np.zeros((rows, r1 - r0))
-        tmp = np.empty((rows, r1 - r0))
+        # Row k of prev/cur is zero until step l = k step writes it, so the
+        # first step of an order, P~_{m+1}^m = a x P~_m^m, needs no special
+        # case (b[m + 1, m] = 0 multiplies a zero row).
+        prev = np.zeros((orders, r1 - r0))
+        cur = np.zeros((orders, r1 - r0))
+        tmp = np.empty((orders, r1 - r0))
         for l in range(rows):
             # prev holds P~_{l-1}^m; cur holds P~_{l-2}^m and becomes P~_l^m
-            if l:
-                t = tmp[:l]
-                np.multiply(a[l, :l, None], x, out=t)
-                t *= prev[:l]
-                c = cur[:l]
-                c *= b[l, :l, None]
+            started = -(-l // step)  # orders m < l
+            if started:
+                t = tmp[:started]
+                np.multiply(a[l, :l:step, None], x, out=t)
+                t *= prev[:started]
+                c = cur[:started]
+                c *= b[l, :l:step, None]
                 c += t
-            cur[l] = amm[l] * s2 ** (0.5 * l) if l else amm[0]
-            sums[l, : l + 1] += np.matmul(phase[: l + 1], cur[: l + 1, :, None])[..., 0]
+            k, off = divmod(l, step)
+            if not off:
+                cur[k] = amm[l] * s2 ** (0.5 * l) if l else amm[0]
+            sums[l, : l + 1 : step] += np.matmul(phase[: k + 1], cur[: k + 1, :, None])[..., 0]
             prev, cur = cur, prev
 
 
 def _signed_sums(sums: np.ndarray) -> np.ndarray:
-    """Complex S[l, m] from the (re, im) accumulator, with the Condon-Shortley phase."""
-    out = sums[..., 0] + 1j * sums[..., 1]
+    """Complex S[l, m] from the (re, im) accumulator, with the Condon-Shortley
+    phase: a complex view of the accumulator, which it negates in place at
+    odd m."""
+    out = sums.view(complex)[..., 0]
     out[:, 1::2] *= -1.0
     return out
 
 
-def _ring_count(theta) -> int:
-    """Distinct latitudes R: the number of distinct cos(theta) values."""
-    x = np.sort(np.cos(np.asarray(theta, dtype=float)))
-    return int(np.count_nonzero(x[1:] != x[:-1])) + 1 if x.size else 0
+def _split(a):
+    """Veltkamp's split a = hi + lo, each with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _ring_periods(phi, w, bounds):
+    """Find the equispaced rings among points grouped by `bounds`, in O(n).
+
+    Ring r holds points bounds[r]:bounds[r + 1]. It qualifies when its
+    s >= 2 weights are exactly equal and its azimuths, in any order, are
+    phi_0 + 2 pi j / s + delta_j for j = 0..s-1, phi_0 the smallest, with
+    every |phi| <= 4 pi and every |delta_j| <= _RING_SLACK. Returns
+    (period, deviation, delta): per ring, period[r] = s for a qualifying
+    ring, else 0, and deviation[r] >= |w| sum_j |delta_j|; and delta in j
+    order, delta[bounds[r] + j] = delta_j of a qualifying ring (other
+    entries are unspecified). delta is measured against 2 pi / s carried
+    as a double-double, j 2 pi / s formed exactly from halves of 26 bits
+    (Dekker's product): off the exact value by at most _DELTA_ERR, which
+    the deviation includes. The weights and latitude
+    of a ring are its own, so its phases need its deviations in no other
+    order.
+
+    For every order m that s does not divide, the ring's phases cancel
+    exactly at the ideal azimuths, and |e^{ia} - e^{ib}| <= |a - b| leaves
+    |sum_j w_j e^{i m phi_j}| <= m deviation[r].
+    """
+    counts = bounds[1:] - bounds[:-1]
+    period = np.zeros(counts.size, dtype=np.intp)
+    deviation = np.zeros(counts.size)
+    delta = np.empty(phi.size + 1)  # a spare slot at the end
+    candidate = (counts >= 2) & (counts < 1 << 26)
+    if not candidate.any():
+        return period, deviation, delta[:-1]
+    # blocks of whole rings, at most _BLOCK_ELEMS // 2 points each (or one
+    # ring), keep the two dozen temporaries of a block in cache
+    r0 = 0
+    while r0 < counts.size:
+        r1 = int(np.searchsorted(bounds, bounds[r0] + _BLOCK_ELEMS // 2, "right")) - 1
+        r1 = max(r0 + 1, r1)
+        k0, k1 = bounds[r0], bounds[r1]
+        _block_periods(phi[k0:k1], w[k0:k1], bounds[r0 : r1 + 1] - k0, candidate[r0:r1],
+                       period[r0:r1], deviation[r0:r1], delta[k0 : k1 + 1])
+        r0 = r1
+    return period, deviation, delta[:-1]
+
+
+def _spacing(s):
+    """2 pi / s = h + h_lo as a double-double, with h = h1 + h2 in halves of
+    at most 26 bits: for s < 2^26, s h1 and s h2 are exact, and so are both
+    differences below. Scalar or array s."""
+    h = TWO_PI / s
+    h1, h2 = _split(h)
+    return h, h1, h2, ((TWO_PI - s * h1) - s * h2 + _TWO_PI_LO) / s
+
+
+def _block_periods(phi, w, bounds, candidate, period, deviation, ordered):
+    """_ring_periods on one block of whole rings, written into its outputs;
+    `ordered` has one spare slot past the block."""
+    starts = bounds[:-1]
+    counts = bounds[1:] - starts
+    if counts.min() == counts.max():  # one size: the constants are scalars
+        s = float(counts[0])
+        h, h1, h2, h_lo = _spacing(s)
+    else:
+        s = counts.astype(float)
+        h, h1, h2, h_lo = (np.repeat(v, counts) for v in _spacing(s))
+        s = np.repeat(s, counts)
+    phi0 = np.minimum.reduceat(phi, starts)
+    # per point: delta = (d + d_lo) - (p + e) - j h_lo, where d + d_lo is
+    # phi - phi_0 and p + e is j h, both exactly; d - p is exact wherever
+    # |delta| is small (Sterbenz), the only points kept
+    if phi0.any():
+        d, d_lo = _two_sum(phi, -np.repeat(phi0, counts))
+    else:  # every ring starts at 0
+        d, d_lo = phi, 0.0
+    j = np.rint(d / h)
+    p = j * h
+    e = j * h1 - p
+    e += j * h2
+    delta = (d - p) + ((d_lo - e) - j * h_lo)
+    size = np.abs(delta)
+    good = size <= _RING_SLACK
+    good &= w == np.repeat(w[starts], counts)
+    good &= j < s
+    if np.abs(phi).max() > 2.0 * TWO_PI:
+        good &= np.abs(phi) <= 2.0 * TWO_PI
+    # s good points with 0 <= j < s fill the s slots of their ring once each
+    slot = np.repeat(starts.astype(float), counts) + j
+    slot[~good] = phi.size  # the spare slot
+    slot = slot.astype(np.intp)
+    ordered[slot] = delta
+    filled = np.zeros(phi.size + 1, dtype=bool)
+    filled[slot] = True
+    ok = np.logical_and.reduceat(filled[:-1], starts)
+    ok &= candidate
+    if ok.any():
+        size += _DELTA_ERR
+        np.copyto(period, counts, where=ok)
+        np.copyto(deviation, np.add.reduceat(size, starts) * np.abs(w[starts]), where=ok)
+
+
+def _ring_spin(s: int, phi, delta, bounds):
+    """e^{i s phi_k} for the points of equispaced rings of period s.
+
+    Formed as e^{i s phi_0} e^{i s delta_j}, which is s phi_j less 2 pi j:
+    no rounding of s phi_j, and the second factor from its Taylor series
+    (|s delta_j| < 1e-6, so the terms left out are below 1e-25). Each ring's
+    values come in j order (delta of _ring_periods).
+    """
+    counts = bounds[1:] - bounds[:-1]
+    y = s * delta
+    y2 = y * y
+    spin = np.exp(1j * s * np.minimum.reduceat(phi, bounds[:-1])).repeat(counts)
+    spin *= (1.0 - 0.5 * y2) + 1j * (y - y * y2 / 6.0)
+    return spin
+
+
+class _Rings(NamedTuple):
+    """Points sorted by cos(theta) and grouped into latitude rings."""
+
+    x: np.ndarray  # cos(theta), ascending
+    phi: np.ndarray
+    w: np.ndarray
+    flip: np.ndarray  # sin(theta) < 0: the point is (arccos x, phi + pi)
+    bounds: np.ndarray  # ring r holds points bounds[r]:bounds[r + 1]
+    period: np.ndarray  # per ring: s if routed on its period (_ring_periods), else 0; or None
+    deviation: np.ndarray
+    delta: np.ndarray  # in j order within each routed ring (_ring_periods)
+
+
+def _latitude_rings(theta, phi, weights, detect: bool = True) -> _Rings:
+    """Group points into rings of exactly equal cos(theta) and, if `detect`,
+    find the equispaced ones (_ring_periods). A ring with a point past a
+    pole (sin(theta) < 0) is never routed on its period."""
+    theta = np.asarray(theta, dtype=float)
+    x = np.cos(theta)
+    order = np.argsort(x, kind="stable")
+    # sin(theta) >= 0 on [0, pi] in floating point too
+    flip = None
+    if theta.size and (theta.min() < 0.0 or theta.max() > math.pi):
+        flip = (np.sin(theta) < 0.0)[order]
+    x = x[order]
+    phi = np.asarray(phi, dtype=float)[order]
+    w = np.asarray(weights, dtype=float)[order]
+    edge = np.ones(x.size + 1, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    period = deviation = delta = None
+    if detect:
+        period, deviation, delta = _ring_periods(phi, w, bounds)
+        if flip is not None:
+            period[np.logical_or.reduceat(flip, bounds[:-1])] = 0
+    return _Rings(x, phi, w, flip, bounds, period, deviation, delta)
+
+
+def _subset(bounds, take):
+    """(points, bounds) of the rings where `take` is set, in their order."""
+    if take.all():
+        return slice(None), bounds
+    counts = bounds[1:] - bounds[:-1]
+    return np.repeat(take, counts), np.concatenate(([0], np.cumsum(counts[take])))
+
+
+def _ring_cost(l_max: int, theta, phi, weights) -> float:
+    """Ring-kernel cost of sums to order l_max in units of l_max^2: one per
+    ring on the all-orders path, ceil((l_max + 1) / s) / (l_max + 1) per
+    ring routed on its period s."""
+    rings = _latitude_rings(theta, phi, weights)
+    routed = rings.period[rings.period > 0]
+    rows = l_max + 1
+    return (rings.period.size - routed.size) + float(np.sum(-(-rows // routed))) / rows
+
+
+def _add_columns(sums: np.ndarray, step: int, xr, ring_phase):
+    """_ring_recurrence for one or two orders, one Legendre column each:
+    fewer numpy calls per step in l than the batched recurrence."""
+    rows = sums.shape[0]
+    amm, a, b = _norm_coeffs(rows - 1)
+    for k, m in enumerate(range(0, rows, step)):
+        col = np.empty((rows - m, xr.size))
+        if m:
+            # sin(theta)^2 from x, so sin(theta) = sqrt(1 - x^2) >= 0
+            col[0] = amm[m] * np.maximum((1.0 - xr) * (1.0 + xr), 0.0) ** (0.5 * m)
+        else:
+            col[0] = amm[0]
+        # Row i holds l = m + i, P~_l^m = a x P~_{l-1}^m + b P~_{l-2}^m, stepped
+        # as Q_i = P~_l^m / g_i with g_i = -b g_{i-2} (g_0 = g_1 = 1): then
+        # Q_i = (a g_{i-1} / g_i) x Q_{i-1} - Q_{i-2}, two numpy calls a step
+        g = np.ones(rows - m)
+        g[2::2] = np.cumprod(-b[m + 2 :: 2, m])
+        g[3::2] = np.cumprod(-b[m + 3 :: 2, m])
+        ax = list((a[m + 1 :, m] * (g[:-1] / g[1:]))[:, None] * xr)
+        c = list(col)
+        for i in range(1, rows - m):
+            np.multiply(ax[i - 1], c[i - 1], out=c[i])
+            if i > 1:
+                c[i] -= c[i - 2]
+        col *= g[:, None]
+        sums[m:, m] += col @ ring_phase[k].T
+
+
+def _add_rings(sums: np.ndarray, step: int, x, eiphi, w, bounds):
+    """Add the rings bounds[r]:bounds[r + 1] of sorted points to the (re, im)
+    accumulator, at the orders m = 0, step, 2 step, ... only: with
+    eiphi = e^{i step phi} (_ring_spin), row k of the ring phases is order
+    k step. eiphi None stands for the weights alone, when step > l_max."""
+    rows = sums.shape[0]
+    orders = -(-rows // step)
+    starts = bounds[:-1]
+    block = max(1, _BLOCK_ELEMS // orders)
+    for r0 in range(0, starts.size, block):
+        r1 = min(starts.size, r0 + block)
+        k0, k1 = bounds[r0], bounds[r1]
+        if eiphi is None:  # order 0 only
+            ring_phase = np.zeros((1, 2, r1 - r0))
+            ring_phase[0, 0] = np.add.reduceat(w[k0:k1], starts[r0:r1] - k0)
+        else:
+            ring_phase = _ring_phases(orders, eiphi[k0:k1], w[k0:k1], starts[r0:r1] - k0)
+        xr = x[starts[r0:r1]]
+        if orders <= 2 and rows * (r1 - r0) <= _BLOCK_ELEMS:
+            _add_columns(sums, step, xr, ring_phase)
+        else:
+            # sin(theta)^2 from x, so sin(theta) = sqrt(1 - x^2) >= 0
+            s2r = np.maximum((1.0 - xr) * (1.0 + xr), 0.0)
+            _ring_recurrence(ring_phase, xr, s2r, sums, step)
+
+
+def _cancelled_phases(rings: _Rings, s: int, rows: int) -> np.ndarray:
+    """G[m] >= sum_r |W_r[m]| over the rings of period s, for 0 <= m < rows.
+
+    With phi_j = phi_0 + 2 pi j / s + delta_j and s not dividing m,
+    W_r[m] = w e^{i m phi_0} sum_j e^{2 pi i m j / s} (e^{i m delta_j} - 1),
+    and |e^{ix} - 1 - ix| <= x^2 / 2 <= |x| rows (_RING_SLACK + _DELTA_ERR) / 2,
+    so |W_r[m]| <= m |w| (|F_r(m mod s)| + rows (_RING_SLACK + _DELTA_ERR) / 2
+    sum_j |delta_j|), F_r the discrete Fourier transform of the ring's
+    deviations in j order,
+    taken by FFT in blocks of rings. |F_r| also allows for _DELTA_ERR per
+    point and for the FFT's rounding, counted as 2^-30 sum_j |delta_j|
+    (a stable FFT of length s is off by O(eps sqrt(s) log s) of that).
+    G[m] = 0 where s divides m.
+    """
+    take = rings.period == s
+    points, _ = _subset(rings.bounds, take)
+    # each ring's s deviations in j order, one ring per row
+    delta = rings.delta[points].reshape(-1, s)
+    aw = np.abs(rings.w[rings.bounds[:-1][take]])
+    spectrum = np.zeros(s)
+    block = max(1, _BLOCK_ELEMS // s)
+    for r0 in range(0, aw.size, block):
+        spectrum += aw[r0 : r0 + block] @ np.abs(np.fft.fft(delta[r0 : r0 + block], axis=1))
+    # the deviations of _ring_periods, which hold sum_j |w| (|delta_j| + _DELTA_ERR)
+    spectrum += rings.deviation[take].sum() * (2.0**-30 + rows * (_RING_SLACK + _DELTA_ERR) / 2)
+    spectrum += s * _DELTA_ERR * aw.sum()
+    spectrum[0] = 0.0
+    m = np.arange(rows)
+    return m * spectrum[m % s]
+
+
+def _ring_sums(l_max: int, theta, phi, weights, max_allowance: float | None = math.inf):
+    """(S, a): the sums of weighted_harmonic_sums and a per-order allowance.
+
+    Rings of s >= 2 equal weights at equispaced azimuths (_ring_periods)
+    feed only the orders m = 0, s, 2s, ..., one recurrence per period s
+    over the rings that share it: O(n + R l_max ceil((l_max + 1) / s)),
+    plus an FFT of each ring's deviations, O(n log s). At every other
+    order m their phases are taken as exactly zero; there the rings of
+    period s add at most sqrt((2l+1)/8pi) G_s[m] to |S[l, m]|
+    (_cancelled_phases), since |P~_l^m|^2 <= (2l+1)/8pi for m >= 1 by the
+    addition theorem. a_l bounds that for every m <= l, so that
+
+        max_m |exact S[l, m]| <= max(max_m |S[l, m]|, a_l).
+
+    Where routed rings share a set with other periods or with rings on the
+    all-orders path, a_l also carries the largest |S[l, m]| at the orders
+    they cancel. The rings are routed only if a_l <= max_allowance at
+    every order (0 routes none), and only from order _ROUTE_MIN_ROWS - 1
+    on; otherwise every ring takes the all-orders path and a = 0, so a set
+    with no qualifying ring gets exactly the all-orders sums. With
+    max_allowance None the rings are routed and a is not formed (None).
+    """
+    rows = l_max + 1
+    rings = _latitude_rings(theta, phi, weights, detect=rows >= _ROUTE_MIN_ROWS)
+    periods = [] if rings.period is None else sorted(set(rings.period[rings.period > 0].tolist()))
+    allowance = None if max_allowance is None else np.zeros(rows)
+    if periods and max_allowance is not None:
+        cancelled = sum(_cancelled_phases(rings, s, rows) for s in periods)
+        m = np.arange(rows)
+        allowance = np.sqrt((2 * m + 1) / (8.0 * math.pi)) * np.maximum.accumulate(cancelled)
+        if allowance.max() > max_allowance:
+            periods = []
+            allowance[:] = 0.0
+    sums = np.zeros((rows, rows, 2))
+    other = rings.period == 0 if periods else np.ones(rings.bounds.size - 1, dtype=bool)
+    if other.any():
+        points, bounds = _subset(rings.bounds, other)
+        eiphi = np.exp(1j * rings.phi[points])
+        if rings.flip is not None:
+            # the recurrence takes sin(theta) = sqrt(1 - x^2) >= 0
+            eiphi[rings.flip[points]] *= -1.0
+        _add_rings(sums, 1, rings.x[points], eiphi, rings.w[points], bounds)
+    for s in periods:
+        points, bounds = _subset(rings.bounds, rings.period == s)
+        # only m = 0 when s > l_max: no phases but the weights
+        spin = _ring_spin(s, rings.phi[points], rings.delta[points], bounds) if s < rows else None
+        _add_rings(sums, s, rings.x[points], spin, rings.w[points], bounds)
+    out = _signed_sums(sums)
+    if allowance is not None and (len(periods) > 1 or (periods and other.any())):
+        # orders that other rings may feed as well
+        shared = cancelled > 0
+        if shared.any():
+            allowance += np.abs(out[:, shared]).max(axis=1)
+    return out, allowance
 
 
 def weighted_harmonic_sums(l_max: int, theta, phi, weights) -> np.ndarray:
@@ -157,34 +515,18 @@ def weighted_harmonic_sums(l_max: int, theta, phi, weights) -> np.ndarray:
     orders m at once over the R distinct latitudes, accumulating S[l, m] as
     it goes (_ring_recurrence). Cost is O(R * l_max^2 + n * l_max): product
     rules and Lebedev orbits repeat latitudes, and a set without repeats is
-    simply R = n. Rings are processed in blocks of at most _BLOCK_ELEMS
-    Legendre values, so working memory beyond the O(n) inputs does not grow
-    with n. Only m >= 0 is returned; for real weights |S[l, -m]| = |S[l, m]|.
-    A polar angle outside [0, pi] counts as the point it names: where
-    sin(theta) < 0 that is (arccos(cos theta), phi + pi).
+    simply R = n. A ring of s equal weights at equispaced azimuths only
+    feeds the orders m = 0, s, 2s, ...; the others are returned as exactly
+    0, and what the ring's deviations of a few ulps add there is bounded
+    by the allowance of _ring_sums. A product rule thus costs
+    O(n + R l_max). Rings are
+    processed in blocks of at most _BLOCK_ELEMS Legendre values, so working
+    memory beyond the O(n) inputs does not grow with n. Only m >= 0 is
+    returned; for real weights |S[l, -m]| = |S[l, m]|. A polar angle
+    outside [0, pi] counts as the point it names: where sin(theta) < 0
+    that is (arccos(cos theta), phi + pi).
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    x = np.cos(theta)
-    eiphi = np.exp(1j * phi)
-    # the recurrence takes sin(theta) = sqrt(1 - x^2) >= 0
-    eiphi[np.sin(theta) < 0.0] *= -1.0
-    order = np.argsort(x, kind="stable")
-    x, eiphi, w = x[order], eiphi[order], w[order]
-    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
-    bounds = np.append(starts, x.size)
-    rows = l_max + 1
-    sums = np.zeros((rows, rows, 2))
-    block = max(1, _BLOCK_ELEMS // rows)
-    for r0 in range(0, starts.size, block):
-        r1 = min(starts.size, r0 + block)
-        k0, k1 = bounds[r0], bounds[r1]
-        ring_phase = _ring_phases(rows, eiphi[k0:k1], w[k0:k1], starts[r0:r1] - k0)
-        xr = x[starts[r0:r1]]
-        # sin(theta)^2 from x, so sin(theta) = sqrt(1 - x^2) >= 0
-        _ring_recurrence(ring_phase, xr, np.maximum((1.0 - xr) * (1.0 + xr), 0.0), sums)
-    return _signed_sums(sums)
+    return _ring_sums(l_max, theta, phi, weights, None)[0]
 
 
 def _dfs_harmonic_sums(l_max: int, theta, phi, weights) -> np.ndarray:

@@ -43,10 +43,17 @@ distinct polar angles theta_r of the elements,
 
 in O(n N + R N^2) time, with the magnitudes taken from the half-angles
 and the phases from harmonics._ring_phases (no Legendre recurrence, so
-the check stays independent of the scalar bound). Beyond sorted copies
-of the inputs and the (N+1) x (N+1) result, each working array holds at
-most _GRAM_BLOCK_ELEMS values, whatever n and N. A set without shared
-polar angles is simply R = n.
+the check stays independent of the scalar bound). Rings of one point, as
+in a set without shared polar angles (R = n), are summed as one GEMM of
+Dicke rows per block. From N = _GRAM_ROUTE_MIN_ROWS - 1 on, a ring of s
+equal weights at equispaced azimuths (harmonics._ring_periods) feeds only
+the offsets d = 0, s, 2s, ...; at the others its phases are taken as zero
+and an allowance of d max_j sum_r deviation_r mag_j(theta_r)^2 is added
+(_ring_gram_residual), so the residual stays an upper bound. A product
+rule, s = N + 1, leaves the diagonal alone: O(n + R N), about 2e-12 of
+allowance at N = 1000. Beyond sorted copies of the inputs and the
+(N+1) x (N+1) result, each working array holds at most _GRAM_BLOCK_ELEMS
+values, whatever n and N.
 """
 from __future__ import annotations
 
@@ -68,7 +75,7 @@ from .errors import (
     ParseError,
     WeightError,
 )
-from .harmonics import _ring_phases
+from .harmonics import _ring_periods, _ring_phases, _ring_spin, _subset
 from .quadrature import (
     DEFAULT_TOL,
     FOUR_PI,
@@ -85,6 +92,10 @@ _BLOCK_ELEMS = int(2e7)
 # Values per working array of the ring Gram: (N + 1) times the rings of one
 # block, 0.5 MB per array.
 _GRAM_BLOCK_ELEMS = 1 << 16
+# Rings are routed on their period in the Gram only from N + 1 = 48 on:
+# below it every offset costs about as little as finding the periods
+# (measured on product rules, one BLAS thread).
+_GRAM_ROUTE_MIN_ROWS = 48
 
 # Fixed stream for default verification directions: libraries and CLI must
 # be deterministic without a user-provided seed.
@@ -419,42 +430,117 @@ def _ring_gram_residual(copies: int, theta, phi, w, diag: float) -> float:
 
     Summed over the distinct polar angles (module docstring): entry
     (j + d, j) of the Gram is sum_r mag_{j+d}(theta_r) mag_j(theta_r) W_r[d],
-    and the entries above the diagonal are its conjugates. Rings go in
-    blocks of at most _GRAM_BLOCK_ELEMS // (N + 1), and the offsets d of a
-    block in chunks, so each working array holds at most _GRAM_BLOCK_ELEMS
-    values: at small N one chunk covers every d.
+    and the entries above the diagonal are its conjugates. Three kinds of
+    ring, each in blocks whose working arrays hold at most
+    _GRAM_BLOCK_ELEMS values:
+
+    * a ring of one point adds w v v^dag: a block of them is one GEMM of
+      Dicke rows (_add_point_gram);
+    * an equispaced ring of period s (harmonics._ring_periods) only feeds
+      the offsets d = 0, s, 2s, ...; at any other offset |W_r[d]| <=
+      d deviation_r, and mag_{j+d} mag_j <= (mag_{j+d}^2 + mag_j^2)/2, so
+      its entries there are at most d max_j f_s(j) with
+      f_s(j) = sum_r deviation_r mag_j(theta_r)^2. That allowance is added
+      to the largest entry at each such offset, so the result stays an
+      upper bound; for a complete POVM f_s is about the mean |delta|;
+    * any other ring feeds every offset (_add_ring_gram).
+
+    Below N = _GRAM_ROUTE_MIN_ROWS - 1 no ring is routed on its period:
+    there every offset costs less than finding the periods.
     """
     order = np.argsort(theta, kind="stable")
-    theta = theta[order]
+    theta, phi, w = theta[order], phi[order], w[order]
     # ring r holds the sorted points bounds[r]:bounds[r + 1]
     edge = np.ones(theta.size + 1, dtype=bool)
     np.not_equal(theta[1:], theta[:-1], out=edge[1:-1])
     bounds = np.flatnonzero(edge)
-    starts = bounds[:-1]
-    eiphi = np.exp(1j * phi[order])
-    w = w[order]
+    counts = bounds[1:] - bounds[:-1]
     rows = copies + 1
     gram = np.zeros((rows, rows, 2))  # gram[d, j, (re, im)] = G[j + d, j]
+    other = counts > 1  # rings on every offset
+    allowance = 0.0  # per offset d
+    if rows >= _GRAM_ROUTE_MIN_ROWS:
+        period, deviation, delta = _ring_periods(phi, w, bounds)
+        d = np.arange(rows)
+        for s in sorted(set(period[period > 0].tolist())):
+            take = period == s
+            points, sub = _subset(bounds, take)
+            spin = _ring_spin(s, phi[points], delta[points], sub) if s <= copies else None
+            f = _add_ring_gram(gram, theta[points], spin, w[points], sub, s, deviation[take])
+            allowance = allowance + (d % s != 0) * (d * f.max())
+            other &= ~take
+    single = counts == 1
+    if single.any():
+        points, _ = _subset(bounds, single)
+        _add_point_gram(gram, theta[points], phi[points], w[points])
+    if other.any():
+        points, sub = _subset(bounds, other)
+        _add_ring_gram(gram, theta[points], np.exp(1j * phi[points]), w[points], sub)
+    gram[0, :, 0] -= diag
+    worst = np.hypot(gram[..., 0], gram[..., 1]).max(axis=1)
+    return float((worst + allowance).max())
+
+
+def _add_point_gram(gram: np.ndarray, theta, phi, w):
+    """Add sum_k w_k v_k v_k^dag to the offset layout gram[d, j] = G[j + d, j],
+    one GEMM of Dicke rows per block of at most _GRAM_BLOCK_ELEMS values."""
+    rows = gram.shape[0]
+    full = np.zeros((rows, rows), dtype=complex)
+    block = max(1, _GRAM_BLOCK_ELEMS // rows)
+    for k0 in range(0, theta.size, block):
+        k1 = min(theta.size, k0 + block)
+        # v[k, j] = mag_j e^{i j phi_k}, the phases as running products
+        v = np.empty((k1 - k0, rows), dtype=complex)
+        v[:, 0] = 1.0
+        v[:, 1:] = np.exp(1j * phi[k0:k1])[:, None]
+        np.cumprod(v, axis=1, out=v)
+        v *= _dicke_magnitudes(rows - 1, theta[k0:k1])
+        full += v.T @ (w[k0:k1, None] * v.conj())
+    lower, col = np.tril_indices(rows)
+    gram[lower - col, col, 0] += full.real[lower, col]
+    gram[lower - col, col, 1] += full.imag[lower, col]
+
+
+def _add_ring_gram(gram: np.ndarray, theta, eiphi, w, bounds, step: int = 1, deviation=None):
+    """Add the rings bounds[r]:bounds[r + 1] at the offsets d = 0, step, 2 step,
+    ... of gram[d, j] = G[j + d, j]; eiphi = e^{i step phi} (None: only
+    d = 0, whose phases are the weights). Returns
+    f(j) = sum_r deviation_r mag_j(theta_r)^2 (zeros without `deviation`).
+
+    Rings go in blocks of at most _GRAM_BLOCK_ELEMS // (N + 1), and the
+    offsets of a block in chunks, so each working array holds at most
+    _GRAM_BLOCK_ELEMS values: at small N one chunk covers every offset.
+    """
+    rows = gram.shape[0]
+    offsets = -(-rows // step)
+    starts = bounds[:-1]
+    f = np.zeros(rows)
     block = max(1, _GRAM_BLOCK_ELEMS // rows)
     for r0 in range(0, starts.size, block):
         r1 = min(starts.size, r0 + block)
         k0, k1 = bounds[r0], bounds[r1]
-        ring_phase = _ring_phases(rows, eiphi[k0:k1], w[k0:k1], starts[r0:r1] - k0)
+        if eiphi is None:  # the diagonal d = 0 alone, whose phases are the weights
+            square = np.square(_dicke_magnitudes(rows - 1, theta[starts[r0:r1]]))
+            gram[0, :, 0] += np.add.reduceat(w[k0:k1], starts[r0:r1] - k0) @ square
+            f += deviation[r0:r1] @ square
+            continue
+        ring_phase = _ring_phases(offsets, eiphi[k0:k1], w[k0:k1], starts[r0:r1] - k0)
         # magnitudes by column, padded with zeros past j = N, and
-        # shifted[d, j, r] = mag_{j+d}(theta_r): each d is one contiguous slab
+        # shifted[k, j, r] = mag_{j + k step}(theta_r): each offset is one slab
         mag = np.zeros((2 * rows - 1, r1 - r0))
-        mag[:rows] = _dicke_magnitudes(copies, theta[starts[r0:r1]]).T
+        mag[:rows] = _dicke_magnitudes(rows - 1, theta[starts[r0:r1]]).T
+        if deviation is not None:
+            f += np.square(mag[:rows]) @ deviation[r0:r1]
         s_j, s_r = mag.strides
-        shifted = as_strided(mag, (rows, rows, r1 - r0), (s_j, s_j, s_r), writeable=False)
-        step = max(1, _GRAM_BLOCK_ELEMS // ((r1 - r0) * rows))
-        prod = np.empty((min(step, rows), rows, r1 - r0))
-        for d0 in range(0, rows, step):
-            d1 = min(rows, d0 + step)
-            # prod[d - d0, j, r] = mag_{j+d}(theta_r) mag_j(theta_r)
-            np.multiply(shifted[d0:d1], mag[:rows], out=prod[: d1 - d0])
-            gram[d0:d1] += prod[: d1 - d0] @ ring_phase[d0:d1].transpose(0, 2, 1)
-    gram[0, :, 0] -= diag
-    return float(np.hypot(gram[..., 0], gram[..., 1]).max())
+        shifted = as_strided(mag, (offsets, rows, r1 - r0), (step * s_j, s_j, s_r), writeable=False)
+        chunk = max(1, _GRAM_BLOCK_ELEMS // ((r1 - r0) * rows))
+        prod = np.empty((min(chunk, offsets), rows, r1 - r0))
+        for c0 in range(0, offsets, chunk):
+            c1 = min(offsets, c0 + chunk)
+            # prod[k - c0, j, r] = mag_{j + k step}(theta_r) mag_j(theta_r)
+            np.multiply(shifted[c0:c1], mag[:rows], out=prod[: c1 - c0])
+            gram[c0 * step : c1 * step : step] += prod[: c1 - c0] @ ring_phase[c0:c1].transpose(0, 2, 1)
+    return f
 
 
 def operator_completeness_residual(p: FinitePovm, cap: int = OPERATOR_CHECK_CAP) -> float:
@@ -465,12 +551,12 @@ def operator_completeness_residual(p: FinitePovm, cap: int = OPERATOR_CHECK_CAP)
     it: Dicke magnitudes from the half-angles and ring phases, no
     harmonic sums. Costs O(n N + R N^2) for R distinct polar angles,
     in working arrays of at most _GRAM_BLOCK_ELEMS values (module
-    docstring): a product-rule POVM takes under 1 ms at N = 40, 5-7 ms
-    at N = 131 and about 60 ms at N = 300 (1.6 MB and 6 MB traced at the
-    last two; one BLAS thread).
+    docstring); a product-rule POVM past N = 46 costs O(n + R N), with an
+    allowance for the offsets its rings cancel: about 1.5 ms at N = 131,
+    6 ms at N = 300 and 0.07 s at N = 1000 (one BLAS thread).
     Capped at `cap` (default OPERATOR_CHECK_CAP = 300) to keep misuse
     obvious: a set without shared polar angles has R = n and costs
-    O(n N^2).
+    O(n N^2). construct, whose product rules are O(n + R N), lifts it.
     """
     if p.copies > cap:
         raise CapExceeded(f"operator check capped at N = {cap}, got {p.copies}")

@@ -13,18 +13,27 @@ sit at the 1e-13 level while the first non-exact order is typically
 kernels, chosen by a cost model on the point count n, the number R of
 distinct latitudes and the order L:
 
-* the exact ring kernel (harmonics.weighted_harmonic_sums),
-  O(R L^2 + n L): product rules, Lebedev orbits, every set with shared
-  latitudes;
+* the ring kernel (harmonics._ring_sums), O(R L^2 + n L): Lebedev
+  orbits and every set with shared latitudes. A ring of s equal weights
+  at equispaced azimuths feeds only the orders m = 0, s, 2s, ..., so a
+  product rule costs O(n + R L) (certify of the order-1000 rule at
+  L = 1002: about 0.1 s, was 3.4 s). The orders such a ring cancels come
+  with the kernel's allowance a_l, and each residual is
+  max(max_m |S[l, m]|, a_l), an upper bound. No verdict rests on it:
+  the rings are routed only while a_l <= tol / 2 at every order, and if
+  the allowance would still move an order past tol, every ring is summed
+  at every order instead;
 * the double-Fourier-sphere route (harmonics._dfs_harmonic_sums),
-  O(n w^2 + L^2 log L + L^3) with w = 16, taken when
-  R L^2 > _DFS_COST_RATIO (n w^2 + L^3): large sets without shared
-  latitudes, such as rotated rules. Its type-1 NUFFT carries an error of
-  about 1e-15 sum |lambda| with no rigorous bound, so every residual it
-  yields is raised by the allowance a_l = 10 _DFS_EPS sum|lambda| sqrt(2l+1)
-  (5.6e-12 at l = 1002 for weights summing to 4 pi, below tol / 10 at the
-  default tol). Residuals stay upper bounds, and every consumer of
-  residual_per_l reads them without knowing which route ran.
+  O(n w^2 + L^2 log L + L^3) with w = 16, taken when the ring kernel's
+  cost, R L^2 with routed rings counted at their routed cost
+  (harmonics._ring_cost), exceeds _DFS_COST_RATIO (n w^2 + L^3): large
+  sets without shared latitudes, such as rotated rules. Its type-1 NUFFT
+  carries an error of about 1e-15 sum |lambda| with no rigorous bound, so
+  every residual it yields is raised by the allowance
+  a_l = 10 _DFS_EPS sum|lambda| sqrt(2l+1) (5.6e-12 at l = 1002 for
+  weights summing to 4 pi, below tol / 10 at the default tol). Residuals
+  stay upper bounds, and every consumer of residual_per_l reads them
+  without knowing which route ran.
 
 Both routes are checked against SIZE_BUDGET_BYTES before any work array is
 allocated; so is product_rule. Breaking it raises CapExceeded.
@@ -39,7 +48,7 @@ import numpy as np
 
 from . import _nufft
 from .errors import CapExceeded, DomainError, DuplicatePoint, ParseError, WeightError, ZeroVector
-from .harmonics import _dfs_harmonic_sums, _ring_count, weighted_harmonic_sums
+from .harmonics import _dfs_harmonic_sums, _ring_cost, _ring_sums
 from .orthopoly import gauss_legendre_rule
 from .sphere import TWO_PI, Direction
 
@@ -143,9 +152,10 @@ class CertificationReport:
     """Per-order residuals of a quadrature and its detected strength.
 
     residual_per_l[l - 1] is max over m of |sum_k lambda_k Y_l^m(Omega_k)|
-    for 1 <= l <= l_max_tested, plus the transform allowance a_l when the
-    sums took the double-Fourier-sphere route (module docstring), so it is
-    an upper bound either way; strength is the largest L with all orders
+    for 1 <= l <= l_max_tested, raised to the ring kernel's allowance for
+    the orders equispaced rings cancel, or plus the transform allowance a_l
+    when the sums took the double-Fourier-sphere route (module docstring),
+    so it is an upper bound either way; strength is the largest L with all orders
     l <= L at or below tol. The l = 0 condition is the weight sum, which
     must equal 4*pi and is recorded separately.
     """
@@ -236,9 +246,9 @@ def certify(
     measured for exactness, but never define a POVM), DomainError unless
     `tol` is positive and finite (an infinite one passes every order), and
     CapExceeded when the order's coefficient table breaks the size budget.
-    The sums run on the exact ring kernel or, for large sets without
-    shared latitudes, on the double-Fourier-sphere route, whose residuals
-    include the transform allowance of the module docstring.
+    The sums run on the ring kernel or, for large sets without shared
+    latitudes, on the double-Fourier-sphere route; the residuals of either
+    include its allowance (module docstring).
     """
     if l_max < 1:
         raise DomainError(f"l_max must be >= 1, got {l_max}")
@@ -253,21 +263,31 @@ def certify(
     table = 16 * (l_max + 1) ** 2
     _check_budget(table, f"certification to order {l_max}")
     # cost model: ring kernel R L^2 against NUFFT spreading n w^2 plus the
-    # L^3 recurrence over virtual rings; R <= n, so count R only if needed
+    # L^3 recurrence over virtual rings, routed rings counted at their
+    # routed cost; that is at most n L^2, so the rings are only counted if
+    # needed
     dfs_cost = _DFS_COST_RATIO * (q.n * _nufft.WIDTH**2 + l_max**3)
     dfs = (
         table + _nufft.work_bytes(l_max) <= SIZE_BUDGET_BYTES
         and q.n * l_max**2 > dfs_cost
-        and _ring_count(q.theta) * l_max**2 > dfs_cost
+        and _ring_cost(l_max, q.theta, q.phi, q.weights) * l_max**2 > dfs_cost
     )
+    # entries above the diagonal (m > l) are zero
     if dfs:
         sums = _dfs_harmonic_sums(l_max, q.theta, q.phi, q.weights)
+        residual_per_l = np.abs(sums[1:]).max(axis=1) + _dfs_allowance(l_max, q.weights)[1:]
     else:
-        sums = weighted_harmonic_sums(l_max, q.theta, q.phi, q.weights)
-    # entries above the diagonal (m > l) are zero
-    residual_per_l = np.abs(sums[1:]).max(axis=1)
-    if dfs:
-        residual_per_l += _dfs_allowance(l_max, q.weights)[1:]
+        # rings are routed on their period only while their allowance stays
+        # at or below tol / 2 (module docstring)
+        sums, allowance = _ring_sums(l_max, q.theta, q.phi, q.weights, tol / 2)
+        residual_per_l = np.abs(sums[1:]).max(axis=1)
+        if allowance.any():
+            exact = residual_per_l
+            residual_per_l = np.maximum(exact, allowance[1:])
+            if np.any(residual_per_l[exact <= tol] > tol):
+                # the allowance would decide a verdict: sum every order instead
+                sums, _ = _ring_sums(l_max, q.theta, q.phi, q.weights, 0.0)
+                residual_per_l = np.abs(sums[1:]).max(axis=1)
     failing = np.nonzero(residual_per_l > tol)[0]
     strength = l_max if failing.size == 0 else int(failing[0])
     return CertificationReport(

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotNormalized
-from .harmonics import weighted_harmonic_sums
+from .harmonics import _ring_sums
 from .povm import (
     FinitePovm,
     _completeness_bound,
@@ -62,7 +62,7 @@ from .povm import (
     optimal_score,
     scalar_completeness_residual,
 )
-from .quadrature import FOUR_PI, SphericalQuadrature, _check_budget, _fmt, product_rule
+from .quadrature import DEFAULT_TOL, FOUR_PI, SphericalQuadrature, _check_budget, _fmt, product_rule
 from .sphere import Direction, TWO_PI, angles_to_xyz, substream
 
 DEFAULT_CHUNK_SIZE = 1 << 16
@@ -321,19 +321,22 @@ def quadrature_averaged_score(p: FinitePovm, q: SphericalQuadrature | None = Non
         g_l = 4pi M!^2 / ((M-l)! (M+l+1)!).
 
     This is an identity for any POVM and any rule, exact or not. Both
-    sums come from :func:`~povmquad.harmonics.weighted_harmonic_sums`, so
-    the cost is O((R_p + R_q) N^2 + (n_p + n_q) N) time for R distinct
-    latitudes and O(N^2) memory, instead of an n_p x n_q overlap matrix.
+    sums come from the ring kernel of
+    :func:`~povmquad.harmonics.weighted_harmonic_sums`, so the cost is
+    O((R_p + R_q) N^2 + (n_p + n_q) N) time for R distinct latitudes
+    (O(n + R N) for product rules, whose rings feed only the orders their
+    period lets through) and O(N^2) memory, instead of an n_p x n_q
+    overlap matrix.
     """
     power = p.copies + 1
-    return _averaged_score(weighted_harmonic_sums(power, p.theta, p.phi, p.c), power, q)
+    return _averaged_score(_ring_sums(power, p.theta, p.phi, p.c, None)[0], power, q)
 
 
 def _averaged_score(a: np.ndarray, power: int, q: SphericalQuadrature | None = None) -> float:
     """quadrature_averaged_score from the POVM's order-`power` sums A."""
     if q is None:
         q = product_rule(power)
-    b = weighted_harmonic_sums(power, q.theta, q.phi, q.weights / FOUR_PI)
+    b = _ring_sums(power, q.theta, q.phi, q.weights / FOUR_PI, None)[0]
     cross = a.real * b.real + a.imag * b.imag
     cross[:, 1:] *= 2.0
     return float(FOUR_PI * (_funk_hecke_coeffs(power) @ cross.sum(axis=1)))
@@ -342,17 +345,20 @@ def _averaged_score(a: np.ndarray, power: int, q: SphericalQuadrature | None = N
 def _certified_sums(p: FinitePovm) -> tuple[float, np.ndarray]:
     """Certified completeness bound and order-(N+1) sums A of p, from one kernel call.
 
-    A[l, m] = sum_k c_k Y_l^m(Omega_k) on the exact ring kernel. Rows
-    1..N, times 4pi/(N+1), are the harmonic residuals r_l of the POVM's
-    own weights, so they give the bound of
-    :func:`~povmquad.povm.scalar_completeness_residual`; the whole of A
+    A[l, m] = sum_k c_k Y_l^m(Omega_k) on the ring kernel. Rows 1..N give
+    the harmonic residuals r_l = 4pi/(N+1) max(max_m |A[l, m]|, a_l) of the
+    POVM's own weights, a_l the kernel's allowance for the orders that its
+    equispaced rings cancel (harmonics._ring_sums), so they give the bound
+    of :func:`~povmquad.povm.scalar_completeness_residual`; the whole of A
     feeds the averaged score (pass it to _averaged_score), which would
     otherwise sum the POVM again one order higher. CapExceeded when the
     order's coefficient table breaks the size budget, as in certify.
     """
     power = p.copies + 1
     _check_budget(16 * (power + 1) ** 2, f"harmonic sums to order {power}")
-    a = weighted_harmonic_sums(power, p.theta, p.phi, p.c)
-    residual_per_l = FOUR_PI / power * np.abs(a[1:power]).max(axis=1)
+    # the allowance of rings routed on their period stays at or below half
+    # of certify's default tolerance on the weights 4pi c/(N+1)
+    a, allowance = _ring_sums(power, p.theta, p.phi, p.c, DEFAULT_TOL / 2 * power / FOUR_PI)
+    residual_per_l = FOUR_PI / power * np.maximum(np.abs(a[1:power]).max(axis=1), allowance[1:power])
     bound = _completeness_bound(residual_per_l, abs(float(p.c.sum()) / power - 1.0), p.copies)
     return bound, a

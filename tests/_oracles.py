@@ -8,7 +8,10 @@ the overlap matrix raised to the power N+1, Dicke-basis Gram residuals
 from the dense n x (N+1) matrix of Dicke rows, POVM files from one
 `format` call per value, and game outcomes from the rejection sampler
 (alias proposals k ~ c_k, accepted with probability overlap^N) that the
-outcome-first sampler replaced.
+outcome-first sampler replaced. One reference is the package's own earlier
+code, kept verbatim: the all-orders ring kernel, which steps every order m
+over every latitude ring, for the kernel that sums only the orders an
+equispaced ring lets through.
 """
 import cmath
 import math
@@ -16,6 +19,7 @@ import math
 import numpy as np
 from scipy.special import sph_harm_y
 
+from povmquad.orthopoly import _norm_coeffs
 from povmquad.simulate import _alias_table
 from povmquad.sphere import angles_to_xyz
 
@@ -49,6 +53,58 @@ def scipy_harmonic_sums(l_max, theta, phi, weights):
     l, m = np.tril_indices(l_max + 1)
     out = np.zeros((l_max + 1, l_max + 1), dtype=complex)
     out[l, m] = sph_harm_y(l[:, None], m[:, None], theta, phi) @ np.asarray(weights, float)
+    return out
+
+
+def all_orders_ring_sums(l_max, theta, phi, weights, block_elems=1 << 16):
+    """S[l, m] = sum_k w_k Y_l^m for 0 <= m <= l <= l_max on the all-orders
+    ring kernel: points grouped into rings of equal cos(theta), every order's
+    phases reduced per ring, and one associated-Legendre recurrence in l for
+    all orders at once. The same operations in the same order as the
+    package's kernel on sets with no equispaced ring, so equal to the bit."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    x = np.cos(theta)
+    eiphi = np.exp(1j * phi)
+    eiphi[np.sin(theta) < 0.0] *= -1.0
+    order = np.argsort(x, kind="stable")
+    x, eiphi, w = x[order], eiphi[order], w[order]
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    bounds = np.append(starts, x.size)
+    rows = l_max + 1
+    amm, a, b = _norm_coeffs(l_max)
+    sums = np.zeros((rows, rows, 2))
+    block = max(1, block_elems // rows)
+    for r0 in range(0, starts.size, block):
+        r1 = min(starts.size, r0 + block)
+        k0, k1 = bounds[r0], bounds[r1]
+        ring_starts = starts[r0:r1] - k0
+        phase = np.empty((rows, ring_starts.size), dtype=complex)
+        wphase = w[k0:k1].astype(complex)
+        for m in range(rows):
+            if m:
+                wphase *= eiphi[k0:k1]
+            np.add.reduceat(wphase, ring_starts, out=phase[m])
+        phase = np.ascontiguousarray(phase.view(float).reshape(rows, -1, 2).transpose(0, 2, 1))
+        xr = x[starts[r0:r1]]
+        s2 = np.maximum((1.0 - xr) * (1.0 + xr), 0.0)
+        prev = np.zeros((rows, r1 - r0))
+        cur = np.zeros((rows, r1 - r0))
+        tmp = np.empty((rows, r1 - r0))
+        for l in range(rows):
+            if l:
+                t = tmp[:l]
+                np.multiply(a[l, :l, None], xr, out=t)
+                t *= prev[:l]
+                c = cur[:l]
+                c *= b[l, :l, None]
+                c += t
+            cur[l] = amm[l] * s2 ** (0.5 * l) if l else amm[0]
+            sums[l, : l + 1] += np.matmul(phase[: l + 1], cur[: l + 1, :, None])[..., 0]
+            prev, cur = cur, prev
+    out = sums[..., 0] + 1j * sums[..., 1]
+    out[:, 1::2] *= -1.0
     return out
 
 

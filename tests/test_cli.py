@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import time
 from pathlib import Path
 
@@ -272,9 +275,9 @@ def test_score_sums_the_povm_once(copies, octa_file, tmp_path, monkeypatch, caps
     path = tmp_path / "p.json"
     assert main(["construct", str(copies), "--out", str(path)]) == EXIT_OK
     n = product_rule(copies).n
-    sums = _record_calls(monkeypatch, simulate, "weighted_harmonic_sums")
+    sums = _record_calls(monkeypatch, simulate, "_ring_sums")
     certified = _record_calls(monkeypatch, povm, "certify")
-    kernel = _record_calls(monkeypatch, quadrature, "weighted_harmonic_sums")
+    kernel = _record_calls(monkeypatch, quadrature, "_ring_sums")
     # one order-(N+1) sum of the POVM, one of the cross-check grid
     assert main(["score", str(path)]) == EXIT_OK
     assert [(args[0], args[1].size) for args in sums] == [
@@ -672,3 +675,72 @@ def test_any_povm_file_gets_an_exit_code_from_simulate(content, tmp_path_factory
     path = tmp_path_factory.mktemp("simulate") / "povm.json"
     path.write_bytes(content)
     assert main(["simulate", str(path), "--trials", "200", "--seed", "1"]) in EXIT_CODES
+
+
+# Any argv: the file half above varies the files, this the command line.
+_FLAGS = ["--out", "--format", "--residual-tol", "--lmax", "--tol", "--expect", "--weights",
+          "--signed", "--cap", "--trials", "--seed", "--grid", "--nmax", "--grids", "--help"]
+_VALUES = st.one_of(
+    # sizes stay small: the size budget and its exit code are tested above
+    st.integers(-2, 40).map(str),
+    st.sampled_from(["0.5", "1e-12", "0", "-1e-9", "nan", "inf", "-inf", "1e400", "2**64",
+                     "18446744073709551616", "1_000", "0x10", "", " ", "-", "--", "=",
+                     "json", "csv", "text", "auto", "uniform", "explicit"]),
+    st.text(max_size=6),
+)
+_COMMANDS = st.sampled_from(["construct", "certify", "strength", "simulate", "score", "table"])
+
+
+@st.composite
+def argvs(draw):
+    """A command (or not), then up to six flags, values and file names."""
+    head = draw(st.one_of(_COMMANDS.map(lambda c: [c]), st.just([]), st.lists(st.text(max_size=6), max_size=1)))
+    files = st.sampled_from(["{points}", "{povm}", "{missing}", "{dir}", "{out}"])
+    tail = draw(st.lists(st.one_of(st.sampled_from(_FLAGS), _VALUES, files), max_size=6))
+    return head + tail
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs())
+def test_any_argv_gets_an_exit_code_and_no_traceback(argv, tmp_path_factory):
+    work = tmp_path_factory.mktemp("argv")
+    (work / "points.txt").write_text(OCTAHEDRON)
+    povm_path = work / "povm.json"
+    povm_path.write_text(povm_to_json(povm_from_quadrature(product_rule(2), 2)))
+    names = {"points": work / "points.txt", "povm": povm_path, "missing": work / "absent.txt",
+             "dir": work, "out": work / "written.txt"}
+    argv = [a.format(**names) if a.startswith("{") and a.endswith("}") and a[1:-1] in names else a
+            for a in argv]
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)  # a bare token after --out lands here
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert type(code) is int and code in EXIT_CODES
+    assert "Traceback" not in err.getvalue()
+
+
+def test_construct_prints_operator_residual_past_the_old_cap(capsys):
+    # N = 301 printed "skipped (N > 300)"; a product rule's rings leave the
+    # Gram its diagonal, so the check runs at every N
+    assert main(["construct", "301"]) == EXIT_OK
+    line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("operator_residual:")]
+    assert len(line) == 1 and float(line[0].split(":")[1]) < 1e-11
+
+
+def test_construct_1000_is_complete_and_scores(tmp_path, capsys):
+    path = tmp_path / "p1000.json"
+    assert main(["construct", "1000", "--out", str(path)]) == EXIT_OK
+    out = dict(l.split(": ") for l in capsys.readouterr().out.splitlines())
+    assert float(out["scalar_residual"]) < 1e-9
+    assert float(out["operator_residual"]) < 1e-9
+    assert main(["score", str(path)]) == EXIT_OK
+
+
+def test_simulate_help_states_the_cost_of_a_trial(capsys):
+    assert main(["simulate", "--help"]) == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())
+    assert "O(1)" in text and "chunk" in text

@@ -12,7 +12,7 @@ from povmquad.cli import _load_pointset, default_grid_dir
 from povmquad.errors import DomainError
 from povmquad.harmonics import HarmonicIndex, harmonic_row, weighted_harmonic_sums, ylm
 from povmquad.orthopoly import assoc_legendre, assoc_legendre_column
-from povmquad.quadrature import _dfs_allowance, ingest_pointset, product_rule
+from povmquad.quadrature import DEFAULT_TOL, _dfs_allowance, certify, ingest_pointset, product_rule
 from povmquad.sphere import (
     Direction,
     angles_to_xyz,
@@ -21,7 +21,7 @@ from povmquad.sphere import (
     sample_uniform_angles,
 )
 
-from _oracles import rotate_angles, rotation_matrix, scipy_harmonic_sums
+from _oracles import all_orders_ring_sums, rotate_angles, rotation_matrix, scipy_harmonic_sums
 
 INV_SQRT_4PI = 1.0 / math.sqrt(4.0 * math.pi)
 
@@ -284,3 +284,184 @@ def test_dfs_sums_stay_within_the_allowance(l_max, points):
     diff = np.abs(harmonics._dfs_harmonic_sums(l_max, theta, phi, w)
                   - scipy_harmonic_sums(l_max, theta, phi, w))
     assert np.all(diff.max(axis=1) <= _dfs_allowance(l_max, w))
+
+
+# Rings of s equal weights at equispaced azimuths feed only the orders
+# m = 0, s, 2s, ...; the other orders are exact zeros, with the allowance a_l
+# of _ring_sums for what the rings' deviations from the ideal azimuths add.
+# The reference is the all-orders ring kernel, kept in the oracles.
+
+
+def _strength(sums, allowance, tol=DEFAULT_TOL):
+    residual = np.abs(sums[1:]).max(axis=1)
+    if allowance is not None:
+        residual = np.maximum(residual, allowance[1:])
+    failing = np.flatnonzero(residual > tol)
+    return sums.shape[0] - 1 if failing.size == 0 else int(failing[0])
+
+
+def _turned_about_z(q, angle):
+    return q.theta, np.mod(q.phi + angle, 2 * math.pi)
+
+
+def _routed_cases():
+    rot = rotation_matrix([0.3, -1.1, 0.7], 0.9)
+    for order in list(range(1, 132)) + [300]:
+        q = product_rule(order)
+        l_max = order + 2
+        yield f"plain-{order}", l_max, q.theta, q.phi, q.weights
+        if order <= 131:
+            # the reference steps e^{i m phi} by m products, m eps off: past
+            # order 131 that alone exceeds the 1e-13 compared here
+            yield (f"about-z-{order}", l_max) + _turned_about_z(q, 0.1 + order / 7.0) + (q.weights,)
+        if order % 10 == 1:
+            # no shared latitudes (R = n): the all-orders path, 16 s at order 300
+            theta, phi = rotate_angles(q.theta, q.phi, rot)
+            yield f"rotated-{order}", l_max, theta, phi, q.weights
+
+
+@pytest.mark.parametrize("case", list(_routed_cases()), ids=lambda c: c[0])
+def test_routed_sums_match_the_all_orders_kernel(case):
+    _, l_max, theta, phi, w = case
+    sums, allowance = harmonics._ring_sums(l_max, theta, phi, w)
+    reference = all_orders_ring_sums(l_max, theta, phi, w)
+    assert np.max(np.abs(sums - reference)) <= 1e-13
+    # the reference's own residuals, which carry no allowance, decide alike
+    assert _strength(sums, allowance) == _strength(reference, None)
+    assert np.array_equal(weighted_harmonic_sums(l_max, theta, phi, w), sums)
+
+
+@pytest.mark.parametrize("cap, agree", [(16, 1e-13), (400, 5e-13), (600, 5e-13)])
+def test_routed_sums_on_bundled_grids(cap, agree):
+    # At orders 400-600 the two kernels each differ from scipy's harmonics by
+    # up to 1.1e-12 on these few heavy points (the reference steps e^{i m phi}
+    # by m products); they differ from each other by up to 3.8e-13.
+    for path in sorted(default_grid_dir().glob("*.txt")):
+        q = _load_pointset(path, "auto")
+        sums, allowance = harmonics._ring_sums(cap, q.theta, q.phi, q.weights)
+        reference = all_orders_ring_sums(cap, q.theta, q.phi, q.weights)
+        assert np.max(np.abs(sums - reference)) <= agree, path.name
+        assert _strength(sums, allowance) == _strength(reference, None), path.name
+        assert np.all(allowance <= DEFAULT_TOL / 2), path.name
+
+
+def test_product_rules_route_every_ring():
+    for order in (15, 40, 131):
+        q = product_rule(order)
+        rings = harmonics._latitude_rings(q.theta, q.phi, q.weights)
+        assert np.all(rings.period == order + 1)
+        # the measured deviations: a few ulps of 2 pi per point
+        assert rings.deviation.sum() < 4 * np.spacing(2 * math.pi) * q.weights.sum()
+
+
+def _no_ring_cases():
+    rot = rotation_matrix([1.0, 0.2, -0.4], 2.1)
+    for order in (15, 36, 80):
+        q = product_rule(order)
+        yield (f"rotated-{order}", order + 2) + rotate_angles(q.theta, q.phi, rot) + (q.weights,)
+    rng = default_rng(12)
+    q = product_rule(30)
+    yield "jittered-30", 32, q.theta + rng.normal(0, 1e-3, q.n), q.phi, q.weights
+    yield "one-point", 20, [0.7], [1.3], [2.0]
+    theta, phi = sample_uniform_angles(default_rng(5), 300)
+    yield "random", 25, theta, phi, np.ones(300)
+
+
+@pytest.mark.parametrize("case", list(_no_ring_cases()), ids=lambda c: c[0])
+def test_sets_with_no_equispaced_ring_keep_the_all_orders_bits(case):
+    _, l_max, theta, phi, w = case
+    sums, allowance = harmonics._ring_sums(l_max, theta, phi, w)
+    assert np.array_equal(sums, all_orders_ring_sums(l_max, theta, phi, w))
+    assert not allowance.any()
+
+
+def _ring(s, theta, phi0=0.0, weight=1.0):
+    return (np.full(s, theta), phi0 + 2 * math.pi * np.arange(s) / s, np.full(s, weight))
+
+
+def _join(*rings):
+    return tuple(np.concatenate(parts) for parts in zip(*rings))
+
+
+def _periods(theta, phi, w):
+    rings = harmonics._latitude_rings(theta, phi, w)
+    return dict(zip(np.cos(np.asarray(theta))[np.argsort(np.cos(theta), kind="stable")][rings.bounds[:-1]],
+                    rings.period))
+
+
+def test_ring_detection_edge_cases():
+    l_max = 24
+    cases = {}
+    # azimuths in any order, and phi_0 anywhere: still routed
+    theta, phi, w = _ring(7, 1.1, phi0=2.5)
+    perm = default_rng(3).permutation(7)
+    cases["unsorted"] = (theta[perm], np.mod(phi[perm], 2 * math.pi), w, 7)
+    # unequal weights, a point moved by 1e-12, a point repeated: not routed
+    theta, phi, w = _ring(9, 0.8)
+    cases["unequal weights"] = (theta, phi, w * (1 + 1e-15 * np.arange(9)), 0)
+    cases["moved 1e-12"] = (theta, phi + np.eye(9)[4] * 1e-12, w, 0)
+    cases["repeated"] = (theta, np.where(np.arange(9) == 8, phi[0], phi), w, 0)
+    # both poles, and polar angles outside [0, pi]: theta + 2 pi keeps the
+    # ring, -theta names the ring at (theta, phi + pi) and is not routed
+    theta, phi, w = _ring(6, 0.0)
+    cases["north pole"] = (theta, phi, w, 6)
+    cases["south pole"] = (theta + math.pi, phi, w, 6)
+    theta, phi, w = _ring(8, 1.3)
+    cases["theta + 2 pi"] = (theta + 2 * math.pi, phi, w, 8)
+    cases["-theta"] = (-theta, phi, w, 0)
+    for name, (theta, phi, w, expect) in cases.items():
+        assert list(_periods(theta, phi, w).values()) == [expect], name
+        sums, allowance = harmonics._ring_sums(l_max, theta, phi, w)
+        reference = all_orders_ring_sums(l_max, theta, phi, w)
+        assert np.max(np.abs(sums - reference)) <= 1e-14, name
+    # a set of several rings and periods, and rings that are not routed
+    mixed = _join(_ring(5, 0.4), _ring(7, 1.0, weight=0.5), _ring(5, 2.0, phi0=0.3),
+                  (np.full(3, 2.5), np.array([0.1, 1.0, 4.0]), np.ones(3)))
+    assert sorted(_periods(*mixed).values()) == [0, 5, 5, 7]
+    sums, allowance = harmonics._ring_sums(l_max, *mixed)
+    reference = all_orders_ring_sums(l_max, *mixed)
+    assert np.max(np.abs(sums - reference)) <= 1e-14
+    assert np.all(np.abs(reference).max(axis=1)
+                  <= np.maximum(np.abs(sums).max(axis=1), allowance) + 1e-14)
+
+
+def test_allowance_bounds_the_exact_sums_at_cancelled_orders():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rng = default_rng(21)
+    eps = np.spacing(1.0)
+    l_max = harmonics._ROUTE_MIN_ROWS
+    # three rings of period 7, then rings of periods 5 and 7 in one set; every
+    # azimuth pushed off its ideal value by up to 8 ulps
+    pure = _join(_ring(7, 0.5), _ring(7, 1.2, weight=0.3), _ring(7, 2.3, phi0=1.0))
+    mixed = _join(_ring(5, 0.5), _ring(7, 1.2), _ring(5, 2.3, phi0=1.0))
+    for (theta, phi, w), periods in ((pure, (7,)), (mixed, (5, 7))):
+        phi = phi + rng.integers(-8, 9, phi.size) * eps * np.maximum(phi, 1.0)
+        rings = harmonics._latitude_rings(theta, phi, w)
+        assert set(rings.period.tolist()) == set(periods)
+        sums, allowance = harmonics._ring_sums(l_max, theta, phi, w)
+        points = [tuple(mpmath.mpf(float(v)) for v in p) for p in zip(theta, phi, w)]
+        exact = np.zeros((l_max + 1, l_max + 1))
+        for l in range(l_max + 1):
+            for m in range(l + 1):
+                exact[l, m] = abs(mpmath.fsum(v * mpmath.spherharm(l, m, t, p) for t, p, v in points))
+        cancelled = np.array([all(m % s for s in periods) for m in range(l_max + 1)])
+        # orders that every ring cancels come back as exact zeros, bounded by a_l
+        assert not sums[:, cancelled].any()
+        assert np.all(exact[:, cancelled] <= allowance[:, None])
+        # elsewhere only the rings that cancel the order are left out
+        gap = np.abs(exact[:, ~cancelled] - np.abs(sums[:, ~cancelled]))
+        assert np.all(gap <= (allowance[:, None] if len(periods) > 1 else 0.0) + 1e-14)
+        # up to the rounding of the orders summed, as on the all-orders kernel
+        assert np.all(exact.max(axis=1) <= np.maximum(np.abs(sums).max(axis=1), allowance) + 1e-14)
+        if periods == (7,):
+            # a few ulps of deviation: an allowance far below any tolerance
+            assert 0 < allowance.max() < 1e-11
+
+
+def test_allowance_is_measured_per_point():
+    # the allowance of construct 1000 leaves certify's tolerance alone
+    q = product_rule(1000)
+    sums, allowance = harmonics._ring_sums(1000, q.theta, q.phi, q.weights, DEFAULT_TOL / 2)
+    assert 0 < allowance[-1] < DEFAULT_TOL / 10
+    assert certify(q, 1002).strength == 1000

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -671,3 +672,86 @@ def test_povm_files_match_the_per_value_writer_on_extreme_values():
     back = povm_from_json(povm_to_json(p))
     assert np.array_equal(back.c, p.c)
     assert np.array_equal(back.theta, p.theta) and np.array_equal(back.phi, p.phi)
+
+
+# Rings of one point go through one GEMM of Dicke rows per block; from
+# N + 1 = _GRAM_ROUTE_MIN_ROWS on, equispaced rings feed only the offsets
+# their period lets through, with an allowance for the others.
+
+
+def _all_offsets_residual(copies, theta, phi, w, diag):
+    """The Gram summed ring by ring over every offset, as before routing."""
+    order = np.argsort(theta, kind="stable")
+    theta, phi, w = theta[order], phi[order], w[order]
+    bounds = np.flatnonzero(np.concatenate(([True], theta[1:] != theta[:-1], [True])))
+    gram = np.zeros((copies + 1, copies + 1, 2))
+    povm_module._add_ring_gram(gram, theta, np.exp(1j * phi), w, bounds)
+    gram[0, :, 0] -= diag
+    return float(np.hypot(gram[..., 0], gram[..., 1]).max())
+
+
+def _rotated_povm(copies):
+    q = product_rule(copies)
+    theta, phi = rotate_angles(q.theta, q.phi, rotation_matrix([0.3, -1.0, 0.7], 0.9))
+    return FinitePovm(copies, (copies + 1) / FOUR_PI * q.weights, theta, phi)
+
+
+@pytest.mark.parametrize("copies", [5, 40, 131])
+def test_point_rings_take_one_gemm_per_block(copies, monkeypatch):
+    p = _rotated_povm(copies)
+    ring = operator_completeness_residual(p)
+    assert abs(ring - _all_offsets_residual(copies, p.theta, p.phi, p.c, 1.0)) <= 1e-15
+    # blocks of a single row, and of a few, agree too
+    for budget in (copies + 1, 7 * (copies + 1)):
+        monkeypatch.setattr(povm_module, "_GRAM_BLOCK_ELEMS", budget)
+        assert abs(operator_completeness_residual(p) - ring) <= 4e-15
+    monkeypatch.undo()
+    if copies <= 40:
+        assert abs(ring - dense_operator_residual(p)) <= 2e-15
+
+
+def test_point_gram_is_no_slower_than_the_dense_gram():
+    # the dense Gram as the operator check once ran: the n x (N+1) Dicke
+    # matrix, then one GEMM
+    p = _rotated_povm(131)
+    ring, dense = [], []
+    for _ in range(3):
+        start = time.process_time()
+        operator_completeness_residual(p)
+        ring.append(time.process_time() - start)
+        start = time.process_time()
+        dense_operator_residual(p)
+        dense.append(time.process_time() - start)
+    assert min(ring) <= min(dense)
+
+
+@pytest.mark.parametrize("copies", [47, 60, 131, 300])
+def test_routed_gram_bounds_the_dense_gram(copies):
+    assert copies + 1 >= povm_module._GRAM_ROUTE_MIN_ROWS
+    p = product_povm(copies)
+    routed = operator_completeness_residual(p)
+    every = _all_offsets_residual(copies, p.theta, p.phi, p.c, 1.0)
+    # the allowance for the cancelled offsets: about N times the mean
+    # deviation of an azimuth, below the rounding of the diagonal here
+    assert every - 2e-15 <= routed <= every + 1e-13
+    assert routed < 1e-12
+    # turned about the axis and pushed off by a few ulps per azimuth
+    rng = default_rng(copies)
+    phi = np.mod(p.phi + 0.3, 2 * math.pi)
+    phi = phi + rng.integers(-4, 5, p.n) * np.spacing(phi + 1.0)
+    moved = FinitePovm(copies, p.c, p.theta, phi)
+    routed = operator_completeness_residual(moved)
+    every = _all_offsets_residual(copies, p.theta, phi, p.c, 1.0)
+    assert every - 2e-15 <= routed <= every + 1e-12
+
+
+def test_routed_gram_keeps_the_offsets_its_periods_let_through():
+    # rings of period 5 at N = 60 feed offsets 0, 5, 10, ...; a set of rings
+    # of periods 5 and 7 with weights that do not make a POVM
+    copies = 60
+    theta = np.repeat([0.4, 1.1, 2.0], [5, 7, 5])
+    phi = np.concatenate([2 * math.pi * np.arange(s) / s + f for s, f in ((5, 0.0), (7, 0.2), (5, 1.0))])
+    w = np.repeat([0.3, 0.1, 0.2], [5, 7, 5])
+    routed = povm_module._ring_gram_residual(copies, theta, phi, w, 0.05)
+    every = _all_offsets_residual(copies, theta, phi, w, 0.05)
+    assert abs(routed - every) <= 1e-14 * every
