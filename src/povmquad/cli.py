@@ -101,20 +101,27 @@ def _seed_value(text: str) -> int:
     return value
 
 
+def _path(text: str) -> Path:
+    # the operating system refuses a NUL byte in a path with ValueError
+    if "\0" in text:
+        raise argparse.ArgumentTypeError("a path cannot contain a NUL byte")
+    return Path(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="povmquad", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build the product-rule POVM for N copies")
     p.add_argument("copies", type=_positive_int, metavar="N")
-    p.add_argument("--out", type=Path, help="write the POVM to this file")
+    p.add_argument("--out", type=_path, help="write the POVM to this file")
     p.add_argument("--format", choices=("json", "csv"),
                    help="file format for --out (default json)")
     p.add_argument("--residual-tol", type=_positive_finite, default=1e-9,
                    help="completeness residual bound for exit status")
 
     p = sub.add_parser("certify", help="residuals per harmonic order of a point-set file")
-    p.add_argument("file", type=Path)
+    p.add_argument("file", type=_path)
     p.add_argument("--lmax", type=_positive_int, default=20)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--expect", type=_non_negative_int,
@@ -125,14 +132,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("strength", help="detected design strength of a point-set file")
-    p.add_argument("file", type=Path)
+    p.add_argument("file", type=_path)
     p.add_argument("--cap", type=_positive_int, default=20)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--weights", choices=("auto", "uniform", "explicit"), default="auto")
     p.add_argument("--signed", action="store_true")
 
     p = sub.add_parser("simulate", help="Monte Carlo estimation game on a POVM file")
-    p.add_argument("file", type=Path)
+    p.add_argument("file", type=_path)
     p.add_argument("--trials", type=_positive_int, default=1_000_000,
                    help="games to play (default 1000000): a trial of a certified POVM "
                         "costs O(1) time whatever N, and memory is bounded per chunk "
@@ -141,16 +148,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("score", help="exact score and conditional-score diagnostics")
-    p.add_argument("file", type=Path)
-    p.add_argument("--grid", type=Path,
+    p.add_argument("file", type=_path)
+    p.add_argument("--grid", type=_path,
                    help="emit E[score|direction] for directions in this point file")
-    p.add_argument("--out", type=Path, help="write the --grid table to this file")
+    p.add_argument("--out", type=_path, help="write the --grid table to this file")
     p.add_argument("--format", choices=("csv", "json"),
                    help="format of the --grid table (default csv)")
 
     p = sub.add_parser("table", help="element counts per construction method")
     p.add_argument("--nmax", type=_positive_int, default=15)
-    p.add_argument("--grids", type=Path, help=f"grid directory (default ${ENV_GRIDS} or bundled)")
+    p.add_argument("--grids", type=_path, help=f"grid directory (default ${ENV_GRIDS} or bundled)")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     return parser
 

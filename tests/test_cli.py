@@ -685,8 +685,9 @@ _VALUES = st.one_of(
     st.integers(-2, 40).map(str),
     st.sampled_from(["0.5", "1e-12", "0", "-1e-9", "nan", "inf", "-inf", "1e400", "2**64",
                      "18446744073709551616", "1_000", "0x10", "", " ", "-", "--", "=",
-                     "json", "csv", "text", "auto", "uniform", "explicit"]),
-    st.text(max_size=6),
+                     "json", "csv", "text", "auto", "uniform", "explicit", "a\0b"]),
+    # no separators: a bare token after --out is written in the work directory
+    st.text(st.characters(exclude_characters="/\\"), max_size=6),
 )
 _COMMANDS = st.sampled_from(["construct", "certify", "strength", "simulate", "score", "table"])
 
@@ -744,3 +745,21 @@ def test_simulate_help_states_the_cost_of_a_trial(capsys):
     assert main(["simulate", "--help"]) == EXIT_OK
     text = " ".join(capsys.readouterr().out.split())
     assert "O(1)" in text and "chunk" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "2", "--out", "a\x00b"],
+    ["certify", "a\x00b"],
+    ["strength", "a\x00b"],
+    ["simulate", "a\x00b", "--seed", "1"],
+    ["score", "a\x00b"],
+    ["score", "{povm}", "--grid", "a\x00b"],
+    ["table", "--grids", "a\x00b"],
+])
+def test_nul_byte_in_a_path_is_a_usage_error(argv, povm1_file, capsys):
+    # the operating system refuses such a path with ValueError, which ended
+    # in a traceback
+    code = main([a.format(povm=povm1_file) for a in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "Traceback" not in captured.err and captured.out == ""
