@@ -354,19 +354,26 @@ def _subset(bounds, take):
     return np.repeat(take, counts), np.concatenate(([0], np.cumsum(counts[take])))
 
 
-def _ring_cost(l_max: int, theta, phi, weights) -> float:
-    """Ring-kernel cost of sums to order l_max in units of l_max^2: one per
-    ring on the all-orders path, ceil((l_max + 1) / s) / (l_max + 1) per
-    ring routed on its period s."""
-    rings = _latitude_rings(theta, phi, weights)
+def _ring_cost(l_max: int, rings: _Rings) -> float:
+    """Ring-kernel cost of _ring_sums(l_max, ..., rings=rings) in units of
+    l_max^2: one per ring on the all-orders path, ceil((l_max + 1) / s) /
+    (l_max + 1) per ring routed on its period s."""
+    count = rings.bounds.size - 1
+    if rings.period is None:
+        return float(count)
     routed = rings.period[rings.period > 0]
     rows = l_max + 1
-    return (rings.period.size - routed.size) + float(np.sum(-(-rows // routed))) / rows
+    return (count - routed.size) + float(np.sum(-(-rows // routed))) / rows
 
 
 def _add_columns(sums: np.ndarray, step: int, xr, ring_phase):
     """_ring_recurrence for one or two orders, one Legendre column each:
-    fewer numpy calls per step in l than the batched recurrence."""
+    two numpy calls per step in l and one product with the phases at the
+    end, where the batched recurrence takes about eight calls per step.
+    On product rules (one BLAS thread) the three kernel calls of a
+    construct 40 + score pair take 1.3 ms this way and 2.3 ms through
+    _ring_recurrence, and certify(product_rule(1000), 1002) 93 ms against
+    150 ms."""
     rows = sums.shape[0]
     amm, a, b = _norm_coeffs(rows - 1)
     for k, m in enumerate(range(0, rows, step)):
@@ -400,7 +407,10 @@ def _add_rings(sums: np.ndarray, step: int, x, eiphi, w, bounds):
     rows = sums.shape[0]
     orders = -(-rows // step)
     starts = bounds[:-1]
-    block = max(1, _BLOCK_ELEMS // orders)
+    # one or two orders go column by column (_add_columns), whose working
+    # arrays hold rows values per ring; more, in one batched recurrence
+    columns = orders <= 2
+    block = max(1, _BLOCK_ELEMS // (rows if columns else orders))
     for r0 in range(0, starts.size, block):
         r1 = min(starts.size, r0 + block)
         k0, k1 = bounds[r0], bounds[r1]
@@ -410,7 +420,7 @@ def _add_rings(sums: np.ndarray, step: int, x, eiphi, w, bounds):
         else:
             ring_phase = _ring_phases(orders, eiphi[k0:k1], w[k0:k1], starts[r0:r1] - k0)
         xr = x[starts[r0:r1]]
-        if orders <= 2 and rows * (r1 - r0) <= _BLOCK_ELEMS:
+        if columns:
             _add_columns(sums, step, xr, ring_phase)
         else:
             # sin(theta)^2 from x, so sin(theta) = sqrt(1 - x^2) >= 0
@@ -449,7 +459,8 @@ def _cancelled_phases(rings: _Rings, s: int, rows: int) -> np.ndarray:
     return m * spectrum[m % s]
 
 
-def _ring_sums(l_max: int, theta, phi, weights, max_allowance: float | None = math.inf):
+def _ring_sums(l_max: int, theta, phi, weights, max_allowance: float | None = math.inf,
+               rings: _Rings | None = None):
     """(S, a): the sums of weighted_harmonic_sums and a per-order allowance.
 
     Rings of s >= 2 equal weights at equispaced azimuths (_ring_periods)
@@ -470,9 +481,12 @@ def _ring_sums(l_max: int, theta, phi, weights, max_allowance: float | None = ma
     on; otherwise every ring takes the all-orders path and a = 0, so a set
     with no qualifying ring gets exactly the all-orders sums. With
     max_allowance None the rings are routed and a is not formed (None).
+    `rings`, if given, is _latitude_rings(theta, phi, weights, detect=
+    l_max + 1 >= _ROUTE_MIN_ROWS), found once by a caller that needs it too.
     """
     rows = l_max + 1
-    rings = _latitude_rings(theta, phi, weights, detect=rows >= _ROUTE_MIN_ROWS)
+    if rings is None:
+        rings = _latitude_rings(theta, phi, weights, detect=rows >= _ROUTE_MIN_ROWS)
     periods = [] if rings.period is None else sorted(set(rings.period[rings.period > 0].tolist()))
     allowance = None if max_allowance is None else np.zeros(rows)
     if periods and max_allowance is not None:
@@ -508,18 +522,21 @@ def _ring_sums(l_max: int, theta, phi, weights, max_allowance: float | None = ma
 def weighted_harmonic_sums(l_max: int, theta, phi, weights) -> np.ndarray:
     """Sums S[l, m] = sum_k w_k Y_l^m(theta_k, phi_k) for 0 <= m <= l <= l_max.
 
-    The exact certification kernel. Points are grouped into latitude rings
+    The certification kernel. Points are grouped into latitude rings
     of exactly equal cos(theta) and their weighted azimuthal phases reduced
     per ring, W[m, r] = sum_{k in r} w_k e^{i m phi_k} (_ring_phases); one
     normalized associated-Legendre recurrence then steps l once for all
     orders m at once over the R distinct latitudes, accumulating S[l, m] as
     it goes (_ring_recurrence). Cost is O(R * l_max^2 + n * l_max): product
     rules and Lebedev orbits repeat latitudes, and a set without repeats is
-    simply R = n. A ring of s equal weights at equispaced azimuths only
-    feeds the orders m = 0, s, 2s, ...; the others are returned as exactly
-    0, and what the ring's deviations of a few ulps add there is bounded
-    by the allowance of _ring_sums. A product rule thus costs
-    O(n + R l_max). Rings are
+    simply R = n. From order _ROUTE_MIN_ROWS - 1 on, a ring of s equal
+    weights at equispaced azimuths only feeds the orders m = 0, s, 2s, ...,
+    so a product rule costs O(n + R l_max). Its other orders are returned
+    as exactly 0, although the ring's deviations of a few ulps from the
+    ideal azimuths leave up to about 4e-12 there at l_max = 1000. This
+    function does not report that allowance, so a residual taken from
+    these sums alone is not an upper bound: certify and score take the
+    sums and the allowance together from _ring_sums. Rings are
     processed in blocks of at most _BLOCK_ELEMS Legendre values, so working
     memory beyond the O(n) inputs does not grow with n. Only m >= 0 is
     returned; for real weights |S[l, -m]| = |S[l, m]|. A polar angle

@@ -92,10 +92,12 @@ _BLOCK_ELEMS = int(2e7)
 # Values per working array of the ring Gram: (N + 1) times the rings of one
 # block, 0.5 MB per array.
 _GRAM_BLOCK_ELEMS = 1 << 16
-# Rings are routed on their period in the Gram only from N + 1 = 48 on:
-# below it every offset costs about as little as finding the periods
-# (measured on product rules, one BLAS thread).
-_GRAM_ROUTE_MIN_ROWS = 48
+# Rings are routed on their period in the Gram only from N + 1 = 20 on:
+# below it every offset costs about as little as finding the periods. On
+# product rules (one BLAS thread) the two cross at N = 18-20: the routed
+# check takes 0.19 ms against 0.18 ms at N = 15, and 0.28 against 0.49 ms
+# at N = 40.
+_GRAM_ROUTE_MIN_ROWS = 20
 
 # Fixed stream for default verification directions: libraries and CLI must
 # be deterministic without a user-provided seed.
@@ -551,7 +553,7 @@ def operator_completeness_residual(p: FinitePovm, cap: int = OPERATOR_CHECK_CAP)
     it: Dicke magnitudes from the half-angles and ring phases, no
     harmonic sums. Costs O(n N + R N^2) for R distinct polar angles,
     in working arrays of at most _GRAM_BLOCK_ELEMS values (module
-    docstring); a product-rule POVM past N = 46 costs O(n + R N), with an
+    docstring); a product-rule POVM past N = 18 costs O(n + R N), with an
     allowance for the offsets its rings cancel: about 1.5 ms at N = 131,
     6 ms at N = 300 and 0.07 s at N = 1000 (one BLAS thread).
     Capped at `cap` (default OPERATOR_CHECK_CAP = 300) to keep misuse

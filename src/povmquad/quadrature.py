@@ -48,7 +48,7 @@ import numpy as np
 
 from . import _nufft
 from .errors import CapExceeded, DomainError, DuplicatePoint, ParseError, WeightError, ZeroVector
-from .harmonics import _dfs_harmonic_sums, _ring_cost, _ring_sums
+from .harmonics import _ROUTE_MIN_ROWS, _dfs_harmonic_sums, _latitude_rings, _ring_cost, _ring_sums
 from .orthopoly import gauss_legendre_rule
 from .sphere import TWO_PI, Direction
 
@@ -264,13 +264,12 @@ def certify(
     _check_budget(table, f"certification to order {l_max}")
     # cost model: ring kernel R L^2 against NUFFT spreading n w^2 plus the
     # L^3 recurrence over virtual rings, routed rings counted at their
-    # routed cost; that is at most n L^2, so the rings are only counted if
-    # needed
+    # routed cost; the rings, found once, also feed the ring kernel
+    rings = _latitude_rings(q.theta, q.phi, q.weights, detect=l_max + 1 >= _ROUTE_MIN_ROWS)
     dfs_cost = _DFS_COST_RATIO * (q.n * _nufft.WIDTH**2 + l_max**3)
     dfs = (
         table + _nufft.work_bytes(l_max) <= SIZE_BUDGET_BYTES
-        and q.n * l_max**2 > dfs_cost
-        and _ring_cost(l_max, q.theta, q.phi, q.weights) * l_max**2 > dfs_cost
+        and _ring_cost(l_max, rings) * l_max**2 > dfs_cost
     )
     # entries above the diagonal (m > l) are zero
     if dfs:
@@ -279,14 +278,14 @@ def certify(
     else:
         # rings are routed on their period only while their allowance stays
         # at or below tol / 2 (module docstring)
-        sums, allowance = _ring_sums(l_max, q.theta, q.phi, q.weights, tol / 2)
+        sums, allowance = _ring_sums(l_max, q.theta, q.phi, q.weights, tol / 2, rings)
         residual_per_l = np.abs(sums[1:]).max(axis=1)
         if allowance.any():
             exact = residual_per_l
             residual_per_l = np.maximum(exact, allowance[1:])
             if np.any(residual_per_l[exact <= tol] > tol):
                 # the allowance would decide a verdict: sum every order instead
-                sums, _ = _ring_sums(l_max, q.theta, q.phi, q.weights, 0.0)
+                sums, _ = _ring_sums(l_max, q.theta, q.phi, q.weights, 0.0, rings)
                 residual_per_l = np.abs(sums[1:]).max(axis=1)
     failing = np.nonzero(residual_per_l > tol)[0]
     strength = l_max if failing.size == 0 else int(failing[0])

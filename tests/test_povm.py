@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import time
 import tracemalloc
 
 import numpy as np
@@ -710,22 +709,7 @@ def test_point_rings_take_one_gemm_per_block(copies, monkeypatch):
         assert abs(ring - dense_operator_residual(p)) <= 2e-15
 
 
-def test_point_gram_is_no_slower_than_the_dense_gram():
-    # the dense Gram as the operator check once ran: the n x (N+1) Dicke
-    # matrix, then one GEMM
-    p = _rotated_povm(131)
-    ring, dense = [], []
-    for _ in range(3):
-        start = time.process_time()
-        operator_completeness_residual(p)
-        ring.append(time.process_time() - start)
-        start = time.process_time()
-        dense_operator_residual(p)
-        dense.append(time.process_time() - start)
-    assert min(ring) <= min(dense)
-
-
-@pytest.mark.parametrize("copies", [47, 60, 131, 300])
+@pytest.mark.parametrize("copies", [19, 40, 47, 60, 131, 300])
 def test_routed_gram_bounds_the_dense_gram(copies):
     assert copies + 1 >= povm_module._GRAM_ROUTE_MIN_ROWS
     p = product_povm(copies)
