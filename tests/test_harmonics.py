@@ -331,6 +331,22 @@ def test_routed_sums_match_the_all_orders_kernel(case):
     assert np.array_equal(weighted_harmonic_sums(l_max, theta, phi, w), sums)
 
 
+@pytest.mark.parametrize("order", [15, 131])
+def test_routed_columns_in_blocks_of_rings_agree(order, monkeypatch):
+    # one or two orders per period go column by column in blocks of
+    # _BLOCK_ELEMS // (l_max + 1) rings; product_rule(1000) takes eight
+    q = product_rule(order)
+    l_max = order + 2
+    whole, allowance = harmonics._ring_sums(l_max, q.theta, q.phi, q.weights)
+    reference = all_orders_ring_sums(l_max, q.theta, q.phi, q.weights)
+    for rings in (1, 7):
+        monkeypatch.setattr(harmonics, "_BLOCK_ELEMS", rings * (l_max + 1))
+        sums, blocked = harmonics._ring_sums(l_max, q.theta, q.phi, q.weights)
+        assert np.max(np.abs(sums - whole)) <= 1e-15
+        assert np.max(np.abs(sums - reference)) <= 1e-13
+        assert np.allclose(blocked, allowance, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("cap, agree", [(16, 1e-13), (400, 5e-13), (600, 5e-13)])
 def test_routed_sums_on_bundled_grids(cap, agree):
     # At orders 400-600 the two kernels each differ from scipy's harmonics by
