@@ -73,7 +73,8 @@ _DELTA_ERR = _EPS * _RING_SLACK + 24.0 * math.pi * _EPS * _EPS
 # much as the all-orders recurrence over a few rings. On product rules (one
 # BLAS thread) routing starts to pay at l_max + 1 = 8 for sums without the
 # allowance, 12 with it, and 16 with it and two orders per period (score's
-# sums of a POVM), where it is 145 against 146 us.
+# sums of a POVM), where it is 145 against 146 us. The operator check of
+# povm routes its rings from N + 1 = 16 on as well.
 _ROUTE_MIN_ROWS = 16
 
 
@@ -357,15 +358,32 @@ def _subset(bounds, take):
     return np.repeat(take, counts), np.concatenate(([0], np.cumsum(counts[take])))
 
 
+def _routed_periods(rings: _Rings, rows: int):
+    """Per ring, the period _ring_sums sums it on, or 0 for the all-orders
+    path (None if the rings were not looked for). Where some ring takes the
+    all-orders path anyway, only periods s that leave at most two orders
+    below `rows` (2 s >= rows, the column path of _add_columns) are routed:
+    a strided recurrence next to the all-orders one is bound by the same
+    per-step numpy calls and saves little. On the bundled grids, whose
+    period-2 and period-4 rings sit next to unrouted ones, certify at caps
+    400 and 600 takes about a quarter less time this way (one BLAS
+    thread)."""
+    period = rings.period
+    if period is None or period.all():
+        return period
+    return np.where(2 * period >= rows, period, 0)
+
+
 def _ring_cost(l_max: int, rings: _Rings) -> float:
     """Ring-kernel cost of _ring_sums(l_max, ..., rings=rings) in units of
     l_max^2: one per ring on the all-orders path, ceil((l_max + 1) / s) /
     (l_max + 1) per ring routed on its period s."""
-    count = rings.bounds.size - 1
-    if rings.period is None:
-        return float(count)
-    routed = rings.period[rings.period > 0]
     rows = l_max + 1
+    period = _routed_periods(rings, rows)
+    count = rings.bounds.size - 1
+    if period is None:
+        return float(count)
+    routed = period[period > 0]
     return (count - routed.size) + float(np.sum(-(-rows // routed))) / rows
 
 
@@ -482,15 +500,18 @@ def _ring_sums(l_max: int, theta, phi, weights, max_allowance: float | None = ma
     they cancel. The rings are routed only if a_l <= max_allowance at
     every order (0 routes none), and only from order _ROUTE_MIN_ROWS - 1
     on; otherwise every ring takes the all-orders path and a = 0, so a set
-    with no qualifying ring gets exactly the all-orders sums. With
-    max_allowance None the rings are routed and a is not formed (None).
+    with no qualifying ring gets exactly the all-orders sums. Beside rings
+    on the all-orders path, only periods that leave one or two orders are
+    routed (_routed_periods). With max_allowance None the rings are routed
+    and a is not formed (None).
     `rings`, if given, is _latitude_rings(theta, phi, weights, detect=
     l_max + 1 >= _ROUTE_MIN_ROWS), found once by a caller that needs it too.
     """
     rows = l_max + 1
     if rings is None:
         rings = _latitude_rings(theta, phi, weights, detect=rows >= _ROUTE_MIN_ROWS)
-    periods = [] if rings.period is None else sorted(set(rings.period[rings.period > 0].tolist()))
+    period = _routed_periods(rings, rows)
+    periods = [] if period is None else sorted(set(period[period > 0].tolist()))
     allowance = None if max_allowance is None else np.zeros(rows)
     if periods and max_allowance is not None:
         cancelled = sum(_cancelled_phases(rings, s, rows) for s in periods)
@@ -500,7 +521,7 @@ def _ring_sums(l_max: int, theta, phi, weights, max_allowance: float | None = ma
             periods = []
             allowance[:] = 0.0
     sums = np.zeros((rows, rows, 2))
-    other = rings.period == 0 if periods else np.ones(rings.bounds.size - 1, dtype=bool)
+    other = period == 0 if periods else np.ones(rings.bounds.size - 1, dtype=bool)
     if other.any():
         points, bounds = _subset(rings.bounds, other)
         eiphi = np.exp(1j * rings.phi[points])
@@ -509,7 +530,7 @@ def _ring_sums(l_max: int, theta, phi, weights, max_allowance: float | None = ma
             eiphi[rings.flip[points]] *= -1.0
         _add_rings(sums, 1, rings.x[points], eiphi, rings.w[points], bounds)
     for s in periods:
-        points, bounds = _subset(rings.bounds, rings.period == s)
+        points, bounds = _subset(rings.bounds, period == s)
         # only m = 0 when s > l_max: no phases but the weights
         spin = _ring_spin(s, rings.phi[points], rings.delta[points], bounds) if s < rows else None
         _add_rings(sums, s, rings.x[points], spin, rings.w[points], bounds)

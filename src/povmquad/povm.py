@@ -33,24 +33,23 @@ its own weights (FinitePovm.certificate), so the bound costs nothing
 more; any other FinitePovm (read from a file, built by hand or by
 dataclasses.replace) has none and is certified when asked.
 
-The operator and moment checks build no n x (N+1) Dicke matrix. Dicke
-magnitudes depend on theta only and phases on phi only, so the Gram
-matrix of the weights w_k (c_k, or lambda_k/4pi) is summed over the R
-distinct polar angles theta_r of the elements,
+The operator and moment checks build no n x (N+1) Dicke matrix. The
+Gram matrix of the weights w_k (c_k, or lambda_k/4pi) is summed as one
+GEMM of Dicke rows per block of points, O(n N^2), with the magnitudes
+taken from the half-angles and the phases as running products of
+e^{i phi_k} (no Legendre recurrence, so the check stays independent of the
+scalar bound). Dicke magnitudes depend on theta only and phases on phi
+only, so on a ring of points at one polar angle theta_r
 
     G[j, j'] = sum_r mag_j(theta_r) mag_j'(theta_r) W_r[j - j'],
-    W_r[d] = sum_{k : theta_k = theta_r} w_k e^{i d phi_k},
+    W_r[d] = sum_{k : theta_k = theta_r} w_k e^{i d phi_k}.
 
-in O(n N + R N^2) time, with the magnitudes taken from the half-angles
-and the phases from harmonics._ring_phases (no Legendre recurrence, so
-the check stays independent of the scalar bound). Rings of one point, as
-in a set without shared polar angles (R = n), are summed as one GEMM of
-Dicke rows per block. From N = _GRAM_ROUTE_MIN_ROWS - 1 on, a ring of s
-equal weights at equispaced azimuths (harmonics._ring_periods) feeds only
-the offsets d = 0, s, 2s, ...; at the others its phases are taken as zero
+From N = harmonics._ROUTE_MIN_ROWS - 1 on, a ring of s > N equal weights
+at equispaced azimuths (harmonics._ring_periods) has W_r[d] = 0 up to its
+deviations at every offset 1 <= d <= N, so it adds to the diagonal alone
 and an allowance of d max_j sum_r deviation_r mag_j(theta_r)^2 is added
-(_ring_gram_residual), so the residual stays an upper bound. A product
-rule, s = N + 1, leaves the diagonal alone: O(n + R N), about 2e-12 of
+at offset d (_ring_gram_residual): the residual stays an upper bound. A
+product rule, s = N + 1, is all such rings: O(n + R N), about 2e-12 of
 allowance at N = 1000. Beyond sorted copies of the inputs and the
 (N+1) x (N+1) result, each working array holds at most _GRAM_BLOCK_ELEMS
 values, whatever n and N.
@@ -64,7 +63,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     CapExceeded,
@@ -75,7 +73,7 @@ from .errors import (
     ParseError,
     WeightError,
 )
-from .harmonics import _ring_periods, _ring_phases, _ring_spin, _subset
+from .harmonics import _ROUTE_MIN_ROWS, _ring_periods
 from .quadrature import (
     DEFAULT_TOL,
     FOUR_PI,
@@ -89,15 +87,9 @@ from .sphere import Direction, angles_to_xyz, overlap_matrix, sample_uniform_ang
 OPERATOR_CHECK_CAP = 300
 # Overlaps per block of _overlap_blocks, the one overlap loop of the package.
 _BLOCK_ELEMS = int(2e7)
-# Values per working array of the ring Gram: (N + 1) times the rings of one
-# block, 0.5 MB per array.
+# Values per working array of the Dicke Gram: (N + 1) times the points or
+# rings of one block, 1 MB per complex array.
 _GRAM_BLOCK_ELEMS = 1 << 16
-# Rings are routed on their period in the Gram only from N + 1 = 20 on:
-# below it every offset costs about as little as finding the periods. On
-# product rules (one BLAS thread) the two cross at N = 18-20: the routed
-# check takes 0.19 ms against 0.18 ms at N = 15, and 0.28 against 0.49 ms
-# at N = 40.
-_GRAM_ROUTE_MIN_ROWS = 20
 
 # Fixed stream for default verification directions: libraries and CLI must
 # be deterministic without a user-provided seed.
@@ -409,13 +401,6 @@ def _dicke_magnitudes(copies: int, theta) -> np.ndarray:
     return mag
 
 
-def _dicke_matrix(copies: int, theta, phi) -> np.ndarray:
-    """Rows of symmetric-basis amplitudes for each direction; shape (n, N+1)."""
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    j = np.arange(copies + 1)
-    return _dicke_magnitudes(copies, theta) * np.exp(1j * phi[:, None] * j)
-
-
 def dicke_amplitudes(copies: int, d: Direction) -> DickeVector:
     """Expand |Omega>^(x)N in the symmetric basis.
 
@@ -423,71 +408,64 @@ def dicke_amplitudes(copies: int, d: Direction) -> DickeVector:
     """
     if copies < 1:
         raise DomainError(f"copies must be >= 1, got {copies}")
-    amps = _dicke_matrix(copies, [d.theta], [d.phi])[0]
+    amps = _dicke_magnitudes(copies, [d.theta])[0] * np.exp(1j * d.phi * np.arange(copies + 1))
     return DickeVector(copies=copies, amplitudes=amps)
 
 
 def _ring_gram_residual(copies: int, theta, phi, w, diag: float) -> float:
     """max entry of |sum_k w_k v_k v_k^dag - diag * I| for the Dicke rows v_k.
 
-    Summed over the distinct polar angles (module docstring): entry
-    (j + d, j) of the Gram is sum_r mag_{j+d}(theta_r) mag_j(theta_r) W_r[d],
-    and the entries above the diagonal are its conjugates. Three kinds of
-    ring, each in blocks whose working arrays hold at most
-    _GRAM_BLOCK_ELEMS values:
+    Two paths, each in working arrays of at most _GRAM_BLOCK_ELEMS values:
 
-    * a ring of one point adds w v v^dag: a block of them is one GEMM of
-      Dicke rows (_add_point_gram);
-    * an equispaced ring of period s (harmonics._ring_periods) only feeds
-      the offsets d = 0, s, 2s, ...; at any other offset |W_r[d]| <=
-      d deviation_r, and mag_{j+d} mag_j <= (mag_{j+d}^2 + mag_j^2)/2, so
-      its entries there are at most d max_j f_s(j) with
-      f_s(j) = sum_r deviation_r mag_j(theta_r)^2. That allowance is added
-      to the largest entry at each such offset, so the result stays an
-      upper bound; for a complete POVM f_s is about the mean |delta|;
-    * any other ring feeds every offset (_add_ring_gram).
-
-    Below N = _GRAM_ROUTE_MIN_ROWS - 1 no ring is routed on its period:
-    there every offset costs less than finding the periods.
+    * from N + 1 = harmonics._ROUTE_MIN_ROWS on, an equispaced ring of
+      period s > N (harmonics._ring_periods) adds W_r[0] mag_j(theta_r)^2
+      to the diagonal alone. At an offset d = 1..N, which s does not divide,
+      |W_r[d]| <= d deviation_r and mag_{j+d} mag_j <= (mag_{j+d}^2 +
+      mag_j^2)/2, so these rings add at most d max_j f(j) with
+      f(j) = sum_r deviation_r mag_j(theta_r)^2. That allowance is added to
+      every entry at offset d, so the result stays an upper bound; for a
+      complete POVM f is about the mean |delta|;
+    * every other point (all of them below that N) adds w v v^dag through
+      one GEMM of Dicke rows per block (_point_gram).
     """
-    order = np.argsort(theta, kind="stable")
-    theta, phi, w = theta[order], phi[order], w[order]
-    # ring r holds the sorted points bounds[r]:bounds[r + 1]
-    edge = np.ones(theta.size + 1, dtype=bool)
-    np.not_equal(theta[1:], theta[:-1], out=edge[1:-1])
-    bounds = np.flatnonzero(edge)
-    counts = bounds[1:] - bounds[:-1]
     rows = copies + 1
-    gram = np.zeros((rows, rows, 2))  # gram[d, j, (re, im)] = G[j + d, j]
-    other = counts > 1  # rings on every offset
-    allowance = 0.0  # per offset d
-    if rows >= _GRAM_ROUTE_MIN_ROWS:
-        period, deviation, delta = _ring_periods(phi, w, bounds)
-        d = np.arange(rows)
-        for s in sorted(set(period[period > 0].tolist())):
-            take = period == s
-            points, sub = _subset(bounds, take)
-            spin = _ring_spin(s, phi[points], delta[points], sub) if s <= copies else None
-            f = _add_ring_gram(gram, theta[points], spin, w[points], sub, s, deviation[take])
-            allowance = allowance + (d % s != 0) * (d * f.max())
-            other &= ~take
-    single = counts == 1
-    if single.any():
-        points, _ = _subset(bounds, single)
-        _add_point_gram(gram, theta[points], phi[points], w[points])
-    if other.any():
-        points, sub = _subset(bounds, other)
-        _add_ring_gram(gram, theta[points], np.exp(1j * phi[points]), w[points], sub)
-    gram[0, :, 0] -= diag
-    worst = np.hypot(gram[..., 0], gram[..., 1]).max(axis=1)
-    return float((worst + allowance).max())
+    diagonal = spread = 0.0  # the rings' diagonal and max_j f(j)
+    if rows >= _ROUTE_MIN_ROWS:
+        order = np.argsort(theta, kind="stable")
+        theta, phi, w = theta[order], phi[order], w[order]
+        # ring r holds the sorted points bounds[r]:bounds[r + 1]
+        edge = np.ones(theta.size + 1, dtype=bool)
+        np.not_equal(theta[1:], theta[:-1], out=edge[1:-1])
+        bounds = np.flatnonzero(edge)
+        period, deviation, _ = _ring_periods(phi, w, bounds)
+        ring = period > copies
+        if ring.any():
+            weight = np.add.reduceat(w, bounds[:-1])[ring]
+            polar = theta[bounds[:-1][ring]]
+            deviation = deviation[ring]
+            diagonal, f = np.zeros(rows), np.zeros(rows)
+            block = max(1, _GRAM_BLOCK_ELEMS // rows)
+            for r0 in range(0, polar.size, block):
+                square = np.square(_dicke_magnitudes(copies, polar[r0 : r0 + block]))
+                diagonal += weight[r0 : r0 + block] @ square
+                f += deviation[r0 : r0 + block] @ square
+            spread = f.max()
+            rest = np.repeat(~ring, bounds[1:] - bounds[:-1])
+            theta, phi, w = theta[rest], phi[rest], w[rest]
+    if not theta.size:  # every point on the diagonal: the other entries are 0
+        return float(max(np.abs(diagonal - diag).max(), copies * spread))
+    gram = _point_gram(rows, theta, phi, w)
+    on = np.diag_indices(rows)
+    gram.real[on] += diagonal
+    gram.real[on] -= diag
+    lower, col = np.tril_indices(rows)
+    return float((np.abs(gram[lower, col]) + (lower - col) * spread).max())
 
 
-def _add_point_gram(gram: np.ndarray, theta, phi, w):
-    """Add sum_k w_k v_k v_k^dag to the offset layout gram[d, j] = G[j + d, j],
-    one GEMM of Dicke rows per block of at most _GRAM_BLOCK_ELEMS values."""
-    rows = gram.shape[0]
-    full = np.zeros((rows, rows), dtype=complex)
+def _point_gram(rows: int, theta, phi, w) -> np.ndarray:
+    """sum_k w_k v_k v_k^dag, (N+1) x (N+1), one GEMM of Dicke rows per
+    block of at most _GRAM_BLOCK_ELEMS values."""
+    gram = np.zeros((rows, rows), dtype=complex)
     block = max(1, _GRAM_BLOCK_ELEMS // rows)
     for k0 in range(0, theta.size, block):
         k1 = min(theta.size, k0 + block)
@@ -497,52 +475,8 @@ def _add_point_gram(gram: np.ndarray, theta, phi, w):
         v[:, 1:] = np.exp(1j * phi[k0:k1])[:, None]
         np.cumprod(v, axis=1, out=v)
         v *= _dicke_magnitudes(rows - 1, theta[k0:k1])
-        full += v.T @ (w[k0:k1, None] * v.conj())
-    lower, col = np.tril_indices(rows)
-    gram[lower - col, col, 0] += full.real[lower, col]
-    gram[lower - col, col, 1] += full.imag[lower, col]
-
-
-def _add_ring_gram(gram: np.ndarray, theta, eiphi, w, bounds, step: int = 1, deviation=None):
-    """Add the rings bounds[r]:bounds[r + 1] at the offsets d = 0, step, 2 step,
-    ... of gram[d, j] = G[j + d, j]; eiphi = e^{i step phi} (None: only
-    d = 0, whose phases are the weights). Returns
-    f(j) = sum_r deviation_r mag_j(theta_r)^2 (zeros without `deviation`).
-
-    Rings go in blocks of at most _GRAM_BLOCK_ELEMS // (N + 1), and the
-    offsets of a block in chunks, so each working array holds at most
-    _GRAM_BLOCK_ELEMS values: at small N one chunk covers every offset.
-    """
-    rows = gram.shape[0]
-    offsets = -(-rows // step)
-    starts = bounds[:-1]
-    f = np.zeros(rows)
-    block = max(1, _GRAM_BLOCK_ELEMS // rows)
-    for r0 in range(0, starts.size, block):
-        r1 = min(starts.size, r0 + block)
-        k0, k1 = bounds[r0], bounds[r1]
-        if eiphi is None:  # the diagonal d = 0 alone, whose phases are the weights
-            square = np.square(_dicke_magnitudes(rows - 1, theta[starts[r0:r1]]))
-            gram[0, :, 0] += np.add.reduceat(w[k0:k1], starts[r0:r1] - k0) @ square
-            f += deviation[r0:r1] @ square
-            continue
-        ring_phase = _ring_phases(offsets, eiphi[k0:k1], w[k0:k1], starts[r0:r1] - k0)
-        # magnitudes by column, padded with zeros past j = N, and
-        # shifted[k, j, r] = mag_{j + k step}(theta_r): each offset is one slab
-        mag = np.zeros((2 * rows - 1, r1 - r0))
-        mag[:rows] = _dicke_magnitudes(rows - 1, theta[starts[r0:r1]]).T
-        if deviation is not None:
-            f += np.square(mag[:rows]) @ deviation[r0:r1]
-        s_j, s_r = mag.strides
-        shifted = as_strided(mag, (offsets, rows, r1 - r0), (step * s_j, s_j, s_r), writeable=False)
-        chunk = max(1, _GRAM_BLOCK_ELEMS // ((r1 - r0) * rows))
-        prod = np.empty((min(chunk, offsets), rows, r1 - r0))
-        for c0 in range(0, offsets, chunk):
-            c1 = min(offsets, c0 + chunk)
-            # prod[k - c0, j, r] = mag_{j + k step}(theta_r) mag_j(theta_r)
-            np.multiply(shifted[c0:c1], mag[:rows], out=prod[: c1 - c0])
-            gram[c0 * step : c1 * step : step] += prod[: c1 - c0] @ ring_phase[c0:c1].transpose(0, 2, 1)
-    return f
+        gram += v.T @ (w[k0:k1, None] * v.conj())
+    return gram
 
 
 def operator_completeness_residual(p: FinitePovm, cap: int = OPERATOR_CHECK_CAP) -> float:
@@ -550,15 +484,16 @@ def operator_completeness_residual(p: FinitePovm, cap: int = OPERATOR_CHECK_CAP)
 
     Stronger than the scalar check (tests every matrix entry, not just
     diagonal expectation values over coherent states), and independent of
-    it: Dicke magnitudes from the half-angles and ring phases, no
-    harmonic sums. Costs O(n N + R N^2) for R distinct polar angles,
-    in working arrays of at most _GRAM_BLOCK_ELEMS values (module
-    docstring); a product-rule POVM past N = 18 costs O(n + R N), with an
-    allowance for the offsets its rings cancel: about 1.5 ms at N = 131,
-    6 ms at N = 300 and 0.07 s at N = 1000 (one BLAS thread).
+    it: Dicke magnitudes from the half-angles and phases from the azimuths,
+    no harmonic sums. Costs O(n N^2), one GEMM of Dicke rows per block of
+    at most _GRAM_BLOCK_ELEMS values (module docstring); from N = 15 on,
+    the equispaced rings of period s > N of a product-rule POVM add to the
+    diagonal alone, so it costs O(n + R N) for R rings, with an allowance
+    for the offsets they cancel: about 1 ms at N = 131, 5 ms at N = 300
+    and 0.03 s at N = 1000 (one BLAS thread).
     Capped at `cap` (default OPERATOR_CHECK_CAP = 300) to keep misuse
-    obvious: a set without shared polar angles has R = n and costs
-    O(n N^2). construct, whose product rules are O(n + R N), lifts it.
+    obvious: any other set costs O(n N^2). construct, whose product rules
+    are O(n + R N), lifts it.
     """
     if p.copies > cap:
         raise CapExceeded(f"operator check capped at N = {cap}, got {p.copies}")

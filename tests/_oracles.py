@@ -8,18 +8,24 @@ the overlap matrix raised to the power N+1, Dicke-basis Gram residuals
 from the dense n x (N+1) matrix of Dicke rows, POVM files from one
 `format` call per value, and game outcomes from the rejection sampler
 (alias proposals k ~ c_k, accepted with probability overlap^N) that the
-outcome-first sampler replaced. One reference is the package's own earlier
-code, kept verbatim: the all-orders ring kernel, which steps every order m
-over every latitude ring, for the kernel that sums only the orders an
-equispaced ring lets through.
+outcome-first sampler replaced. Two references are the package's own
+earlier code: the all-orders ring kernel, which steps every order m over
+every latitude ring, for the kernel that sums only the orders an
+equispaced ring lets through; and the all-offsets ring Gram, which sums
+every offset of the Dicke Gram over every ring, for the Gram that adds
+the rings of period s > N to its diagonal alone. The dense Dicke matrix
+takes the package's magnitudes (povm._dicke_magnitudes, checked against
+the tensor product and mpmath) times the phases e^{i j phi}.
 """
 import cmath
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import sph_harm_y
 
 from povmquad.orthopoly import _norm_coeffs
+from povmquad.povm import _dicke_magnitudes
 from povmquad.simulate import _alias_table
 from povmquad.sphere import angles_to_xyz
 
@@ -127,6 +133,57 @@ def tensor_dicke(copies, theta, phi):
         amps[bin(idx).count("1")] += full[idx]
     norm = np.sqrt([math.comb(copies, j) for j in range(copies + 1)])
     return amps / norm
+
+
+def dicke_matrix(copies, theta, phi):
+    """Rows of symmetric-basis amplitudes for each direction; shape (n, N+1)."""
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    j = np.arange(copies + 1)
+    return _dicke_magnitudes(copies, theta) * np.exp(1j * phi[:, None] * j)
+
+
+def all_offsets_gram_residual(copies, theta, phi, w, diag, block_elems=1 << 16):
+    """max entry of |sum_k w_k v_k v_k^dag - diag * I| summed ring by ring:
+    points grouped by equal polar angle, entry (j + d, j) of the Gram is
+    sum_r mag_{j+d}(theta_r) mag_j(theta_r) W_r[d] with
+    W_r[d] = sum_{k in r} w_k e^{i d phi_k}, over every offset d. Rings go
+    in blocks of block_elems // (N + 1), and the offsets of a block in
+    chunks, so each working array holds at most block_elems values."""
+    theta = np.asarray(theta, dtype=float)
+    order = np.argsort(theta, kind="stable")
+    theta = theta[order]
+    eiphi = np.exp(1j * np.asarray(phi, dtype=float)[order])
+    w = np.asarray(w, dtype=float)[order]
+    starts = np.flatnonzero(np.concatenate(([True], theta[1:] != theta[:-1])))
+    bounds = np.append(starts, theta.size)
+    rows = copies + 1
+    gram = np.zeros((rows, rows, 2))  # gram[d, j, (re, im)] = G[j + d, j]
+    block = max(1, block_elems // rows)
+    for r0 in range(0, starts.size, block):
+        r1 = min(starts.size, r0 + block)
+        k0, k1 = bounds[r0], bounds[r1]
+        phase = np.empty((rows, r1 - r0), dtype=complex)
+        wphase = w[k0:k1].astype(complex)
+        for d in range(rows):
+            if d:
+                wphase *= eiphi[k0:k1]
+            np.add.reduceat(wphase, starts[r0:r1] - k0, out=phase[d])
+        # ring_phase[d, r, (re, im)] = W_r[d]
+        ring_phase = phase.view(float).reshape(rows, -1, 2)
+        # magnitudes by column, padded with zeros past j = N, and
+        # shifted[d, j, r] = mag_{j + d}(theta_r): each offset is one slab
+        mag = np.zeros((2 * rows - 1, r1 - r0))
+        mag[:rows] = _dicke_magnitudes(copies, theta[starts[r0:r1]]).T
+        s_j, s_r = mag.strides
+        shifted = as_strided(mag, (rows, rows, r1 - r0), (s_j, s_j, s_r), writeable=False)
+        chunk = max(1, block_elems // ((r1 - r0) * rows))
+        prod = np.empty((min(chunk, rows), rows, r1 - r0))
+        for c0 in range(0, rows, chunk):
+            c1 = min(rows, c0 + chunk)
+            np.multiply(shifted[c0:c1], mag[:rows], out=prod[: c1 - c0])
+            gram[c0:c1] += prod[: c1 - c0] @ ring_phase[c0:c1]
+    gram[0, :, 0] -= diag
+    return float(np.hypot(gram[..., 0], gram[..., 1]).max())
 
 
 def dense_gram_residual(v, w, diag):

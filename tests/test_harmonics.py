@@ -381,6 +381,11 @@ def _no_ring_cases():
     yield "one-point", 20, [0.7], [1.3], [2.0]
     theta, phi = sample_uniform_angles(default_rng(5), 300)
     yield "random", 25, theta, phi, np.ones(300)
+    # rings of periods 2 and 4 next to rings of no period: at cap 400 they
+    # leave too many orders to be routed
+    for name in ("lebedev_0050", "design_0012"):
+        q = _load_pointset(default_grid_dir() / f"{name}.txt", "auto")
+        yield f"{name}-400", 400, q.theta, q.phi, q.weights
 
 
 @pytest.mark.parametrize("case", list(_no_ring_cases()), ids=lambda c: c[0])

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from povmquad import harmonics
 from povmquad import povm as povm_module
 from povmquad.cli import default_grid_dir
 from povmquad.errors import (
@@ -19,7 +20,6 @@ from povmquad.errors import (
 )
 from povmquad.povm import (
     DickeVector,
-    _dicke_matrix,
     _pow_int,
     FinitePovm,
     completeness_test_angles,
@@ -44,7 +44,9 @@ from povmquad.simulate import _dense_scores
 from povmquad.sphere import Direction, default_rng, overlap_sq, sample_uniform
 
 from _oracles import (
+    all_offsets_gram_residual,
     dense_gram_residual,
+    dicke_matrix,
     povm_to_csv_reference,
     povm_to_json_reference,
     rotate_angles,
@@ -191,7 +193,7 @@ def test_dicke_rows_at_polar_angles_outside_zero_pi():
             d = sample_uniform(rng)
             ref = dicke_amplitudes(copies, d).amplitudes
             for theta, phi in ((-d.theta, d.phi + math.pi), (d.theta + 2 * math.pi, d.phi)):
-                row = _dicke_matrix(copies, [theta], [phi])[0]
+                row = dicke_matrix(copies, [theta], [phi])[0]
                 assert np.max(np.abs(row - tensor_dicke(copies, theta, phi))) < 1e-12
                 phase = np.vdot(ref, row)
                 assert abs(abs(phase) - 1.0) < 1e-12
@@ -476,11 +478,11 @@ def test_povm_json_rejects_non_integer_counts(key, value):
 
 
 def dense_operator_residual(p):
-    return dense_gram_residual(_dicke_matrix(p.copies, p.theta, p.phi), p.c, 1.0)
+    return dense_gram_residual(dicke_matrix(p.copies, p.theta, p.phi), p.c, 1.0)
 
 
 def dense_schur_residual(q, copies):
-    v = _dicke_matrix(copies, q.theta, q.phi)
+    v = dicke_matrix(copies, q.theta, q.phi)
     return dense_gram_residual(v, q.weights / FOUR_PI, 1.0 / (copies + 1))
 
 
@@ -563,26 +565,40 @@ def test_ring_gram_does_not_depend_on_block_budget(copies, monkeypatch):
 
 
 def test_operator_and_schur_checks_build_no_dense_dicke_matrix(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("dense Dicke matrix built")
+    # Dicke magnitudes come for at most one block of angles at a time; with
+    # blocks of eight rows, far fewer than these sets' points or rings
+    magnitudes = povm_module._dicke_magnitudes
+    rows_per_block = 8
 
-    monkeypatch.setattr(povm_module, "_dicke_matrix", refuse)
+    def one_block(copies, theta):
+        assert np.size(theta) <= rows_per_block, "dense Dicke matrix built"
+        return magnitudes(copies, theta)
+
+    monkeypatch.setattr(povm_module, "_dicke_magnitudes", one_block)
+    monkeypatch.setattr(povm_module, "_GRAM_BLOCK_ELEMS", rows_per_block * 21)
     assert operator_completeness_residual(product_povm(20)) < 1e-13
+    assert operator_completeness_residual(_rotated_povm(20)) < 1e-13
     assert schur_moment_residual(product_rule(20), 20) < 1e-13
+    monkeypatch.setattr(povm_module, "_GRAM_BLOCK_ELEMS", rows_per_block * 10)
+    assert operator_completeness_residual(product_povm(9)) < 1e-13
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_operator_check_memory_is_bounded_by_its_blocks():
-    p = product_povm(131)
-    tracemalloc.start()
-    try:
-        operator_completeness_residual(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # O(n) sorted copies of the inputs, the (N+1) x 2 x (N+1) Gram and a few
+    # O(n) sorted copies of the inputs, the (N+1) x (N+1) Gram and a few
     # blocks of _GRAM_BLOCK_ELEMS values; the dense Gram's Dicke matrix alone
     # would be 18 MB
-    assert peak < 3e6
+    assert _traced_peak(operator_completeness_residual, product_povm(131)) < 3e6
+    # no shared polar angles: every point through the GEMM, block by block
+    assert _traced_peak(operator_completeness_residual, _rotated_povm(131)) < 6e6
 
 
 def test_default_operator_cap_is_300():
@@ -673,20 +689,9 @@ def test_povm_files_match_the_per_value_writer_on_extreme_values():
     assert np.array_equal(back.theta, p.theta) and np.array_equal(back.phi, p.phi)
 
 
-# Rings of one point go through one GEMM of Dicke rows per block; from
-# N + 1 = _GRAM_ROUTE_MIN_ROWS on, equispaced rings feed only the offsets
-# their period lets through, with an allowance for the others.
-
-
-def _all_offsets_residual(copies, theta, phi, w, diag):
-    """The Gram summed ring by ring over every offset, as before routing."""
-    order = np.argsort(theta, kind="stable")
-    theta, phi, w = theta[order], phi[order], w[order]
-    bounds = np.flatnonzero(np.concatenate(([True], theta[1:] != theta[:-1], [True])))
-    gram = np.zeros((copies + 1, copies + 1, 2))
-    povm_module._add_ring_gram(gram, theta, np.exp(1j * phi), w, bounds)
-    gram[0, :, 0] -= diag
-    return float(np.hypot(gram[..., 0], gram[..., 1]).max())
+# Every point goes through one GEMM of Dicke rows per block, except, from
+# N + 1 = harmonics._ROUTE_MIN_ROWS on, equispaced rings of period s > N,
+# which add to the diagonal alone, with an allowance for the other offsets.
 
 
 def _rotated_povm(copies):
@@ -699,7 +704,7 @@ def _rotated_povm(copies):
 def test_point_rings_take_one_gemm_per_block(copies, monkeypatch):
     p = _rotated_povm(copies)
     ring = operator_completeness_residual(p)
-    assert abs(ring - _all_offsets_residual(copies, p.theta, p.phi, p.c, 1.0)) <= 1e-15
+    assert abs(ring - all_offsets_gram_residual(copies, p.theta, p.phi, p.c, 1.0)) <= 1e-15
     # blocks of a single row, and of a few, agree too
     for budget in (copies + 1, 7 * (copies + 1)):
         monkeypatch.setattr(povm_module, "_GRAM_BLOCK_ELEMS", budget)
@@ -709,12 +714,12 @@ def test_point_rings_take_one_gemm_per_block(copies, monkeypatch):
         assert abs(ring - dense_operator_residual(p)) <= 2e-15
 
 
-@pytest.mark.parametrize("copies", [19, 40, 47, 60, 131, 300])
+@pytest.mark.parametrize("copies", [15, 19, 40, 47, 60, 131, 300])
 def test_routed_gram_bounds_the_dense_gram(copies):
-    assert copies + 1 >= povm_module._GRAM_ROUTE_MIN_ROWS
+    assert copies + 1 >= harmonics._ROUTE_MIN_ROWS
     p = product_povm(copies)
     routed = operator_completeness_residual(p)
-    every = _all_offsets_residual(copies, p.theta, p.phi, p.c, 1.0)
+    every = all_offsets_gram_residual(copies, p.theta, p.phi, p.c, 1.0)
     # the allowance for the cancelled offsets: about N times the mean
     # deviation of an azimuth, below the rounding of the diagonal here
     assert every - 2e-15 <= routed <= every + 1e-13
@@ -725,7 +730,7 @@ def test_routed_gram_bounds_the_dense_gram(copies):
     phi = phi + rng.integers(-4, 5, p.n) * np.spacing(phi + 1.0)
     moved = FinitePovm(copies, p.c, p.theta, phi)
     routed = operator_completeness_residual(moved)
-    every = _all_offsets_residual(copies, p.theta, phi, p.c, 1.0)
+    every = all_offsets_gram_residual(copies, p.theta, phi, p.c, 1.0)
     assert every - 2e-15 <= routed <= every + 1e-12
 
 
@@ -737,5 +742,5 @@ def test_routed_gram_keeps_the_offsets_its_periods_let_through():
     phi = np.concatenate([2 * math.pi * np.arange(s) / s + f for s, f in ((5, 0.0), (7, 0.2), (5, 1.0))])
     w = np.repeat([0.3, 0.1, 0.2], [5, 7, 5])
     routed = povm_module._ring_gram_residual(copies, theta, phi, w, 0.05)
-    every = _all_offsets_residual(copies, theta, phi, w, 0.05)
+    every = all_offsets_gram_residual(copies, theta, phi, w, 0.05)
     assert abs(routed - every) <= 1e-14 * every
