@@ -44,7 +44,7 @@ from .povm import (
     scalar_completeness_residual,
     spin_subspaces,
 )
-from .quadrature import _fmt, certify, ingest_pointset, product_rule, product_rule_count
+from .quadrature import _format_rows, certify, ingest_pointset, product_rule, product_rule_count
 from .simulate import (
     _NORMALIZATION_TOL,
     _averaged_score,
@@ -280,21 +280,13 @@ def cmd_score(args) -> int:
         print(f"score_quadrature_avg: {averaged!r}")
         print(f"difference: {abs(score - averaged):.3e}")
         return EXIT_OK if abs(score - averaged) < 1e-10 else EXIT_VERIFY
-    grid = _load_pointset(args.grid, "uniform")
-    values = score_by_direction(povm, (grid.theta, grid.phi))
+    grid = _load_pointset(args.grid, "auto")
+    columns = grid.theta, grid.phi, score_by_direction(povm, (grid.theta, grid.phi))
     if args.format == "json":
-        rows = ",\n    ".join(
-            f'{{"theta": {_fmt(t)}, "phi": {_fmt(p)}, "score": {_fmt(v)}}}'
-            for t, p, v in zip(grid.theta, grid.phi, values)
-        )
+        rows = _format_rows('{"theta": %.17g, "phi": %.17g, "score": %.17g}', ",\n    ", *columns)
         out = f'{{\n  "N": {povm.copies},\n  "scores": [\n    {rows}\n  ]\n}}\n'
     else:
-        lines = ["theta,phi,score"]
-        lines += [
-            f"{_fmt(t)},{_fmt(p)},{_fmt(v)}"
-            for t, p, v in zip(grid.theta, grid.phi, values)
-        ]
-        out = "\n".join(lines) + "\n"
+        out = "theta,phi,score\n" + _format_rows("%.17g,%.17g,%.17g\n", "", *columns)
     if args.out is not None:
         args.out.write_text(out, encoding="utf-8")
     else:

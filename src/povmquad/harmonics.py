@@ -20,8 +20,8 @@ distinct latitudes of the points, O(R l_max^2 + n l_max), and is exact up
 to rounding; `harmonic_row` is its one-point, unit-weight case.
 `_dfs_harmonic_sums` feeds it l_max + 2 virtual rings from a type-1 NUFFT
 (the double Fourier sphere), O(n w^2 + l_max^2 log l_max + l_max^3)
-whatever R, and is approximate: certify chooses between the two and adds
-an allowance for the transform (see quadrature).
+whatever R, and is approximate: quadrature._bounded_sums chooses between
+the two and adds an allowance for the transform.
 
 Equispaced rings (Driscoll & Healy 1994; Healy, Rockmore, Kostelec &
 Moore 2003). On a ring of s equal weights at azimuths phi_0 + 2 pi j / s,
@@ -37,9 +37,9 @@ zeros; what its deviations add there is bounded by the allowance a_l of
 |P~_l^m|^2 <= (2l+1)/8pi: max_m |exact S[l, m]| <= max(max_m |S[l, m]|, a_l).
 For construct's product rules a_l is 1.5e-14 at N = 15 and 4.2e-12 at
 N = 1000. A caller that must not let a_l decide a verdict passes a ceiling
-(certify: tol / 2): above it every ring takes the all-orders path. Sets
-with no equispaced ring, and sums below order _ROUTE_MIN_ROWS - 1, run
-the all-orders path bit for bit as before.
+(quadrature._bounded_sums: tol / 2): above it every ring takes the
+all-orders path. Sets with no equispaced ring, and sums below order
+_ROUTE_MIN_ROWS - 1, run the all-orders path bit for bit as before.
 """
 from __future__ import annotations
 
@@ -559,8 +559,8 @@ def weighted_harmonic_sums(l_max: int, theta, phi, weights) -> np.ndarray:
     as exactly 0, although the ring's deviations of a few ulps from the
     ideal azimuths leave up to about 4e-12 there at l_max = 1000. This
     function does not report that allowance, so a residual taken from
-    these sums alone is not an upper bound: certify and score take the
-    sums and the allowance together from _ring_sums. Rings are
+    these sums alone is not an upper bound: certify and score take their
+    sums and bounds from quadrature._bounded_sums, which adds it. Rings are
     processed in blocks of at most _BLOCK_ELEMS Legendre values, so working
     memory beyond the O(n) inputs does not grow with n. Only m >= 0 is
     returned; for real weights |S[l, -m]| = |S[l, m]|. A polar angle

@@ -80,6 +80,7 @@ from .quadrature import (
     CertificationReport,
     SphericalQuadrature,
     _fmt,
+    _format_rows,
     certify,
 )
 from .sphere import Direction, angles_to_xyz, overlap_matrix, sample_uniform_angles, substream
@@ -475,7 +476,11 @@ def _point_gram(rows: int, theta, phi, w) -> np.ndarray:
         v[:, 1:] = np.exp(1j * phi[k0:k1])[:, None]
         np.cumprod(v, axis=1, out=v)
         v *= _dicke_magnitudes(rows - 1, theta[k0:k1])
-        gram += v.T @ (w[k0:k1, None] * v.conj())
+        # w conj(v) scaled in place; u and v go before the next block's rows
+        u = v.conj()
+        u *= w[k0:k1, None]
+        gram += v.T @ u
+        del v, u
     return gram
 
 
@@ -604,19 +609,14 @@ def mixed_legendre_bound(copies: int) -> float:
     return float(value)
 
 
-def _element_values(p: FinitePovm) -> tuple:
-    """(c_0, theta_0, phi_0, c_1, ...) as Python floats, for one %-format per file."""
-    return tuple(np.column_stack((p.c, p.theta, p.phi)).ravel().tolist())
-
-
 def povm_to_json(p: FinitePovm) -> str:
     """Serialize with 17-significant-digit decimals (exact round trip).
 
-    '%.17g' is the format(x, '.17g') of quadrature._fmt; one % over a
-    repeated template formats every element in a single call.
+    One % over a repeated template formats every element in a single call
+    (quadrature._format_rows).
     """
     template = '{"c": %.17g, "theta": %.17g, "phi": %.17g}'
-    elements = ",\n    ".join([template] * p.n) % _element_values(p)
+    elements = _format_rows(template, ",\n    ", p.c, p.theta, p.phi)
     return (
         "{\n"
         f'  "N": {p.copies},\n'
@@ -654,4 +654,4 @@ def povm_from_json(text: str, label: str = "") -> FinitePovm:
 def povm_to_csv(p: FinitePovm) -> str:
     """CSV with '.' decimals and '#' metadata lines; columns c, theta, phi."""
     header = f"# N={p.copies}\n# n={p.n}\n# score_exact={_fmt(exact_score(p))}\nc,theta,phi\n"
-    return header + "".join(["%.17g,%.17g,%.17g\n"] * p.n) % _element_values(p)
+    return header + _format_rows("%.17g,%.17g,%.17g\n", "", p.c, p.theta, p.phi)

@@ -9,9 +9,9 @@ to make sum_k lambda_k f(Omega_k) equal integral f dOmega (over the full
 Certification evaluates max_m |sum_k lambda_k Y_l^m(Omega_k)| for each l
 and compares it against a tolerance. Construction errors of a genuine rule
 sit at the 1e-13 level while the first non-exact order is typically
->= 1e-3, so strength detection is robust. The sums come from one of two
-kernels, chosen by a cost model on the point count n, the number R of
-distinct latitudes and the order L:
+>= 1e-3, so strength detection is robust. The sums of certify and score
+(_bounded_sums) come from one of two kernels, chosen by a cost model on
+the point count n, the number R of distinct latitudes and the order L:
 
 * the ring kernel (harmonics._ring_sums), O(R L^2 + n L): Lebedev
   orbits and every set with shared latitudes. A ring of s equal weights
@@ -203,6 +203,42 @@ def _dfs_allowance(l_max: int, weights) -> np.ndarray:
     return 10.0 * _DFS_EPS * np.abs(weights).sum() * np.sqrt(2 * l + 1)
 
 
+def _bounded_sums(l_max: int, theta, phi, weights, tol: float):
+    """(r, S): the sums S[l, m] = sum_k w_k Y_l^m(Omega_k), 0 <= m <= l <= l_max,
+    on the route of the cost model, and upper bounds r[l - 1] >= max_m of their
+    exact values from its allowance (module docstring; the ring allowance never
+    decides r <= tol). CapExceeded past the size budget."""
+    # the (a, b) recurrence coefficient table both routes step through
+    table = 16 * (l_max + 1) ** 2
+    _check_budget(table, f"certification to order {l_max}")
+    # cost model: ring kernel R L^2 against NUFFT spreading n w^2 plus the
+    # L^3 recurrence over virtual rings, routed rings counted at their
+    # routed cost; the rings, found once, also feed the ring kernel
+    rings = _latitude_rings(theta, phi, weights, detect=l_max + 1 >= _ROUTE_MIN_ROWS)
+    dfs_cost = _DFS_COST_RATIO * (theta.size * _nufft.WIDTH**2 + l_max**3)
+    dfs = (
+        table + _nufft.work_bytes(l_max) <= SIZE_BUDGET_BYTES
+        and _ring_cost(l_max, rings) * l_max**2 > dfs_cost
+    )
+    # entries above the diagonal (m > l) are zero
+    if dfs:
+        sums = _dfs_harmonic_sums(l_max, theta, phi, weights)
+        residual_per_l = np.abs(sums[1:]).max(axis=1) + _dfs_allowance(l_max, weights)[1:]
+    else:
+        # rings are routed on their period only while their allowance stays
+        # at or below tol / 2 (module docstring)
+        sums, allowance = _ring_sums(l_max, theta, phi, weights, tol / 2, rings)
+        residual_per_l = np.abs(sums[1:]).max(axis=1)
+        if allowance.any():
+            exact = residual_per_l
+            residual_per_l = np.maximum(exact, allowance[1:])
+            if np.any(residual_per_l[exact <= tol] > tol):
+                # the allowance would decide a verdict: sum every order instead
+                sums, _ = _ring_sums(l_max, theta, phi, weights, 0.0, rings)
+                residual_per_l = np.abs(sums[1:]).max(axis=1)
+    return residual_per_l, sums
+
+
 def product_rule(order: int) -> SphericalQuadrature:
     """Separated-variables rule exact for all harmonics up to the order.
 
@@ -246,9 +282,9 @@ def certify(
     measured for exactness, but never define a POVM), DomainError unless
     `tol` is positive and finite (an infinite one passes every order), and
     CapExceeded when the order's coefficient table breaks the size budget.
-    The sums run on the ring kernel or, for large sets without shared
-    latitudes, on the double-Fourier-sphere route; the residuals of either
-    include its allowance (module docstring).
+    The residuals come from _bounded_sums: the ring kernel or, for large
+    sets without shared latitudes, the double-Fourier-sphere route, each
+    with its allowance (module docstring).
     """
     if l_max < 1:
         raise DomainError(f"l_max must be >= 1, got {l_max}")
@@ -259,34 +295,7 @@ def certify(
             f"{q.label or 'quadrature'} has a non-positive weight "
             f"(min {q.weights.min()!r})"
         )
-    # the (a, b) recurrence coefficient table both routes step through
-    table = 16 * (l_max + 1) ** 2
-    _check_budget(table, f"certification to order {l_max}")
-    # cost model: ring kernel R L^2 against NUFFT spreading n w^2 plus the
-    # L^3 recurrence over virtual rings, routed rings counted at their
-    # routed cost; the rings, found once, also feed the ring kernel
-    rings = _latitude_rings(q.theta, q.phi, q.weights, detect=l_max + 1 >= _ROUTE_MIN_ROWS)
-    dfs_cost = _DFS_COST_RATIO * (q.n * _nufft.WIDTH**2 + l_max**3)
-    dfs = (
-        table + _nufft.work_bytes(l_max) <= SIZE_BUDGET_BYTES
-        and _ring_cost(l_max, rings) * l_max**2 > dfs_cost
-    )
-    # entries above the diagonal (m > l) are zero
-    if dfs:
-        sums = _dfs_harmonic_sums(l_max, q.theta, q.phi, q.weights)
-        residual_per_l = np.abs(sums[1:]).max(axis=1) + _dfs_allowance(l_max, q.weights)[1:]
-    else:
-        # rings are routed on their period only while their allowance stays
-        # at or below tol / 2 (module docstring)
-        sums, allowance = _ring_sums(l_max, q.theta, q.phi, q.weights, tol / 2, rings)
-        residual_per_l = np.abs(sums[1:]).max(axis=1)
-        if allowance.any():
-            exact = residual_per_l
-            residual_per_l = np.maximum(exact, allowance[1:])
-            if np.any(residual_per_l[exact <= tol] > tol):
-                # the allowance would decide a verdict: sum every order instead
-                sums, _ = _ring_sums(l_max, q.theta, q.phi, q.weights, 0.0, rings)
-                residual_per_l = np.abs(sums[1:]).max(axis=1)
+    residual_per_l, _ = _bounded_sums(l_max, q.theta, q.phi, q.weights, tol)
     failing = np.nonzero(residual_per_l > tol)[0]
     strength = l_max if failing.size == 0 else int(failing[0])
     return CertificationReport(
@@ -443,12 +452,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _format_rows(template: str, sep: str, *columns) -> str:
+    """`template` % row for each row of the equal-length columns, joined by
+    `sep`, in one % call; '%.17g' formats a float as _fmt does."""
+    return sep.join([template] * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist())
+
+
 def quadrature_to_json(q: SphericalQuadrature) -> str:
     """Serialize with 17-significant-digit decimals (exact round trip)."""
-    points = ",\n    ".join(
-        f'{{"theta": {_fmt(t)}, "phi": {_fmt(p)}, "weight": {_fmt(w)}}}'
-        for t, p, w in zip(q.theta, q.phi, q.weights)
-    )
+    template = '{"theta": %.17g, "phi": %.17g, "weight": %.17g}'
+    points = _format_rows(template, ",\n    ", q.theta, q.phi, q.weights)
     return (
         "{\n"
         f'  "label": {json.dumps(q.label)},\n'

@@ -62,7 +62,7 @@ from .povm import (
     optimal_score,
     scalar_completeness_residual,
 )
-from .quadrature import DEFAULT_TOL, FOUR_PI, SphericalQuadrature, _check_budget, _fmt, product_rule
+from .quadrature import DEFAULT_TOL, FOUR_PI, SphericalQuadrature, _bounded_sums, _fmt, product_rule
 from .sphere import Direction, TWO_PI, angles_to_xyz, substream
 
 DEFAULT_CHUNK_SIZE = 1 << 16
@@ -343,22 +343,10 @@ def _averaged_score(a: np.ndarray, power: int, q: SphericalQuadrature | None = N
 
 
 def _certified_sums(p: FinitePovm) -> tuple[float, np.ndarray]:
-    """Certified completeness bound and order-(N+1) sums A of p, from one kernel call.
-
-    A[l, m] = sum_k c_k Y_l^m(Omega_k) on the ring kernel. Rows 1..N give
-    the harmonic residuals r_l = 4pi/(N+1) max(max_m |A[l, m]|, a_l) of the
-    POVM's own weights, a_l the kernel's allowance for the orders that its
-    equispaced rings cancel (harmonics._ring_sums), so they give the bound
-    of :func:`~povmquad.povm.scalar_completeness_residual`; the whole of A
-    feeds the averaged score (pass it to _averaged_score), which would
-    otherwise sum the POVM again one order higher. CapExceeded when the
-    order's coefficient table breaks the size budget, as in certify.
-    """
+    """Certified completeness bound of p and its sums A[l, m] = sum_k c_k Y_l^m(Omega_k)
+    to order N+1 (for _averaged_score), on certify's route (quadrature._bounded_sums)
+    at certify's default tolerance on the weights 4pi c/(N+1)."""
     power = p.copies + 1
-    _check_budget(16 * (power + 1) ** 2, f"harmonic sums to order {power}")
-    # the allowance of rings routed on their period stays at or below half
-    # of certify's default tolerance on the weights 4pi c/(N+1)
-    a, allowance = _ring_sums(power, p.theta, p.phi, p.c, DEFAULT_TOL / 2 * power / FOUR_PI)
-    residual_per_l = FOUR_PI / power * np.maximum(np.abs(a[1:power]).max(axis=1), allowance[1:power])
-    bound = _completeness_bound(residual_per_l, abs(float(p.c.sum()) / power - 1.0), p.copies)
-    return bound, a
+    residual_per_l, a = _bounded_sums(power, p.theta, p.phi, p.c, DEFAULT_TOL * power / FOUR_PI)
+    weight_sum_residual = abs(float(p.c.sum()) / power - 1.0)
+    return _completeness_bound(FOUR_PI / power * residual_per_l, weight_sum_residual, p.copies), a

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -22,8 +23,16 @@ from povmquad.cli import (
     main,
 )
 from povmquad import cli, povm, quadrature, simulate
-from povmquad.povm import povm_from_quadrature, povm_to_json
-from povmquad.quadrature import product_rule
+from povmquad.povm import (
+    FinitePovm,
+    exact_score,
+    povm_from_json,
+    povm_from_quadrature,
+    povm_to_json,
+)
+from povmquad.quadrature import FOUR_PI, SphericalQuadrature, _fmt, product_rule
+
+from _oracles import rotate_angles, rotation_matrix
 
 GOLDEN = Path(__file__).parent / "data" / "golden_povm_n1.json"
 
@@ -278,16 +287,71 @@ def test_score_sums_the_povm_once(copies, octa_file, tmp_path, monkeypatch, caps
     sums = _record_calls(monkeypatch, simulate, "_ring_sums")
     certified = _record_calls(monkeypatch, povm, "certify")
     kernel = _record_calls(monkeypatch, quadrature, "_ring_sums")
-    # one order-(N+1) sum of the POVM, one of the cross-check grid
+    dfs = _record_calls(monkeypatch, quadrature, "_dfs_harmonic_sums")
+    # one order-(N+1) sum of the POVM, on certify's route in quadrature, and
+    # one of the cross-check grid
     assert main(["score", str(path)]) == EXIT_OK
+    assert [(args[0], args[1].size) for args in kernel] == [(copies + 1, n)]
     assert [(args[0], args[1].size) for args in sums] == [
-        (copies + 1, n), (copies + 1, product_rule(copies + 1).n)
+        (copies + 1, product_rule(copies + 1).n)
     ]
     # with --grid only the POVM's sum, for the completeness bound
     sums.clear()
+    kernel.clear()
     assert main(["score", str(path), "--grid", str(octa_file)]) == EXIT_OK
-    assert [(args[0], args[1].size) for args in sums] == [(copies + 1, n)]
-    assert certified == [] and kernel == []
+    assert [(args[0], args[1].size) for args in kernel] == [(copies + 1, n)]
+    assert sums == [] and certified == [] and dfs == []
+
+
+def test_score_of_a_rotated_povm_takes_certifys_route(tmp_path, monkeypatch, capsys):
+    # n = 3321 points on as many latitudes: past the double-Fourier-sphere
+    # crossover of certify's cost model, so the POVM's sums go through it
+    q = product_rule(80)
+    theta, phi = rotate_angles(q.theta, q.phi, rotation_matrix([0.3, -1.0, 0.7], 0.9))
+    path = tmp_path / "rotated.json"
+    path.write_text(povm_to_json(FinitePovm(80, 81 / FOUR_PI * q.weights, theta, phi)))
+    dfs = _record_calls(monkeypatch, quadrature, "_dfs_harmonic_sums")
+    assert main(["score", str(path)]) == EXIT_OK
+    assert [(args[0], args[1].size) for args in dfs] == [(81, 3321)]
+    out = capsys.readouterr().out
+    score = exact_score(povm_from_json(path.read_text()))
+    assert f"score_exact: {score!r}\n" in out
+    assert float(out.split("difference:")[1]) <= 1e-14
+
+
+def test_score_grid_reads_both_point_layouts(povm1_file, tmp_path, capsys):
+    # x y z w, the layout of the bundled Lebedev grids: only the directions count
+    weighted = default_grid_dir() / "lebedev_0050.txt"
+    assert main(["score", str(povm1_file), "--grid", str(weighted)]) == EXIT_OK
+    table = capsys.readouterr().out
+    assert len(table.splitlines()) == 51
+    rows = np.loadtxt(weighted)
+    plain = tmp_path / "plain.txt"
+    np.savetxt(plain, rows[:, :3], fmt="%.17g")
+    assert main(["score", str(povm1_file), "--grid", str(plain)]) == EXIT_OK
+    assert capsys.readouterr().out == table
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_score_grid_table_matches_the_per_value_writer(fmt, povm1_file, octa_file,
+                                                       monkeypatch, capsys):
+    values = np.array([-0.0, 5e-324, 2.0 * math.pi, 1e300])
+    grid = SphericalQuadrature(values, values[::-1], np.ones(4))
+    scores = np.roll(values, 1)
+    monkeypatch.setattr(cli, "_load_pointset", lambda path, mode: grid)
+    monkeypatch.setattr(cli, "score_by_direction", lambda p, directions: scores)
+    assert main(["score", str(povm1_file), "--grid", str(octa_file), "--format", fmt]) == EXIT_OK
+    rows = zip(grid.theta, grid.phi, scores)
+    if fmt == "csv":
+        expected = "theta,phi,score\n" + "".join(
+            f"{_fmt(t)},{_fmt(p)},{_fmt(v)}\n" for t, p, v in rows
+        )
+    else:
+        points = ",\n    ".join(
+            f'{{"theta": {_fmt(t)}, "phi": {_fmt(p)}, "score": {_fmt(v)}}}' for t, p, v in rows
+        )
+        expected = f'{{\n  "N": 1,\n  "scores": [\n    {points}\n  ]\n}}\n'
+    assert capsys.readouterr().out == expected
 
 
 def test_simulate_still_certifies_the_file_once(povm1_file, monkeypatch, capsys):

@@ -26,6 +26,7 @@ from povmquad.quadrature import (
     SIZE_BUDGET_BYTES,
     SphericalQuadrature,
     _dfs_allowance,
+    _fmt,
     certify,
     detect_strength,
     ingest_pointset,
@@ -435,6 +436,19 @@ def test_quadrature_json_export_round_trip():
     assert obj["label"] == q.label
     for point, t, p, w in zip(obj["points"], q.theta, q.phi, q.weights):
         assert point["theta"] == t and point["phi"] == p and point["weight"] == w
+
+
+def test_quadrature_json_matches_the_per_value_writer():
+    values = np.array([-0.0, 5e-324, 2.0 * math.pi, 1e300])
+    q = SphericalQuadrature(values, values[::-1], np.roll(values, 1), label="extremes")
+    points = ",\n    ".join(
+        f'{{"theta": {_fmt(t)}, "phi": {_fmt(p)}, "weight": {_fmt(w)}}}'
+        for t, p, w in zip(q.theta, q.phi, q.weights)
+    )
+    assert quadrature_to_json(q) == (
+        '{\n  "label": "extremes",\n  "n": 4,\n  "convention": "solid_angle_4pi",\n'
+        f'  "points": [\n    {points}\n  ]\n}}\n'
+    )
 
 
 def test_quadrature_construction_guards():
