@@ -57,6 +57,10 @@ FOUR_PI = 2.0 * TWO_PI
 DEFAULT_TOL = 1e-10
 _DUPLICATE_CHORD = 1e-9
 _UNIT_NORM_SLACK = 1e-6
+# Ingest keeps vectors whose norm is within 4 ulps of 1 as written: dividing
+# them only rounds again, and moves z by an ulp on some points of a latitude
+# ring, which splits the ring.
+_AS_WRITTEN_SLACK = 4 * 2.0**-52
 # Duplicate-scan sweep axis, (1, sqrt 2, pi) normalized: it lines up with
 # no coordinate axis and no symmetry of the bundled grids.
 _SWEEP_AXIS = np.array([1.0, math.sqrt(2.0), math.pi]) / math.sqrt(3.0 + math.pi**2)
@@ -293,7 +297,7 @@ def certify(
     if not allow_signed and not q.all_weights_positive:
         raise WeightError(
             f"{q.label or 'quadrature'} has a non-positive weight "
-            f"(min {q.weights.min()!r})"
+            f"(min {float(q.weights.min())})"
         )
     residual_per_l, _ = _bounded_sums(l_max, q.theta, q.phi, q.weights, tol)
     failing = np.nonzero(residual_per_l > tol)[0]
@@ -322,6 +326,8 @@ def detect_strength(
 
 
 def _parse_point_lines(stream, n_columns: int):
+    """(values, line_numbers) of the data lines of `stream`, one line at a
+    time: the reference of _read_points, which it falls back to."""
     rows = []
     line_numbers = []
     for lineno, raw in enumerate(stream, start=1):
@@ -347,6 +353,46 @@ def _parse_point_lines(stream, n_columns: int):
     return values, line_numbers
 
 
+class _LineNumbers:
+    """Line number of each data row of `lines`, counted on the first lookup:
+    only an error message needs one."""
+
+    def __init__(self, lines):
+        self._lines = lines
+        self._numbers = None
+
+    def __getitem__(self, i):
+        if self._numbers is None:
+            self._numbers = [
+                lineno for lineno, raw in enumerate(self._lines, start=1)
+                if raw.split("#", 1)[0].strip()
+            ]
+        return self._numbers[i]
+
+
+def _read_points(lines, n_columns: int):
+    """(values, line_numbers) of a list of point-file lines, parsed in one
+    np.loadtxt call. Its rows are the data lines of _parse_point_lines: both
+    skip what follows '#' and split on str.isspace characters, and numpy
+    refuses a line break inside a line. When the call raises or warns (no
+    data), or gives another column count or a non-finite value, the
+    per-line loop runs instead: it raises its error naming the line, or reads
+    what float() takes and numpy does not (1_0)."""
+    # loaded at interpreter start; imported here, it leaves the import of
+    # povmquad as it was
+    import warnings
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(lines, ndmin=2)
+    except (ValueError, TypeError, Warning):
+        return _parse_point_lines(lines, n_columns)
+    if values.shape[1] != n_columns or not np.isfinite(values).all():
+        return _parse_point_lines(lines, n_columns)
+    return values, _LineNumbers(lines)
+
+
 def _check_duplicates(xyz: np.ndarray, line_numbers, chord_tol: float):
     """Raise DuplicatePoint on the first pair (lowest i, then lowest j) of
     unit vectors within chord_tol.
@@ -364,7 +410,13 @@ def _check_duplicates(xyz: np.ndarray, line_numbers, chord_tol: float):
     proj = xyz @ _SWEEP_AXIS
     order = np.argsort(proj)
     proj = np.append(proj[order], np.inf)  # no pair reaches past the end
-    # each projection of a near-unit vector is off by under 3 ulps of 1
+    # ingested vectors have norm under 1 + 6 ulps of 1, whether kept as
+    # written (computed norm within 4 ulps of 1) or divided by their norm, so
+    # each projection, a 3-term dot product with the unit axis, is off by
+    # under 3u |a| |x| < 1.6 ulps of 1 (u = 2^-53) and a pair's difference by
+    # under 3.2 ulps; a pair that passes the chord test is apart along the
+    # axis by at most a few u times the chord beyond it, far below an ulp of
+    # 1. Eight ulps keep a margin of more than 2.
     slab = chord_tol + 8.0 * np.finfo(float).eps
     start = np.arange(n)  # sorted positions whose pair d apart is in a slab
     best = n * n  # i * n + j of the first close pair
@@ -396,29 +448,37 @@ def ingest_pointset(stream, weight_mode: str = "uniform", label: str = "") -> Sp
     - "explicit": 4 columns; weights are rescaled to sum to 4*pi and the
       scale factor recorded on the result.
 
-    NaN or infinite values raise ParseError naming the first offending
-    line. Vectors are renormalized (norms more than 1e-6 off unit raise
+    The text is parsed in one np.loadtxt call. Where that call fails, a
+    per-line loop reads it instead, so a malformed file still raises
+    ParseError naming its first bad line; the loop also reads the tokens that
+    float() takes and numpy does not, such as 1_0. NaN or infinite values
+    raise ParseError naming the first offending line. Vectors within 4 ulps
+    of unit norm are kept exactly as written, so the points of a latitude
+    ring keep the z the file gave them and the ring stays whole; the others
+    are divided by their norm (norms more than 1e-6 off unit raise
     ParseError, near-zero norms raise ZeroVector, each naming the first
-    offending line); two points closer than 1e-9 rad raise DuplicatePoint,
+    offending line). Two points closer than 1e-9 rad raise DuplicatePoint,
     found by one sort of their projections onto a fixed axis.
     """
     if weight_mode not in ("uniform", "explicit"):
         raise DomainError(f"unknown weight_mode {weight_mode!r}")
     n_columns = 3 if weight_mode == "uniform" else 4
-    rows, line_numbers = _parse_point_lines(stream, n_columns)
+    rows, line_numbers = _read_points(list(stream), n_columns)
     xyz = rows[:, :3]
     norms = np.sqrt(np.einsum("ij,ij->i", xyz, xyz))
     zero = norms < 1e-9
-    bad = np.flatnonzero(zero | (np.abs(norms - 1.0) > _UNIT_NORM_SLACK))
+    off = np.abs(norms - 1.0)
+    bad = np.flatnonzero(zero | (off > _UNIT_NORM_SLACK))
     if bad.size:
         i = bad[0]
         if zero[i]:
             raise ZeroVector(f"line {line_numbers[i]}: zero vector")
         raise ParseError(
-            f"vector norm {norms[i]!r} off unit by more than {_UNIT_NORM_SLACK:g}",
+            f"vector norm {float(norms[i])} off unit by more than {_UNIT_NORM_SLACK:g}",
             line=line_numbers[i],
         )
-    xyz = xyz / norms[:, None]
+    divide = off > _AS_WRITTEN_SLACK
+    xyz[divide] /= norms[divide, None]
     _check_duplicates(xyz, line_numbers, _DUPLICATE_CHORD)
     n = xyz.shape[0]
     if weight_mode == "uniform":
@@ -428,7 +488,7 @@ def ingest_pointset(stream, weight_mode: str = "uniform", label: str = "") -> Sp
         raw = rows[:, 3]
         total = raw.sum()
         if not total > 0.0:
-            raise WeightError(f"explicit weights sum to {total!r}; cannot rescale to 4*pi")
+            raise WeightError(f"explicit weights sum to {float(total)}; cannot rescale to 4*pi")
         scale = FOUR_PI / total
         weights = raw * scale
     z = np.clip(xyz[:, 2], -1.0, 1.0)

@@ -580,6 +580,21 @@ def test_certify_non_finite_value_is_parse_error_on_its_line(lines, tmp_path, ca
     assert len(recwarn) == 0
 
 
+@pytest.mark.parametrize("text, code, message", [
+    ("0 0 1\n0 0 1.5\n", EXIT_PARSE, "line 2: vector norm 1.5 off unit by more than 1e-06"),
+    ("0 0 1 1.0\n0 0 -1 -1.0\n", EXIT_VERIFY,
+     "explicit weights sum to 0.0; cannot rescale to 4*pi"),
+    # weights 1, 1, -1 rescale to 4 pi, 4 pi, -4 pi
+    ("0 0 1 1\n0 0 -1 1\n1 0 0 -1\n", EXIT_VERIFY,
+     "points.txt has a non-positive weight (min -12.566370614359172)"),
+], ids=["vector-norm", "weight-sum", "weight-min"])
+def test_point_file_messages_print_numbers_as_floats(text, code, message, tmp_path, capsys):
+    path = tmp_path / "points.txt"
+    path.write_text(text)
+    assert main(["certify", str(path), "--lmax", "2"]) == code
+    assert capsys.readouterr().err == f"povmquad certify: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "{bad}"],
     ["strength", "{bad}"],

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from povmquad.errors import (
     WeightError,
     ZeroVector,
 )
-from povmquad.harmonics import _ring_sums, weighted_harmonic_sums
+from povmquad.harmonics import _latitude_rings, _ring_sums, weighted_harmonic_sums
 from povmquad.povm import povm_from_quadrature, scalar_completeness_residual
 from povmquad.quadrature import (
     DEFAULT_TOL,
@@ -486,6 +488,180 @@ def test_ingest_rejects_non_finite_values_with_their_line(mode, lines):
     with pytest.raises(ParseError, match="non-finite value") as err:
         ingest_pointset(lines, mode)
     assert err.value.line == len(lines)
+
+
+# Point files through both parsers: the np.loadtxt call of ingest and the
+# per-line loop it falls back to.
+_PARSE_NUMBERS = (
+    st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-3, 3).map(str)
+)
+_PARSE_ODD_TOKENS = st.sampled_from([
+    "1_0", "0x1p3", "nan", "-nan", "inf", "-Infinity", "+1e5", "1e400", "1e-320", "-0", ".5", "1.",
+    "e5", "", "#", "\u00a0", "\u200b",
+])
+_PARSE_SEPARATORS = st.sampled_from([" ", "  ", "\t", "\x0c", "\x1c", " \t "])
+_PARSE_ENDINGS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def point_texts(draw):
+    r"""Text of a point file: up to eight rows of one column count from 2 to 5,
+    tokens joined by spaces, tabs, \x0c or \x1c, with comment, blank and
+    whitespace lines and trailing comments anywhere, LF, CRLF or CR endings;
+    empty and comment-only files included. Half the files hold finite
+    numbers only; the others also odd tokens (1_0, 0x1p3, nan, inf, +1e5,
+    ...) and rows of other widths."""
+    columns = draw(st.sampled_from([2, 3, 3, 3, 4, 4, 4, 5]))
+    clean = draw(st.booleans())
+    tokens = _PARSE_NUMBERS if clean else _PARSE_NUMBERS | _PARSE_ODD_TOKENS
+    widths = st.just(columns) if clean else st.sampled_from([columns] * 3 + [2, 3, 4, 5])
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        width = draw(widths)
+        line = draw(_PARSE_SEPARATORS).join(draw(st.lists(tokens, min_size=width, max_size=width)))
+        if draw(st.integers(0, 4)) == 0:
+            line += " # " + draw(st.text(max_size=4))
+        lines.append(line)
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(["", "# comment", "   ", "\t", "\x0c", "\x1c", "#"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    ending = draw(_PARSE_ENDINGS)
+    text = ending.join(lines)
+    if lines and draw(st.booleans()):
+        text += ending
+    return text
+
+
+def _parse_outcome(parse, lines, n_columns):
+    """Values (as bytes), shape and every line number, or the exception."""
+    try:
+        values, line_numbers = parse(lines, n_columns)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return values.tobytes(), values.shape, [line_numbers[i] for i in range(len(values))]
+
+
+def _assert_parsers_agree(text):
+    # as the CLI splits a file, and as a text stream yields it
+    for lines in (text.split("\n"), list(io.StringIO(text, newline=""))):
+        for n_columns in (3, 4):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fast = _parse_outcome(quadrature._read_points, lines, n_columns)
+            assert caught == []  # numpy's "no data" warning stays inside
+            loop = _parse_outcome(quadrature._parse_point_lines, lines, n_columns)
+            assert fast == loop
+
+
+@settings(max_examples=400, deadline=None)
+@given(point_texts())
+def test_fast_parse_matches_the_per_line_loop(text):
+    _assert_parsers_agree(text)
+
+
+def test_fast_parse_matches_the_loop_on_bundled_and_test_files():
+    paths = sorted(default_grid_dir().glob("*.txt"))
+    paths += sorted(p for p in (Path(__file__).parent / "data").iterdir() if p.is_file())
+    assert len(paths) >= 12
+    for path in paths:
+        _assert_parsers_agree(path.read_text(encoding="utf-8"))
+
+
+def test_well_formed_files_never_run_the_per_line_loop(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ran the per-line loop")
+
+    monkeypatch.setattr(quadrature, "_parse_point_lines", refuse)
+    lines = ["# header", "0 0 1 2", "", "1 0 0 1  # tail", "0 1 0 1\r"]
+    values, line_numbers = quadrature._read_points(lines, 4)
+    assert values.tolist() == [[0, 0, 1, 2], [1, 0, 0, 1], [0, 1, 0, 1]]
+    assert [line_numbers[i] for i in range(3)] == [2, 4, 5]
+    with pytest.raises(DuplicatePoint, match="lines 2 and 5 coincide"):
+        ingest_pointset(["# header", "0 0 1", "", "1 0 0", "0 0 1"], "uniform")
+
+
+def _rule_text(order):
+    """The product rule of the order as bench-style '%.17g' 'x y z w' lines."""
+    q = product_rule(order)
+    return quadrature._format_rows(
+        "%.17g %.17g %.17g %.17g\n", "", *angles_to_xyz(q.theta, q.phi).T, q.weights
+    )
+
+
+@pytest.fixture(scope="module")
+def rule_1000_text():
+    return _rule_text(1000)
+
+
+@pytest.mark.parametrize("order", [131, 1000])
+def test_rule_files_ingest_into_whole_equispaced_rings(order, rule_1000_text, tmp_path):
+    # dividing every vector by its norm moved z by an ulp on some points of
+    # a ring: 89 rings at order 131, and 708 rings, 295 routed, at order 1000
+    path = tmp_path / "rule.txt"
+    path.write_text(rule_1000_text if order == 1000 else _rule_text(order))
+    g = _load_pointset(path, "auto")
+    rings = _latitude_rings(g.theta, g.phi, g.weights)
+    assert rings.bounds.size - 1 == (order + 2) // 2
+    assert np.all(rings.period == order + 1)
+
+
+def test_a_copied_first_line_of_the_order_1000_file_is_named(rule_1000_text, tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text(rule_1000_text + rule_1000_text.split("\n", 1)[0] + "\n")
+    with pytest.raises(DuplicatePoint, match="lines 1 and 501502 coincide"):
+        _load_pointset(path, "auto")
+
+
+def test_only_vectors_off_unit_by_more_than_4_ulps_are_divided():
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    v = rng.normal(size=(200, 3))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    for scale in (1.0, 1.0 + 4 * eps, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-7):
+        w = v * scale
+        norms = np.sqrt(np.einsum("ij,ij->i", w, w))
+        kept = np.abs(norms - 1.0) <= 4 * eps
+        if scale == 1.0:
+            assert kept.all()
+        elif abs(scale - 1.0) > 1e-13:
+            assert not kept.any()
+        q = ingest_pointset([" ".join(_fmt(x) for x in row) for row in w], "uniform")
+        z = np.where(kept, w[:, 2], w[:, 2] / norms)
+        assert np.array_equal(q.theta, np.arccos(np.clip(z, -1.0, 1.0)))
+        # kept vectors keep their z; divided ones move
+        as_written = q.theta == np.arccos(np.clip(w[:, 2], -1.0, 1.0))
+        assert as_written.all() if kept.all() else not as_written.all()
+
+
+def test_close_pair_among_vectors_kept_as_written_names_its_lines():
+    # the order-20 rule with a copy of point 40 moved 5e-10 rad in azimuth,
+    # written after point 150, behind a comment line
+    q = product_rule(20)
+    theta = np.insert(q.theta, 150, q.theta[40])
+    phi = np.insert(q.phi, 150, q.phi[40] + 5e-10)
+    xyz = angles_to_xyz(theta, phi)
+    norms = np.sqrt(np.einsum("ij,ij->i", xyz, xyz))
+    assert np.all(np.abs(norms - 1.0) <= 4 * np.finfo(float).eps)
+    i, j = first_close_pair(xyz, _CHORD)
+    assert (i, j) == (40, 150)
+    lines = ["# order 20, one point repeated"] + [" ".join(_fmt(x) for x in row) for row in xyz]
+    with pytest.raises(DuplicatePoint, match=f"lines {i + 2} and {j + 2} coincide"):
+        ingest_pointset(lines, "uniform")
+
+
+def test_duplicate_scan_slab_holds_for_vectors_a_few_ulps_off_unit():
+    # as the test above along the sweep axis, with both vectors written at
+    # norms up to 4 ulps off unit, which ingest keeps as they are
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(400, 3))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    scales = 1.0 + eps * rng.integers(-4, 5, size=(400, 2))
+    found = [
+        _assert_scan_matches_oracle(np.array([p * a, (p + _CHORD * _AXIS) * b]), [1, 2])
+        for p, (a, b) in zip(x, scales)
+    ]
+    assert 0 < found.count(None) < len(found)
 
 
 def _refuse_dfs(*args):
