@@ -45,13 +45,7 @@ from .povm import (
     spin_subspaces,
 )
 from .quadrature import _format_rows, certify, ingest_pointset, product_rule, product_rule_count
-from .simulate import (
-    _NORMALIZATION_TOL,
-    _averaged_score,
-    _certified_sums,
-    run_game,
-    score_by_direction,
-)
+from .simulate import _NORMALIZATION_TOL, quadrature_averaged_score, run_game, score_by_direction
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -264,10 +258,10 @@ def cmd_score(args) -> int:
         raise DomainError("--out and --format apply only to the --grid table")
     povm = povm_from_json(_read_text(args.file), label=args.file.name)
     povm.validate()
-    # score_quadrature_avg is sum(c)/(N+2) for any directions, so only a
-    # certified completeness bound catches moved outcome directions; one
-    # order-(N+1) sum of the POVM serves both
-    bound, sums = _certified_sums(povm)
+    # score_quadrature_avg is sum(c)/(N+2) for any directions (an identity:
+    # quadrature_averaged_score), so the check that can fail is this
+    # certified completeness bound, the one construct and simulate take
+    bound = scalar_completeness_residual(povm)
     if not bound <= _NORMALIZATION_TOL:
         raise NotNormalized(
             f"{args.file.name}: certified completeness bound {bound:.3e} "
@@ -275,7 +269,7 @@ def cmd_score(args) -> int:
         )
     if args.grid is None:
         score = exact_score(povm)
-        averaged = _averaged_score(sums, povm.copies + 1)
+        averaged = quadrature_averaged_score(povm)
         print(f"score_exact: {score!r}")
         print(f"score_quadrature_avg: {averaged!r}")
         print(f"difference: {abs(score - averaged):.3e}")

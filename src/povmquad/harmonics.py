@@ -72,9 +72,9 @@ _DELTA_ERR = _EPS * _RING_SLACK + 24.0 * math.pi * _EPS * _EPS
 # on: below it, finding them and bounding what they cancel cost about as
 # much as the all-orders recurrence over a few rings. On product rules (one
 # BLAS thread) routing starts to pay at l_max + 1 = 8 for sums without the
-# allowance, 12 with it, and 16 with it and two orders per period (score's
-# sums of a POVM), where it is 145 against 146 us. The operator check of
-# povm routes its rings from N + 1 = 16 on as well.
+# allowance, 12 with it, and 16 with it and two orders per period, where it
+# is 145 against 146 us. The operator check of povm routes its rings from
+# N + 1 = 16 on as well.
 _ROUTE_MIN_ROWS = 16
 
 
@@ -136,18 +136,18 @@ def _ring_phases(rows: int, eiphi, w, ring_starts) -> np.ndarray:
     return phase.view(float).reshape(rows, -1, 2).transpose(0, 2, 1)
 
 
-def _ring_recurrence(ring_phase: np.ndarray, xr, s2r, sums: np.ndarray, step: int = 1):
+def _ring_recurrence(ring_phase: np.ndarray, xr, s2r, sums: np.ndarray, coeffs, step: int = 1):
     """Add sum_r P~_l^m(xr_r) W[k, :, r] to sums[l, m, :] for m = k step <= l < rows.
 
     One normalized associated-Legendre recurrence steps l once for the
     orders m = 0, step, 2 step, ... at once, over blocks of at most
     _BLOCK_ELEMS Legendre values; row k of ring_phase holds order k step.
-    Ring r lies at cos(theta) = xr[r] and sin(theta)^2 = s2r[r] (>= 0).
-    No Condon-Shortley phase.
+    Ring r lies at cos(theta) = xr[r] and sin(theta)^2 = s2r[r] (>= 0);
+    coeffs = orthopoly._norm_coeffs(rows - 1 or more). No Condon-Shortley phase.
     """
     rows = sums.shape[0]
     orders = ring_phase.shape[0]
-    amm, a, b = _norm_coeffs(rows - 1)
+    amm, a, b = coeffs
     block = max(1, _BLOCK_ELEMS // orders)
     for r0 in range(0, xr.size, block):
         r1 = min(xr.size, r0 + block)
@@ -315,6 +315,7 @@ def _ring_spin(s: int, phi, delta, bounds):
 class _Rings(NamedTuple):
     """Points sorted by cos(theta) and grouped into latitude rings."""
 
+    theta: np.ndarray  # as given, in the order of x
     x: np.ndarray  # cos(theta), ascending
     phi: np.ndarray
     w: np.ndarray
@@ -336,7 +337,7 @@ def _latitude_rings(theta, phi, weights, detect: bool = True) -> _Rings:
     flip = None
     if theta.size and (theta.min() < 0.0 or theta.max() > math.pi):
         flip = (np.sin(theta) < 0.0)[order]
-    x = x[order]
+    theta, x = theta[order], x[order]
     phi = np.asarray(phi, dtype=float)[order]
     w = np.asarray(weights, dtype=float)[order]
     edge = np.ones(x.size + 1, dtype=bool)
@@ -347,7 +348,7 @@ def _latitude_rings(theta, phi, weights, detect: bool = True) -> _Rings:
         period, deviation, delta = _ring_periods(phi, w, bounds)
         if flip is not None:
             period[np.logical_or.reduceat(flip, bounds[:-1])] = 0
-    return _Rings(x, phi, w, flip, bounds, period, deviation, delta)
+    return _Rings(theta, x, phi, w, flip, bounds, period, deviation, delta)
 
 
 def _subset(bounds, take):
@@ -387,7 +388,7 @@ def _ring_cost(l_max: int, rings: _Rings) -> float:
     return (count - routed.size) + float(np.sum(-(-rows // routed))) / rows
 
 
-def _add_columns(sums: np.ndarray, step: int, xr, ring_phase):
+def _add_columns(sums: np.ndarray, step: int, xr, ring_phase, coeffs):
     """_ring_recurrence for one or two orders, one Legendre column each:
     two numpy calls per step in l and one product with the phases at the
     end, where the batched recurrence takes about eight calls per step.
@@ -396,7 +397,7 @@ def _add_columns(sums: np.ndarray, step: int, xr, ring_phase):
     _ring_recurrence, and certify(product_rule(1000), 1002) 93 ms against
     150 ms."""
     rows = sums.shape[0]
-    amm, a, b = _norm_coeffs(rows - 1)
+    amm, a, b = coeffs
     for k, m in enumerate(range(0, rows, step)):
         col = np.empty((rows - m, xr.size))
         if m:
@@ -420,7 +421,7 @@ def _add_columns(sums: np.ndarray, step: int, xr, ring_phase):
         sums[m:, m] += col @ ring_phase[k].T
 
 
-def _add_rings(sums: np.ndarray, step: int, x, eiphi, w, bounds):
+def _add_rings(sums: np.ndarray, step: int, x, eiphi, w, bounds, coeffs):
     """Add the rings bounds[r]:bounds[r + 1] of sorted points to the (re, im)
     accumulator, at the orders m = 0, step, 2 step, ... only: with
     eiphi = e^{i step phi} (_ring_spin), row k of the ring phases is order
@@ -442,11 +443,11 @@ def _add_rings(sums: np.ndarray, step: int, x, eiphi, w, bounds):
             ring_phase = _ring_phases(orders, eiphi[k0:k1], w[k0:k1], starts[r0:r1] - k0)
         xr = x[starts[r0:r1]]
         if columns:
-            _add_columns(sums, step, xr, ring_phase)
+            _add_columns(sums, step, xr, ring_phase, coeffs)
         else:
             # sin(theta)^2 from x, so sin(theta) = sqrt(1 - x^2) >= 0
             s2r = np.maximum((1.0 - xr) * (1.0 + xr), 0.0)
-            _ring_recurrence(ring_phase, xr, s2r, sums, step)
+            _ring_recurrence(ring_phase, xr, s2r, sums, coeffs, step)
 
 
 def _cancelled_phases(rings: _Rings, s: int, rows: int) -> np.ndarray:
@@ -521,6 +522,7 @@ def _ring_sums(l_max: int, theta, phi, weights, max_allowance: float | None = ma
             periods = []
             allowance[:] = 0.0
     sums = np.zeros((rows, rows, 2))
+    coeffs = _norm_coeffs(l_max)
     other = period == 0 if periods else np.ones(rings.bounds.size - 1, dtype=bool)
     if other.any():
         points, bounds = _subset(rings.bounds, other)
@@ -528,12 +530,12 @@ def _ring_sums(l_max: int, theta, phi, weights, max_allowance: float | None = ma
         if rings.flip is not None:
             # the recurrence takes sin(theta) = sqrt(1 - x^2) >= 0
             eiphi[rings.flip[points]] *= -1.0
-        _add_rings(sums, 1, rings.x[points], eiphi, rings.w[points], bounds)
+        _add_rings(sums, 1, rings.x[points], eiphi, rings.w[points], bounds, coeffs)
     for s in periods:
         points, bounds = _subset(rings.bounds, period == s)
         # only m = 0 when s > l_max: no phases but the weights
         spin = _ring_spin(s, rings.phi[points], rings.delta[points], bounds) if s < rows else None
-        _add_rings(sums, s, rings.x[points], spin, rings.w[points], bounds)
+        _add_rings(sums, s, rings.x[points], spin, rings.w[points], bounds, coeffs)
     out = _signed_sums(sums)
     if allowance is not None and (len(periods) > 1 or (periods and other.any())):
         # orders that other rings may feed as well
@@ -559,13 +561,13 @@ def weighted_harmonic_sums(l_max: int, theta, phi, weights) -> np.ndarray:
     as exactly 0, although the ring's deviations of a few ulps from the
     ideal azimuths leave up to about 4e-12 there at l_max = 1000. This
     function does not report that allowance, so a residual taken from
-    these sums alone is not an upper bound: certify and score take their
-    sums and bounds from quadrature._bounded_sums, which adds it. Rings are
-    processed in blocks of at most _BLOCK_ELEMS Legendre values, so working
-    memory beyond the O(n) inputs does not grow with n. Only m >= 0 is
-    returned; for real weights |S[l, -m]| = |S[l, m]|. A polar angle
-    outside [0, pi] counts as the point it names: where sin(theta) < 0
-    that is (arccos(cos theta), phi + pi).
+    these sums alone is not an upper bound: certify, and so every
+    completeness bound, takes them from quadrature._bounded_sums, which
+    adds it. Rings are processed in blocks of at most _BLOCK_ELEMS Legendre
+    values, so working memory beyond the O(n) inputs does not grow with n.
+    Only m >= 0 is returned; for real weights |S[l, -m]| = |S[l, m]|. A
+    polar angle outside [0, pi] counts as the point it names: where
+    sin(theta) < 0 that is (arccos(cos theta), phi + pi).
     """
     return _ring_sums(l_max, theta, phi, weights, None)[0]
 
@@ -607,5 +609,5 @@ def _dfs_harmonic_sums(l_max: int, theta, phi, weights) -> np.ndarray:
     sin_j[-1] = 0.0
     sums = np.zeros((rows, rows, 2))
     phases = np.stack((ring.real.T, ring.imag.T), axis=1)
-    _ring_recurrence(phases, np.cos(theta_j), sin_j * sin_j, sums)
+    _ring_recurrence(phases, np.cos(theta_j), sin_j * sin_j, sums, _norm_coeffs(l_max))
     return _signed_sums(sums)

@@ -75,9 +75,12 @@ def legendre_eval(l: int, x):
     return p, dp
 
 
-# One coefficient table (amm, a, b) for every cap: entries depend on (l, m)
-# only, so it is grown to the largest l_max requested so far and callers get
-# read-only leading views.
+# One coefficient table (amm, a, b) for every cap up to _SHARED_ORDER: entries
+# depend on (l, m) only, so it grows to the largest such l_max asked for and
+# callers get read-only leading views. At 512 it holds 4.2 MB and covers the
+# caps bench/run.py times (up to 402). Past it, a table extended from it serves
+# one kernel call (L = 602 / 1002 / 2000: 3 / 28 / 132 ms, 6 / 16 / 64 MB).
+_SHARED_ORDER = 512
 _NORM_TABLE = (np.empty(0), np.empty((0, 0)), np.empty((0, 0)))
 
 
@@ -86,8 +89,8 @@ def _norm_coeffs(l_max: int):
 
     amm[m] starts the diagonal: P~_m^m = amm[m] (1-x^2)^{m/2};
     a[l, m], b[l, m] step up in l: P~_l^m = a x P~_{l-1}^m + b P~_{l-2}^m.
-    Returns read-only leading views of the shared table, first extended by
-    the missing rows when l_max exceeds its size.
+    Returns read-only leading views of the table (see _SHARED_ORDER),
+    first extended by the missing rows when l_max exceeds its size.
     """
     global _NORM_TABLE
     amm, a, b = _NORM_TABLE
@@ -114,7 +117,8 @@ def _norm_coeffs(l_max: int):
         )
         for arr in (amm, a, b):
             arr.setflags(write=False)
-        _NORM_TABLE = amm, a, b
+        if l_max <= _SHARED_ORDER:
+            _NORM_TABLE = amm, a, b
     return amm[:size], a[:size, :size], b[:size, :size]
 
 

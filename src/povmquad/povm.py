@@ -45,14 +45,15 @@ only, so on a ring of points at one polar angle theta_r
     W_r[d] = sum_{k : theta_k = theta_r} w_k e^{i d phi_k}.
 
 From N = harmonics._ROUTE_MIN_ROWS - 1 on, a ring of s > N equal weights
-at equispaced azimuths (harmonics._ring_periods) has W_r[d] = 0 up to its
-deviations at every offset 1 <= d <= N, so it adds to the diagonal alone
-and an allowance of d max_j sum_r deviation_r mag_j(theta_r)^2 is added
-at offset d (_ring_gram_residual): the residual stays an upper bound. A
-product rule, s = N + 1, is all such rings: O(n + R N), about 2e-12 of
-allowance at N = 1000. Beyond sorted copies of the inputs and the
-(N+1) x (N+1) result, each working array holds at most _GRAM_BLOCK_ELEMS
-values, whatever n and N.
+at equispaced azimuths and one polar angle (harmonics._latitude_rings, as
+certify finds them) has W_r[d] = 0 up to its deviations at every offset
+1 <= d <= N, so it adds to the diagonal alone and an allowance of
+d max_j sum_r deviation_r mag_j(theta_r)^2 is added at offset d
+(_ring_gram_residual): the residual stays an upper bound. A product rule,
+s = N + 1, is all such rings: O(n + R N), about 2e-12 of allowance at
+N = 1000. Beyond sorted copies of the inputs and the (N+1) x (N+1)
+result, each working array holds at most _GRAM_BLOCK_ELEMS values,
+whatever n and N.
 """
 from __future__ import annotations
 
@@ -73,7 +74,7 @@ from .errors import (
     ParseError,
     WeightError,
 )
-from .harmonics import _ROUTE_MIN_ROWS, _ring_periods
+from .harmonics import _ROUTE_MIN_ROWS, _latitude_rings
 from .quadrature import (
     DEFAULT_TOL,
     FOUR_PI,
@@ -384,12 +385,19 @@ def _dicke_magnitudes(copies: int, theta) -> np.ndarray:
     cos(theta) loses eps/theta^2.
     """
     half = 0.5 * np.atleast_1d(np.asarray(theta, dtype=float))
-    j = np.arange(copies + 1)
+    j = np.arange(copies + 1.0)
     ch = np.cos(half)[:, None]
     sh = np.sin(half)[:, None]
-    logmag = (copies - j) * np.log(np.maximum(np.abs(ch), _TINY))
+    lc, ls = (np.log(np.maximum(np.abs(t), _TINY)) for t in (ch, sh))
+    # (N - j) lc + j ls as N big + k (small - big): big the log nearer 0, k
+    # the other's power (j or N - j). Nothing large cancels at a pole, and
+    # logmag is the one (n, N+1) array
+    big = np.maximum(lc, ls)
+    logmag = np.empty((half.size, copies + 1))
+    np.multiply(np.minimum(lc, ls) - big, j, out=logmag, where=lc >= ls)
+    np.multiply(np.minimum(lc, ls) - big, copies - j, out=logmag, where=lc < ls)
+    logmag += copies * big
     logmag += _half_log_binomials(copies)
-    logmag += j * np.log(np.maximum(np.abs(sh), _TINY))
     mag = np.exp(logmag, out=logmag)
     # the masks and signs touch only poles and theta outside [0, pi]
     cmin, smin = ch.min(), sh.min()
@@ -419,10 +427,12 @@ def _ring_gram_residual(copies: int, theta, phi, w, diag: float) -> float:
     Two paths, each in working arrays of at most _GRAM_BLOCK_ELEMS values:
 
     * from N + 1 = harmonics._ROUTE_MIN_ROWS on, an equispaced ring of
-      period s > N (harmonics._ring_periods) adds W_r[0] mag_j(theta_r)^2
-      to the diagonal alone. At an offset d = 1..N, which s does not divide,
-      |W_r[d]| <= d deviation_r and mag_{j+d} mag_j <= (mag_{j+d}^2 +
-      mag_j^2)/2, so these rings add at most d max_j f(j) with
+      period s > N (harmonics._latitude_rings, as certify finds them; a
+      ring with a point past a pole has none) whose points share theta_r,
+      not only its cosine, adds W_r[0] mag_j(theta_r)^2 to the diagonal
+      alone. At an offset d = 1..N, which s does not divide, |W_r[d]| <=
+      d deviation_r and mag_{j+d} mag_j <= (mag_{j+d}^2 + mag_j^2)/2, so
+      these rings add at most d max_j f(j) with
       f(j) = sum_r deviation_r mag_j(theta_r)^2. That allowance is added to
       every entry at offset d, so the result stays an upper bound; for a
       complete POVM f is about the mean |delta|;
@@ -432,18 +442,16 @@ def _ring_gram_residual(copies: int, theta, phi, w, diag: float) -> float:
     rows = copies + 1
     diagonal = spread = 0.0  # the rings' diagonal and max_j f(j)
     if rows >= _ROUTE_MIN_ROWS:
-        order = np.argsort(theta, kind="stable")
-        theta, phi, w = theta[order], phi[order], w[order]
-        # ring r holds the sorted points bounds[r]:bounds[r + 1]
-        edge = np.ones(theta.size + 1, dtype=bool)
-        np.not_equal(theta[1:], theta[:-1], out=edge[1:-1])
-        bounds = np.flatnonzero(edge)
-        period, deviation, _ = _ring_periods(phi, w, bounds)
-        ring = period > copies
+        rings = _latitude_rings(theta, phi, w)
+        theta, phi, w, starts = rings.theta, rings.phi, rings.w, rings.bounds[:-1]
+        # distinct polar angles can share a cosine (1e-9 and 1e-8 both give
+        # 1) but not their Dicke magnitudes
+        ring = rings.period > copies
+        ring &= np.minimum.reduceat(theta, starts) == np.maximum.reduceat(theta, starts)
         if ring.any():
-            weight = np.add.reduceat(w, bounds[:-1])[ring]
-            polar = theta[bounds[:-1][ring]]
-            deviation = deviation[ring]
+            weight = np.add.reduceat(w, starts)[ring]
+            polar = theta[starts[ring]]
+            deviation = rings.deviation[ring]
             diagonal, f = np.zeros(rows), np.zeros(rows)
             block = max(1, _GRAM_BLOCK_ELEMS // rows)
             for r0 in range(0, polar.size, block):
@@ -451,7 +459,7 @@ def _ring_gram_residual(copies: int, theta, phi, w, diag: float) -> float:
                 diagonal += weight[r0 : r0 + block] @ square
                 f += deviation[r0 : r0 + block] @ square
             spread = f.max()
-            rest = np.repeat(~ring, bounds[1:] - bounds[:-1])
+            rest = np.repeat(~ring, np.diff(rings.bounds))
             theta, phi, w = theta[rest], phi[rest], w[rest]
     if not theta.size:  # every point on the diagonal: the other entries are 0
         return float(max(np.abs(diagonal - diag).max(), copies * spread))

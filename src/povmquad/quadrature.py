@@ -9,9 +9,10 @@ to make sum_k lambda_k f(Omega_k) equal integral f dOmega (over the full
 Certification evaluates max_m |sum_k lambda_k Y_l^m(Omega_k)| for each l
 and compares it against a tolerance. Construction errors of a genuine rule
 sit at the 1e-13 level while the first non-exact order is typically
->= 1e-3, so strength detection is robust. The sums of certify and score
-(_bounded_sums) come from one of two kernels, chosen by a cost model on
-the point count n, the number R of distinct latitudes and the order L:
+>= 1e-3, so strength detection is robust. The sums of certify, which
+every completeness bound reads, come from one of two kernels
+(_bounded_sums), chosen by a cost model on the point count n, the number
+R of distinct latitudes and the order L:
 
 * the ring kernel (harmonics._ring_sums), O(R L^2 + n L): Lebedev
   orbits and every set with shared latitudes. A ring of s equal weights

@@ -53,16 +53,16 @@ from .errors import DomainError, NotNormalized
 from .harmonics import _ring_sums
 from .povm import (
     FinitePovm,
-    _completeness_bound,
     _direction_angles,
     _funk_hecke_coeffs,
     _overlap_blocks,
     _pow_int,
     _power_sums,
+    exact_score,
     optimal_score,
     scalar_completeness_residual,
 )
-from .quadrature import DEFAULT_TOL, FOUR_PI, SphericalQuadrature, _bounded_sums, _fmt, product_rule
+from .quadrature import FOUR_PI, SphericalQuadrature, _fmt
 from .sphere import Direction, TWO_PI, angles_to_xyz, substream
 
 DEFAULT_CHUNK_SIZE = 1 << 16
@@ -311,11 +311,9 @@ def score_by_direction(p: FinitePovm, grid) -> np.ndarray:
 def quadrature_averaged_score(p: FinitePovm, q: SphericalQuadrature | None = None) -> float:
     """Average of the conditional score E[score|Omega] over the rule q.
 
-    Defaults to the product rule of order N+1, which is exact for the
-    band-limited score and so cross-checks the Monte Carlo layer against
-    the analytic optimum. With M = N+1, the addition theorem expands
-    E[score|Omega] = sum_k c_k overlap_k^M into the harmonic sums
-    A = sum_k c_k Y_l^m(Omega_k) and B = sum_j (w_j/4pi) Y_l^m(Omega_j):
+    With M = N+1, the addition theorem expands E[score|Omega] =
+    sum_k c_k overlap_k^M into the harmonic sums A = sum_k c_k Y_l^m(Omega_k)
+    and B = sum_j (w_j/4pi) Y_l^m(Omega_j):
 
         avg = sum_{l=0..M} g_l [A_l0 B_l0 + 2 sum_{m>0} Re(A_lm conj(B_lm))],
         g_l = 4pi M!^2 / ((M-l)! (M+l+1)!).
@@ -327,26 +325,17 @@ def quadrature_averaged_score(p: FinitePovm, q: SphericalQuadrature | None = Non
     (O(n + R N) for product rules, whose rings feed only the orders their
     period lets through) and O(N^2) memory, instead of an n_p x n_q
     overlap matrix.
+
+    Without q, over any rule exact to order M (B_lm = delta_l0/sqrt(4pi)):
+    avg = g_0 A_00/sqrt(4pi) = sum(c)/(N+2) for every POVM, complete or not,
+    and that closed form is returned. It cannot see moved outcome
+    directions; scalar_completeness_residual can.
     """
-    power = p.copies + 1
-    return _averaged_score(_ring_sums(power, p.theta, p.phi, p.c, None)[0], power, q)
-
-
-def _averaged_score(a: np.ndarray, power: int, q: SphericalQuadrature | None = None) -> float:
-    """quadrature_averaged_score from the POVM's order-`power` sums A."""
     if q is None:
-        q = product_rule(power)
+        return exact_score(p)
+    power = p.copies + 1
+    a = _ring_sums(power, p.theta, p.phi, p.c, None)[0]
     b = _ring_sums(power, q.theta, q.phi, q.weights / FOUR_PI, None)[0]
     cross = a.real * b.real + a.imag * b.imag
     cross[:, 1:] *= 2.0
     return float(FOUR_PI * (_funk_hecke_coeffs(power) @ cross.sum(axis=1)))
-
-
-def _certified_sums(p: FinitePovm) -> tuple[float, np.ndarray]:
-    """Certified completeness bound of p and its sums A[l, m] = sum_k c_k Y_l^m(Omega_k)
-    to order N+1 (for _averaged_score), on certify's route (quadrature._bounded_sums)
-    at certify's default tolerance on the weights 4pi c/(N+1)."""
-    power = p.copies + 1
-    residual_per_l, a = _bounded_sums(power, p.theta, p.phi, p.c, DEFAULT_TOL * power / FOUR_PI)
-    weight_sum_residual = abs(float(p.c.sum()) / power - 1.0)
-    return _completeness_bound(FOUR_PI / power * residual_per_l, weight_sum_residual, p.copies), a

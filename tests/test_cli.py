@@ -22,7 +22,7 @@ from povmquad.cli import (
     default_grid_dir,
     main,
 )
-from povmquad import cli, povm, quadrature, simulate
+from povmquad import cli, harmonics, orthopoly, povm, quadrature, simulate
 from povmquad.povm import (
     FinitePovm,
     exact_score,
@@ -288,19 +288,37 @@ def test_score_sums_the_povm_once(copies, octa_file, tmp_path, monkeypatch, caps
     certified = _record_calls(monkeypatch, povm, "certify")
     kernel = _record_calls(monkeypatch, quadrature, "_ring_sums")
     dfs = _record_calls(monkeypatch, quadrature, "_dfs_harmonic_sums")
-    # one order-(N+1) sum of the POVM, on certify's route in quadrature, and
-    # one of the cross-check grid
-    assert main(["score", str(path)]) == EXIT_OK
-    assert [(args[0], args[1].size) for args in kernel] == [(copies + 1, n)]
-    assert [(args[0], args[1].size) for args in sums] == [
-        (copies + 1, product_rule(copies + 1).n)
-    ]
-    # with --grid only the POVM's sum, for the completeness bound
-    sums.clear()
-    kernel.clear()
-    assert main(["score", str(path), "--grid", str(octa_file)]) == EXIT_OK
-    assert [(args[0], args[1].size) for args in kernel] == [(copies + 1, n)]
-    assert sums == [] and certified == [] and dfs == []
+    # one certification of the POVM's own weights to order N, on certify's
+    # route in quadrature, and no grid sum: the averaged line is a closed form
+    for argv in (["score", str(path)], ["score", str(path), "--grid", str(octa_file)]):
+        certified.clear()
+        kernel.clear()
+        assert main(argv) == EXIT_OK
+        assert [(args[0].n, args[1]) for args in certified] == [(n, copies)]
+        assert [(args[0], args[1].size) for args in kernel] == [(copies, n)]
+        assert sums == [] and dfs == []
+
+
+def _refuse(monkeypatch, name):
+    """Make every povmquad module's `name` raise when called."""
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    for module in (cli, povm, quadrature, simulate, harmonics, orthopoly):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, refused)
+
+
+def test_score_builds_no_rule(povm1_file, octa_file, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "p40.json"
+    assert main(["construct", "40", "--out", str(path)]) == EXIT_OK
+    _refuse(monkeypatch, "product_rule")
+    _refuse(monkeypatch, "gauss_legendre_rule")
+    for argv in (["score", str(povm1_file)], ["score", str(path)],
+                 ["score", str(path), "--grid", str(octa_file)]):
+        assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "score_quadrature_avg: " in out and "difference: 0.000e+00" in out
 
 
 def test_score_of_a_rotated_povm_takes_certifys_route(tmp_path, monkeypatch, capsys):
@@ -312,7 +330,7 @@ def test_score_of_a_rotated_povm_takes_certifys_route(tmp_path, monkeypatch, cap
     path.write_text(povm_to_json(FinitePovm(80, 81 / FOUR_PI * q.weights, theta, phi)))
     dfs = _record_calls(monkeypatch, quadrature, "_dfs_harmonic_sums")
     assert main(["score", str(path)]) == EXIT_OK
-    assert [(args[0], args[1].size) for args in dfs] == [(81, 3321)]
+    assert [(args[0], args[1].size) for args in dfs] == [(80, 3321)]
     out = capsys.readouterr().out
     score = exact_score(povm_from_json(path.read_text()))
     assert f"score_exact: {score!r}\n" in out

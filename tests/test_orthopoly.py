@@ -207,13 +207,32 @@ def _reference_norm_coeffs(l_max):
 def test_norm_coeffs_views_are_bit_identical_to_a_fresh_build():
     import povmquad.orthopoly as orthopoly
 
-    # grow, shrink and regrow the shared table in one process
-    for l_max in (3, 40, 0, 17, 64, 1, 65, 40):
+    # grow, shrink and regrow the shared table in one process, and build
+    # past its order
+    for l_max in (3, 40, 0, 17, 64, 1, 65, 40, 600, 1100):
         got = orthopoly._norm_coeffs(l_max)
         for g, ref in zip(got, _reference_norm_coeffs(l_max)):
             assert g.shape == ref.shape
             assert g.tobytes() == ref.tobytes()  # signs of zero included
             assert not g.flags.writeable
+
+
+def test_norm_coeffs_share_a_table_up_to_a_fixed_order():
+    import povmquad.orthopoly as orthopoly
+
+    shared = orthopoly._SHARED_ORDER
+    assert 402 <= shared <= 1000
+    orthopoly._norm_coeffs(shared)
+    big = orthopoly._norm_coeffs(2000)
+    assert big[1].shape == (2001, 2001)
+    # the 64 MB table of order 2000 is its caller's alone
+    assert orthopoly._NORM_TABLE[0].size == shared + 1
+    assert sum(t.nbytes for t in orthopoly._NORM_TABLE) < 5e6
+    # the shared rows are where the larger table starts
+    small = orthopoly._norm_coeffs(shared)
+    assert big[0][: shared + 1].tobytes() == small[0].tobytes()
+    for g, ref in zip(big[1:], small[1:]):
+        assert g[: shared + 1, : shared + 1].tobytes() == ref.tobytes()
 
 
 def test_norm_coeffs_memory_does_not_grow_with_each_cap():

@@ -602,6 +602,16 @@ def test_operator_check_memory_is_bounded_by_its_blocks():
     assert _traced_peak(operator_completeness_residual, _rotated_povm(131)) < 4e6
 
 
+def test_dicke_magnitudes_hold_one_array_of_their_size():
+    # one _point_gram block of the rotated N = 131 POVM, 496 points: 0.52 MB
+    # of magnitudes, and no temporary of their size next to them
+    p = _rotated_povm(131)
+    theta = p.theta[: povm_module._GRAM_BLOCK_ELEMS // 132]
+    povm_module._dicke_magnitudes(131, theta)  # the shared binomial row
+    # numpy's broadcast buffers are a fixed 0.1-0.2 MB
+    assert _traced_peak(povm_module._dicke_magnitudes, 131, theta) < theta.size * 132 * 8 + 2.5e5
+
+
 def test_default_operator_cap_is_300():
     assert povm_module.OPERATOR_CHECK_CAP == 300
     assert operator_completeness_residual(product_povm(300)) < 1e-12
@@ -733,6 +743,26 @@ def test_routed_gram_bounds_the_dense_gram(copies):
     routed = operator_completeness_residual(moved)
     every = all_offsets_gram_residual(copies, p.theta, phi, p.c, 1.0)
     assert every - 2e-15 <= routed <= every + 1e-12
+
+
+def test_a_ring_of_one_cosine_and_two_polar_angles_takes_the_gemm(monkeypatch):
+    # cos(1e-9) and cos(1e-8) both round to 1, so the 17 equispaced points
+    # of equal weight form one latitude ring of period 17 > N; but their
+    # Dicke magnitudes differ (mag_1 is about sqrt(N) theta / 2), so the
+    # ring cannot go onto the Gram's diagonal
+    copies, s = 15, 17
+    theta = np.where(np.arange(s) % 2 == 0, 1e-9, 1e-8)
+    assert np.all(np.cos(theta) == 1.0)
+    phi = 2 * math.pi * np.arange(s) / s
+    w = np.full(s, 1.0 / s)
+    received = _count_calls(monkeypatch, povm_module, "_point_gram")
+    routed = povm_module._ring_gram_residual(copies, theta, phi, w, 0.0)
+    assert len(received) == 1
+    rows, got_theta, got_phi, got_w = received[0]
+    assert rows == copies + 1
+    assert sorted(zip(got_theta, got_phi, got_w)) == sorted(zip(theta, phi, w))
+    dense = dense_gram_residual(dicke_matrix(copies, theta, phi), w, 0.0)
+    assert abs(routed - dense) <= 1e-15
 
 
 def test_routed_gram_keeps_the_offsets_its_periods_let_through():

@@ -339,6 +339,20 @@ def test_harmonic_average_matches_direct_sum_off_product_rules(p, q, exact):
     assert (abs(averaged - exact_score(p)) < 1e-10) == exact
 
 
+def test_default_average_is_the_closed_form_for_any_povm():
+    # E[score|Omega] is band-limited at order N+1, so every rule exact that
+    # far averages it to sum(c)/(N+2), complete POVM or not
+    jittered = _jittered_povm(9)
+    incomplete = FinitePovm(9, jittered.c[1:], jittered.theta[1:], jittered.phi[1:])
+    for p in (jittered, incomplete):
+        assert scalar_completeness_residual(p) > 1e-3
+        closed = float(p.c.sum()) / 11
+        assert quadrature_averaged_score(p) == closed
+        for q in (product_rule(10), product_rule(13)):
+            assert abs(direct_averaged_score(p, q) - closed) <= 1e-13
+            assert abs(quadrature_averaged_score(p, q) - closed) <= 1e-13
+
+
 def test_harmonic_average_memory_at_paper_order():
     # the direct route's n x n_grid overlap blocks peaked at 153 MB
     p = povm_from_quadrature(product_rule(131), 131)
