@@ -11,13 +11,15 @@ exactness checks downstream test the vanishing of weighted sums of these
 values, so they are insensitive to the phase choice; the normalization is
 what ties quadrature weights to POVM coefficients.
 
-`ylm` runs one associated-Legendre column per order m, the independent
-reference the tests hold the ring kernel to. Everything else goes through
-the ring kernel, in two steps: `_ring_phases`, the azimuthal sums
-W[m, r] per latitude ring, and `_ring_recurrence`, one recurrence in l for
-all m at once over the rings. `weighted_harmonic_sums` feeds it the R
-distinct latitudes of the points, O(R l_max^2 + n l_max), and is exact up
-to rounding; `harmonic_row` is its one-point, unit-weight case.
+`ylm` runs one associated-Legendre column of order |m| through
+orthopoly._legendre_column, the column stepper of the ring kernel's one-
+or two-order path; scipy and the tests' oracles are the independent
+references. Everything else goes through the ring kernel, in two steps:
+`_ring_phases`, the azimuthal sums W[m, r] per latitude ring, and
+`_ring_recurrence`, one recurrence in l for all m at once over the rings.
+`weighted_harmonic_sums` feeds it the R distinct latitudes of the points,
+O(R l_max^2 + n l_max), and is exact up to rounding; `harmonic_row` is its
+one-point, unit-weight case.
 `_dfs_harmonic_sums` feeds it l_max + 2 virtual rings from a type-1 NUFFT
 (the double Fourier sphere), O(n w^2 + l_max^2 log l_max + l_max^3)
 whatever R, and is approximate: quadrature._bounded_sums chooses between
@@ -50,7 +52,7 @@ import numpy as np
 
 from . import _nufft
 from .errors import DomainError
-from .orthopoly import _norm_coeffs, assoc_legendre_column
+from .orthopoly import _legendre_column, _norm_coeffs, assoc_legendre_column
 from .sphere import TWO_PI, Direction
 
 # Legendre values per working array of weighted_harmonic_sums: (l_max + 1)
@@ -389,36 +391,16 @@ def _ring_cost(l_max: int, rings: _Rings) -> float:
 
 
 def _add_columns(sums: np.ndarray, step: int, xr, ring_phase, coeffs):
-    """_ring_recurrence for one or two orders, one Legendre column each:
-    two numpy calls per step in l and one product with the phases at the
-    end, where the batched recurrence takes about eight calls per step.
-    On product rules (one BLAS thread) the three kernel calls of a
-    construct 40 + score pair take 1.3 ms this way and 2.3 ms through
-    _ring_recurrence, and certify(product_rule(1000), 1002) 93 ms against
-    150 ms."""
+    """_ring_recurrence for one or two orders: one Legendre column each
+    (orthopoly._legendre_column, three numpy calls per step in l, the same
+    values bit for bit) and one product with the phases at the end, where
+    the batched recurrence takes about eight calls and a product per step.
+    On product rules (one BLAS thread) three kernel calls on product_rule(40)
+    take 0.9 ms this way and 1.5 ms through _ring_recurrence, and
+    certify(product_rule(1000), 1002) 115-125 ms against 150-185 ms."""
     rows = sums.shape[0]
-    amm, a, b = coeffs
     for k, m in enumerate(range(0, rows, step)):
-        col = np.empty((rows - m, xr.size))
-        if m:
-            # sin(theta)^2 from x, so sin(theta) = sqrt(1 - x^2) >= 0
-            col[0] = amm[m] * np.maximum((1.0 - xr) * (1.0 + xr), 0.0) ** (0.5 * m)
-        else:
-            col[0] = amm[0]
-        # Row i holds l = m + i, P~_l^m = a x P~_{l-1}^m + b P~_{l-2}^m, stepped
-        # as Q_i = P~_l^m / g_i with g_i = -b g_{i-2} (g_0 = g_1 = 1): then
-        # Q_i = (a g_{i-1} / g_i) x Q_{i-1} - Q_{i-2}, two numpy calls a step
-        g = np.ones(rows - m)
-        g[2::2] = np.cumprod(-b[m + 2 :: 2, m])
-        g[3::2] = np.cumprod(-b[m + 3 :: 2, m])
-        ax = list((a[m + 1 :, m] * (g[:-1] / g[1:]))[:, None] * xr)
-        c = list(col)
-        for i in range(1, rows - m):
-            np.multiply(ax[i - 1], c[i - 1], out=c[i])
-            if i > 1:
-                c[i] -= c[i - 2]
-        col *= g[:, None]
-        sums[m:, m] += col @ ring_phase[k].T
+        sums[m:, m] += _legendre_column(coeffs, rows - 1, m, xr) @ ring_phase[k].T
 
 
 def _add_rings(sums: np.ndarray, step: int, x, eiphi, w, bounds, coeffs):

@@ -10,7 +10,10 @@ differentiated once to carry P' alongside P (valid at x = +-1, unlike the
 pre-normalized so that P~_l^m(cos t) e^{i m p} is an orthonormal spherical
 harmonic over the full solid angle; the normalization is fused into the
 recurrence coefficients to avoid the overflow of raw P_l^m near l ~ 150.
-No Condon-Shortley phase is applied here (the harmonics module owns it).
+One column stepper, in the arithmetic of the ring kernel's all-orders
+recurrence, serves assoc_legendre, ylm and the ring sums of one or two
+orders. No Condon-Shortley phase is applied here (the harmonics module
+owns it).
 
 Gauss-Legendre nodes are the roots of P_n, found by Newton iteration from
 Tricomi's asymptotic nodes (Hale & Townsend 2013), which leave two or
@@ -102,19 +105,23 @@ def _norm_coeffs(l_max: int):
         for m in range(max(have, 1), size):
             amm[m] = amm[m - 1] * math.sqrt((2 * m + 1) / (2.0 * m))
         grown = np.zeros((2, size, size))
-        grown[:, :have, :have] = a, b
+        grown[0, :have, :have], grown[1, :have, :have] = a, b
         a, b = grown
-        # the new rows' lower triangle: (l, m) for have <= l < size, m < l
-        rows = np.arange(have, size)
-        l = np.repeat(rows, rows)
-        m = np.arange(l.size) - np.repeat(np.cumsum(rows) - rows, rows)
-        lf, mf = l.astype(float), m.astype(float)
-        a[l, m] = np.sqrt((4.0 * lf * lf - 1.0) / (lf * lf - mf * mf))
-        b[l, m] = -np.sqrt(
-            (2.0 * lf + 1.0)
-            * ((lf - 1.0) * (lf - 1.0) - mf * mf)
-            / ((2.0 * lf - 3.0) * (lf * lf - mf * mf))
-        )
+        # the new rows' lower triangle, (l, m) for have <= l < size and m < l,
+        # in blocks of at most 2^17 entries (or one row), so that the index
+        # and formula temporaries stay small whatever the size of the table
+        step = max(1, (1 << 17) // size)
+        for l0 in range(have, size, step):
+            rows = np.arange(l0, min(size, l0 + step))
+            l = np.repeat(rows, rows)
+            m = np.arange(l.size) - np.repeat(np.cumsum(rows) - rows, rows)
+            lf, mf = l.astype(float), m.astype(float)
+            a[l, m] = np.sqrt((4.0 * lf * lf - 1.0) / (lf * lf - mf * mf))
+            b[l, m] = -np.sqrt(
+                (2.0 * lf + 1.0)
+                * ((lf - 1.0) * (lf - 1.0) - mf * mf)
+                / ((2.0 * lf - 3.0) * (lf * lf - mf * mf))
+            )
         for arr in (amm, a, b):
             arr.setflags(write=False)
         if l_max <= _SHARED_ORDER:
@@ -122,26 +129,34 @@ def _norm_coeffs(l_max: int):
     return amm[:size], a[:size, :size], b[:size, :size]
 
 
+def _legendre_column(coeffs, l_max: int, m: int, x: np.ndarray) -> np.ndarray:
+    """P~_l^m(x) for l = m..l_max on a 1-D x in [-1, 1], row i holding l = m + i,
+    with coeffs = _norm_coeffs(l_max or more). Each step is the arithmetic of
+    harmonics._ring_recurrence operation for operation, (a x) P~_{l-1}^m +
+    b P~_{l-2}^m, so a column equals that kernel's values bit for bit."""
+    amm, a, b = coeffs
+    out = np.empty((l_max - m + 1, x.size))
+    out[0] = amm[m] * np.maximum((1.0 - x) * (1.0 + x), 0.0) ** (0.5 * m)
+    ax = a[m + 1 : l_max + 1, m, None] * x
+    for i in range(1, l_max - m + 1):
+        np.multiply(ax[i - 1], out[i - 1], out=out[i])
+        if i > 1:
+            out[i] += b[m + i, m] * out[i - 2]
+    return out
+
+
 def assoc_legendre_column(l_max: int, m: int, x) -> np.ndarray:
     """All normalized values P~_l^m(x) for l = m..l_max in one upward pass.
 
     The result has shape (l_max - m + 1,) + shape(x); row i holds l = m + i.
-    This is the O(l_max - m) workhorse behind single evaluations; the
-    certification sums step all orders m at once (see harmonics).
+    Its O(l_max - m) stepper also sums the rings of one or two orders in
+    harmonics; the certification sums step all other orders m at once.
     """
     if m < 0 or m > l_max:
         raise DomainError(f"order m={m} outside 0..l_max={l_max}")
     xa = _check_x(x)
-    amm, a, b = _norm_coeffs(l_max)
-    s2 = np.maximum((1.0 - xa) * (1.0 + xa), 0.0)
-    out = np.empty((l_max - m + 1,) + xa.shape)
-    out[0] = amm[m] * s2 ** (0.5 * m) if m > 0 else np.full_like(xa, amm[0])
-    if l_max > m:
-        out[1] = a[m + 1, m] * xa * out[0]
-    for l in range(m + 2, l_max + 1):
-        i = l - m
-        out[i] = a[l, m] * xa * out[i - 1] + b[l, m] * out[i - 2]
-    return out
+    col = _legendre_column(_norm_coeffs(l_max), l_max, m, xa.ravel())
+    return col.reshape((l_max - m + 1,) + xa.shape)
 
 
 def assoc_legendre(l: int, m: int, x):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from scipy.special import sph_harm_y
 
-from povmquad import harmonics
+from povmquad import harmonics, orthopoly
 from povmquad.cli import _load_pointset, default_grid_dir
 from povmquad.errors import DomainError
 from povmquad.harmonics import HarmonicIndex, harmonic_row, weighted_harmonic_sums, ylm
@@ -444,6 +444,40 @@ def test_ring_detection_edge_cases():
     assert np.max(np.abs(sums - reference)) <= 1e-14
     assert np.all(np.abs(reference).max(axis=1)
                   <= np.maximum(np.abs(sums).max(axis=1), allowance) + 1e-14)
+
+
+@pytest.mark.parametrize("l_max", [16, 130, 600])
+def test_columns_step_the_all_orders_arithmetic(l_max):
+    # the one- or two-order path (orders 0 and ceil((l_max + 1) / 2)) and the
+    # all-orders recurrence give one ring at unit phase the same bits
+    rows = l_max + 1
+    step = -(-rows // 2)
+    coeffs = orthopoly._norm_coeffs(l_max)
+    unit = np.zeros((rows, 2, 1))
+    unit[:, 0] = 1.0
+    for x in (1.0, -1.0, math.cos(1e-6), math.cos(1e-3), 0.0, 0.3, -0.77):
+        xr = np.array([x])
+        columns = np.zeros((rows, rows, 2))
+        harmonics._add_columns(columns, step, xr, unit[:2], coeffs)
+        batched = np.zeros((rows, rows, 2))
+        harmonics._ring_recurrence(unit, xr, np.maximum((1.0 - xr) * (1.0 + xr), 0.0),
+                                   batched, coeffs)
+        for m in (0, step):
+            assert np.array_equal(columns[:, m], batched[:, m]), (x, m)
+
+
+@pytest.mark.parametrize("l_max, bound", [(120, 6e-14), (400, 2e-13)])
+def test_routed_rings_at_the_poles_match_the_closed_form(l_max, bound):
+    # P~_l^0(+-1) = (+-1)^l sqrt((2l + 1) / 4 pi); a ring of l_max unit
+    # weights at a pole is routed on its period, so S[l, 0] comes from the
+    # column path
+    l = np.arange(l_max + 1)
+    for theta, sign in ((0.0, 1.0), (math.pi, -1.0)):
+        ring = _ring(l_max, theta)
+        assert list(_periods(*ring).values()) == [l_max]
+        sums, _ = harmonics._ring_sums(l_max, *ring)
+        exact = l_max * sign**l * np.sqrt((2 * l + 1) / (4 * math.pi))
+        assert np.max(np.abs(sums[:, 0] - exact) / np.abs(exact)) <= bound, theta
 
 
 def test_allowance_bounds_the_exact_sums_at_cancelled_orders():

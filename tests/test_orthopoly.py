@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,21 @@ def test_norm_coeffs_share_a_table_up_to_a_fixed_order():
     assert big[0][: shared + 1].tobytes() == small[0].tobytes()
     for g, ref in zip(big[1:], small[1:]):
         assert g[: shared + 1, : shared + 1].tobytes() == ref.tobytes()
+
+
+def test_norm_coeffs_build_new_rows_in_bounded_blocks():
+    # the index and formula temporaries of the rows past the shared table
+    # once spanned all of them: 184 MB traced for the 64 MB table of order 2000
+    import povmquad.orthopoly as orthopoly
+
+    orthopoly._norm_coeffs(orthopoly._SHARED_ORDER)
+    tracemalloc.start()
+    try:
+        table = orthopoly._norm_coeffs(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(t.nbytes for t in table) + 16 * 2**20
 
 
 def test_norm_coeffs_memory_does_not_grow_with_each_cap():
