@@ -33,14 +33,13 @@ from .errors import (
     ZeroVector,
 )
 from .povm import (
+    _povm_pieces,
     exact_score,
     legendre_pure_counts,
     mixed_min_elements,
     operator_completeness_residual,
     povm_from_json,
     povm_from_quadrature,
-    povm_to_csv,
-    povm_to_json,
     scalar_completeness_residual,
     spin_subspaces,
 )
@@ -193,8 +192,8 @@ def cmd_construct(args) -> int:
     # diagonal, at O(n + R N) within the size budget of product_rule
     operator = operator_completeness_residual(povm, cap=args.copies)
     if args.out is not None:
-        text = povm_to_csv(povm) if args.format == "csv" else povm_to_json(povm)
-        args.out.write_text(text, encoding="utf-8")
+        with args.out.open("w", encoding="utf-8") as fh:
+            fh.writelines(_povm_pieces(povm, csv=args.format == "csv"))
     print(f"n: {povm.n}")
     print(f"score_exact: {exact_score(povm)!r}")
     print(f"scalar_residual: {scalar:.3e}")

@@ -87,8 +87,11 @@ from .quadrature import (
 from .sphere import Direction, angles_to_xyz, overlap_matrix, sample_uniform_angles, substream
 
 OPERATOR_CHECK_CAP = 300
-# Overlaps per block of _overlap_blocks, the one overlap loop of the package.
-_BLOCK_ELEMS = int(2e7)
+# Overlaps per block of _overlap_blocks, the one overlap loop of the package,
+# as many as the ring kernel's harmonics._BLOCK_ELEMS: 512 KiB per block, so
+# a block and _pow_int's buffer stay in cache. simulate's trial blocks and the
+# POVM writer's row blocks take their sizes from it too.
+_BLOCK_ELEMS = 1 << 16
 # Values per working array of the Dicke Gram: (N + 1) times the points or
 # rings of one block, 1 MB per complex array.
 _GRAM_BLOCK_ELEMS = 1 << 16
@@ -319,9 +322,11 @@ def _overlap_blocks(theta, phi, directions):
     """Overlaps of each (theta, phi) pair in `directions` with every element.
 
     Yields (start, stop, ov), ov the overlap rows start:stop against the
-    elements (theta, phi), in blocks of at most _BLOCK_ELEMS entries. Each
-    block overwrites the one buffer of the last, so a caller may work in
-    ov in place but is done with it when it asks for the next block.
+    elements (theta, phi), in blocks of at most _BLOCK_ELEMS entries (one
+    row when a row alone is longer). Each block overwrites the one buffer
+    of the last, so a caller may work in ov in place but is done with it
+    when it asks for the next block. Every row is formed on its own, so no
+    result depends on where the blocks fall.
     """
     exyz = angles_to_xyz(theta, phi)
     dxyz = angles_to_xyz(*directions)
@@ -617,22 +622,33 @@ def mixed_legendre_bound(copies: int) -> float:
     return float(value)
 
 
-def povm_to_json(p: FinitePovm) -> str:
-    """Serialize with 17-significant-digit decimals (exact round trip).
+def _povm_pieces(p: FinitePovm, csv: bool = False):
+    """The text of povm_to_json (povm_to_csv if `csv`) in pieces.
 
-    One % over a repeated template formats every element in a single call
+    The header, the rows in blocks of _BLOCK_ELEMS // 16, then the trailer;
+    a writer that takes one piece at a time holds one block's text. One %
+    over a repeated template formats every row of a block in a single call
     (quadrature._format_rows).
     """
-    template = '{"c": %.17g, "theta": %.17g, "phi": %.17g}'
-    elements = _format_rows(template, ",\n    ", p.c, p.theta, p.phi)
-    return (
-        "{\n"
-        f'  "N": {p.copies},\n'
-        f'  "n": {p.n},\n'
-        f'  "elements": [\n    {elements}\n  ],\n'
-        f'  "score_exact": {_fmt(exact_score(p))}\n'
-        "}\n"
-    )
+    score = _fmt(exact_score(p))
+    if csv:
+        yield f"# N={p.copies}\n# n={p.n}\n# score_exact={score}\nc,theta,phi\n"
+        template, sep, trailer = "%.17g,%.17g,%.17g\n", "", ""
+    else:
+        yield f'{{\n  "N": {p.copies},\n  "n": {p.n},\n  "elements": [\n    '
+        template, sep = '{"c": %.17g, "theta": %.17g, "phi": %.17g}', ",\n    "
+        trailer = f'\n  ],\n  "score_exact": {score}\n}}\n'
+    step = max(1, _BLOCK_ELEMS // 16)
+    for start in range(0, p.n, step):
+        rows = slice(start, start + step)
+        text = _format_rows(template, sep, p.c[rows], p.theta[rows], p.phi[rows])
+        yield text if start == 0 else sep + text
+    yield trailer
+
+
+def povm_to_json(p: FinitePovm) -> str:
+    """Serialize with 17-significant-digit decimals (exact round trip)."""
+    return "".join(_povm_pieces(p))
 
 
 def povm_from_json(text: str, label: str = "") -> FinitePovm:
@@ -661,5 +677,4 @@ def povm_from_json(text: str, label: str = "") -> FinitePovm:
 
 def povm_to_csv(p: FinitePovm) -> str:
     """CSV with '.' decimals and '#' metadata lines; columns c, theta, phi."""
-    header = f"# N={p.copies}\n# n={p.n}\n# score_exact={_fmt(exact_score(p))}\nc,theta,phi\n"
-    return header + _format_rows("%.17g,%.17g,%.17g\n", "", p.c, p.theta, p.phi)
+    return "".join(_povm_pieces(p, csv=True))

@@ -28,8 +28,9 @@ once per call:
   for every Omega (and so sum c within about 1e-9 of N+1), so the two
   laws agree up to a pointwise factor within about 2e-9. Without the
   certificate Omega would not be uniform: it is the only way in. A trial
-  costs O(1) and the chunk holds O(chunk_size) numbers, whatever N and
-  the POVM size.
+  costs O(1), whatever N and the POVM size, and the chunk holds its
+  uniforms and scores plus one block of B trials
+  (_outcome_first_scores).
 * Dense (every other POVM): one block of cos-theta values, one of
   azimuths and one of outcome uniforms, then the inverse CDF over all n
   outcome probabilities, formed in the bounded row blocks of povm's
@@ -49,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import povm
 from .errors import DomainError, NotNormalized
 from .harmonics import _ring_sums
 from .povm import (
@@ -159,13 +161,21 @@ def _outcome_table(p: FinitePovm):
 def _outcome_first(rng, m: int, prob, alias, frame, copies: int):
     """Outcomes k, true directions Omega and e_k of m trials, outcome first.
 
-    One (3, m) uniform block: row 0 draws k ~ c_k / sum c from the alias
+    One (3, m) uniform block, read by _outcome_block.
+    """
+    return _outcome_block(rng.random((3, m)), prob, alias, frame, copies)
+
+
+def _outcome_block(u, prob, alias, frame, copies: int):
+    """Outcomes k, true directions Omega and e_k of the trials in the columns of u.
+
+    Row 0 of the (3, m) uniforms u draws k ~ c_k / sum c from the alias
     table (column floor(u n), coin from the fractional part), row 1 the
     overlap t = (1 - u)^(1/(N+1)) ~ Beta(N+1, 1) and row 2 the azimuth psi
     about e_k. Omega = (2t - 1) e_k + 2 sqrt(t(1 - t)) (cos psi a_k +
     sin psi b_k); Omega and e_k come back as three coordinate rows each.
+    Row 0 of u is overwritten.
     """
-    u = rng.random((3, m))
     u[0] *= prob.size
     col = u[0].astype(np.intp)
     k = np.where(u[0] - col < prob.take(col), col, alias.take(col))
@@ -180,6 +190,24 @@ def _outcome_first(rng, m: int, prob, alias, frame, copies: int):
     a += b
     a += (2.0 * t - 1.0) * e
     return k, a, e
+
+
+def _outcome_first_scores(u, table, copies: int) -> np.ndarray:
+    """Scores clip((1 + Omega . e_k)/2) of the trials in the columns of u.
+
+    The trials run in blocks of B = povm._BLOCK_ELEMS // 16 (4096); with
+    about 21 doubles of temporaries per trial, a block stays in a core's
+    L2 cache. Every step is per trial, so the scores do not depend on B.
+    """
+    scores = np.empty(u.shape[1])
+    step = max(1, povm._BLOCK_ELEMS // 16)
+    for start in range(0, scores.size, step):
+        _, omega, e = _outcome_block(u[:, start : start + step], *table, copies)
+        block = np.einsum("ij,ij->j", omega, e, out=scores[start : start + step])
+        block += 1.0
+        block *= 0.5
+        np.clip(block, 0.0, 1.0, out=block)
+    return scores
 
 
 def _dense_scores(p: FinitePovm, theta, phi, u) -> np.ndarray:
@@ -221,11 +249,8 @@ def _game(p: FinitePovm, trials: int, seed: int, chunk_size: int, dense: bool) -
             theta = np.arccos(np.clip(z, -1.0, 1.0))
             scores = _dense_scores(p, theta, phi, rng.random(m))
         else:
-            _, omega, e = _outcome_first(rng, m, *table, p.copies)
-            scores = np.einsum("ij,ij->j", omega, e)
-            scores += 1.0
-            scores *= 0.5
-            np.clip(scores, 0.0, 1.0, out=scores)
+            scores = _outcome_first_scores(rng.random((3, m)), table, p.copies)
+        # one pairwise sum per chunk: sums per block would round differently
         total += float(scores.sum())
         total_sq += float((scores * scores).sum())
         done += m
@@ -257,8 +282,9 @@ def run_game(
     A POVM with c_k >= 0 whose certified completeness bound is at most
     1e-9 is played outcome first: k ~ c_k from an alias table, then Omega
     about Omega_k with overlap t ~ Beta(N+1, 1) and a uniform azimuth;
-    O(1) work per trial and memory O(chunk_size). The certificate is what
-    makes that Omega uniform and k follow P(k|Omega) (module docstring).
+    O(1) work per trial, and memory the chunk's uniforms and scores plus
+    one block of B trials. The certificate is what makes that Omega
+    uniform and k follow P(k|Omega) (module docstring).
     Any other POVM is sampled densely by inverse CDF over all n outcomes,
     in blocks of bounded size; if a drawn Omega yields outcome
     probabilities off 1 by more than 1e-9 the POVM is invalid and

@@ -686,6 +686,32 @@ def test_povm_files_match_the_per_value_writer(copies):
     assert povm_to_csv(p) == povm_to_csv_reference(p)
 
 
+@pytest.mark.parametrize("rows_per_block", [1, 4, 1000])
+def test_povm_files_do_not_depend_on_the_row_block(rows_per_block, monkeypatch):
+    p = product_povm(9)
+    assert p.n > 4 * 10
+    monkeypatch.setattr(povm_module, "_BLOCK_ELEMS", 16 * rows_per_block)
+    assert povm_to_json(p) == povm_to_json_reference(p)
+    assert povm_to_csv(p) == povm_to_csv_reference(p)
+
+
+@pytest.mark.parametrize("csv", [False, True], ids=["json", "csv"])
+def test_povm_writer_memory_is_bounded(csv, tmp_path):
+    # one block of rows' text at a time; the text of all 45 451 rows in one
+    # piece peaked at 10.3 MiB
+    p = product_povm(300)
+    path = tmp_path / "povm"
+    tracemalloc.start()
+    try:
+        with path.open("w", encoding="utf-8") as fh:
+            fh.writelines(povm_module._povm_pieces(p, csv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert path.read_text(encoding="utf-8") == (povm_to_csv(p) if csv else povm_to_json(p))
+
+
 def test_povm_files_match_the_per_value_writer_on_extreme_values():
     tiny = np.nextafter(0.0, 1.0)
     values = np.array([

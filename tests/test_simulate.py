@@ -433,3 +433,74 @@ def test_outcome_first_draws_need_a_complete_povm():
     draws = 2_000_000
     _, _, _, moments = _outcome_first_stats(moved, draws, seed=314)
     assert np.max(_moment_z_scores(moments, draws)) > 10.0
+
+
+def test_outcome_first_game_memory_is_bounded():
+    # the chunk's uniforms and scores plus one block of trials; drawing the
+    # whole chunk's outcomes, frames and directions at once peaked at 16 MiB
+    p = povm_from_quadrature(product_rule(10), 10)
+    tracemalloc.start()
+    try:
+        run_game(p, 1_000_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+
+
+def test_dense_game_memory_is_bounded():
+    # a chunk of angles plus one overlap block and its power's buffer; a
+    # 2e7-entry block peaked at 311 MiB here
+    p = povm_from_quadrature(product_rule(30), 30)
+    tracemalloc.start()
+    try:
+        _game(p, 65536, 1, DEFAULT_CHUNK_SIZE, dense=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+def test_score_by_direction_memory_is_bounded():
+    p = povm_from_quadrature(product_rule(30), 30)
+    theta, phi = _chunk_angles(2, 200_000)
+    tracemalloc.start()
+    try:
+        score_by_direction(p, (theta, phi))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+# run_game(...).to_json() at the commit before trials ran in blocks
+@pytest.mark.parametrize("p, trials, seed, report", [
+    (
+        povm_from_quadrature(product_rule(3), 3), 150_001, 5,
+        '{"N": 3, "trials": 150001, "seed": 5, "mean_score": 0.80074534879406545, '
+        '"std_error": 0.00042026857276327811, "expected": 0.80000000000000004, "chunks": 3}',
+    ),
+    (
+        _rotated_product_povm(20), 70_000, 9,
+        '{"N": 20, "trials": 70000, "seed": 9, "mean_score": 0.95467069383622838, '
+        '"std_error": 0.00016448807227369415, "expected": 0.95454545454545459, "chunks": 2}',
+    ),
+], ids=["product-3", "rotated-20"])
+def test_pinned_reports(p, trials, seed, report):
+    assert run_game(p, trials, seed).to_json() == report
+
+
+@pytest.mark.parametrize("trials, chunk", [
+    (150_001, DEFAULT_CHUNK_SIZE),  # a partial final chunk
+    (1000, DEFAULT_CHUNK_SIZE),  # fewer trials than one default block
+    (5500, 1000),  # chunks smaller than one default block
+])
+def test_trial_blocks_do_not_change_a_report(trials, chunk, monkeypatch):
+    p = povm_from_quadrature(product_rule(3), 3)
+    reports = {}
+    # B = 1 takes one Python loop step per trial: the small cases only
+    for size in [DEFAULT_CHUNK_SIZE + 1, 4096, 7] + ([1] if trials < 10_000 else []):
+        # simulate reads its block of trials from povm's overlap budget
+        monkeypatch.setattr("povmquad.povm._BLOCK_ELEMS", 16 * size)
+        reports[size] = run_game(p, trials, 5, chunk).to_json()
+    assert len(set(reports.values())) == 1, reports
