@@ -15,7 +15,15 @@ eightfold per axis); on spread-out sets the errors average to about
 
 Points are spread in blocks of at most _SPREAD_ELEMS stencil values (1 MB
 of indices, 1 MB of values), sorted by theta so each block adds into a
-band of grid rows only.
+band of grid rows only. The grid holds only the rows (theta) between the
+first and the last sorted stencil, padded rows past either edge folded
+onto the rows they wrap to: for polar angles in [0, pi] that is n / 2 +
+WIDTH of the n rows (FINUFFT spreads only where the kernel lands). Its real
+FFT over phi runs in blocks of rows straight into the (n, l_max + 1)
+spectrum that m <= l_max needs, zero on rows no stencil touches; the FFT
+over theta then runs in blocks of columns straight into H. Each sum keeps
+the operations and order of a transform of the whole padded grid, so H is
+that transform's to the bit.
 """
 from __future__ import annotations
 
@@ -51,7 +59,10 @@ def grid_size(l_max: int) -> int:
 
 
 def work_bytes(l_max: int) -> int:
-    """Bytes type1_sums holds at once: padded real grid, its real FFT, one stencil block."""
+    """An upper bound on the bytes type1_sums holds at once beyond 40 per
+    point (the sorted copies of its inputs): the whole padded real grid, its
+    real FFT and one stencil block, more than the band of rows, the
+    (n, l_max + 1) spectrum and H it holds."""
     n = grid_size(l_max)
     return 8 * (n + WIDTH) * n + 16 * n * (n // 2 + 1) + 3 * 8 * _SPREAD_ELEMS
 
@@ -96,9 +107,14 @@ def type1_sums(l_max: int, theta, phi, weights) -> np.ndarray:
     x = x[order]
     y = np.mod(np.asarray(phi, dtype=float)[order], 2.0 * math.pi)
     w = np.asarray(weights, dtype=float)[order]
-    # rows (theta) padded by _HALF on each side and folded after spreading;
-    # columns (phi) wrap as they are spread
-    grid = np.zeros((n + WIDTH, n))
+    # rows (theta) lo..hi, the band the first and last sorted stencils bound
+    # (none without points), folded after spreading; columns (phi) wrap as
+    # they are spread
+    lo, hi = 0, -1
+    if x.size:
+        lo = int(_stencil(x[:1], n)[0][0])
+        hi = int(_stencil(x[-1:], n)[0][0]) + WIDTH - 1
+    grid = np.zeros((hi - lo + 1, n))
     offsets = np.arange(WIDTH)
     block = max(1, _SPREAD_ELEMS // WIDTH**2)
     for k0 in range(0, x.size, block):
@@ -111,16 +127,33 @@ def type1_sums(l_max: int, theta, phi, weights) -> np.ndarray:
             (col[:, None] + offsets) % n
         )[:, None, :]
         values = (w[k0:k1, None] * row_kernel)[:, :, None] * col_kernel[:, None, :]
-        grid[top + _HALF : top + _HALF + band] += np.bincount(
+        grid[top - lo : top - lo + band] += np.bincount(
             flat.ravel(), values.ravel(), minlength=band * n
         ).reshape(band, n)
-    grid[n : n + _HALF] += grid[:_HALF]
-    grid[_HALF:WIDTH] += grid[n + _HALF :]
-    # the 2-D real FFT in two passes, so that the pass over theta runs on
-    # the l_max + 1 columns m needs, after the grid is freed
-    spectrum = np.fft.rfft(grid[_HALF : _HALF + n], axis=1)[:, : l_max + 1]
+    # rows r < 0 and r >= n wrap onto r + n and r - n: added to that row
+    # where the band holds it (the row first, then the wrapped one), else
+    # transformed in its place
+    below = max(0, min(0, hi + 1 - n) - lo)  # rows lo..lo + below - 1
+    grid[n : n + below] += grid[:below]
+    first = max(0, -lo)  # band index of row 0
+    above = max(0, hi + 1 - n - max(lo, 0))  # the last `above` rows
+    grid[first : first + above] += grid[first + n :]
+    # the 2-D real FFT in two passes, each in blocks: over phi into the
+    # (n, l_max + 1) spectrum, band rows that are grid rows only; then over
+    # theta, after the grid is freed, a block of columns at a time
+    spectrum = np.zeros((n, l_max + 1), dtype=complex)
+    step = max(1, _SPREAD_ELEMS // n)
+    for b0 in range(below, grid.shape[0] - above, step):
+        b1 = min(grid.shape[0] - above, b0 + step)
+        spectrum[np.arange(lo + b0, lo + b1) % n] = np.fft.rfft(grid[b0:b1], axis=1)[:, : l_max + 1]
     del grid
     p = np.arange(-l_max, l_max + 1)
-    h = np.conjugate(np.fft.fft(spectrum, axis=0)[p % n])
+    take = p % n
+    h = np.empty((p.size, l_max + 1), dtype=complex)
+    step = max(1, _SPREAD_ELEMS // (4 * n))
+    for c0 in range(0, l_max + 1, step):
+        c1 = min(l_max + 1, c0 + step)
+        np.conjugate(np.fft.fft(spectrum[:, c0:c1], axis=0)[take], out=h[:, c0:c1])
+    del spectrum
     h /= _kernel_transform(p, n)[:, None] * _kernel_transform(np.arange(l_max + 1), n)
     return h

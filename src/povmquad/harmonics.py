@@ -20,6 +20,14 @@ references. Everything else goes through the ring kernel, in two steps:
 `weighted_harmonic_sums` feeds it the R distinct latitudes of the points,
 O(R l_max^2 + n l_max), and is exact up to rounding; `harmonic_row` is its
 one-point, unit-weight case.
+The kernel holds every (l, m) array as its packed lower triangle, row l at
+offset l (l + 1) / 2 holding m = 0..l: the recurrence coefficients
+(orthopoly._norm_coeffs) and the (re, im) accumulator of S[l, m], half
+the memory of square arrays. The Condon-Shortley phase (-1)^m is carried
+on the phases W[m, r] before the recurrence, which leaves each sum's
+operations and their order as they were: rounding to nearest commutes
+with negation. The public functions unpack the triangle into the square
+arrays they return (`_dense`).
 `_dfs_harmonic_sums` feeds it l_max + 2 virtual rings from a type-1 NUFFT
 (the double Fourier sphere), O(n w^2 + l_max^2 log l_max + l_max^3)
 whatever R, and is approximate: quadrature._bounded_sums chooses between
@@ -52,7 +60,7 @@ import numpy as np
 
 from . import _nufft
 from .errors import DomainError
-from .orthopoly import _legendre_column, _norm_coeffs, assoc_legendre_column
+from .orthopoly import _legendre_column, _norm_coeffs, _row_offsets, assoc_legendre_column
 from .sphere import TWO_PI, Direction
 
 # Legendre values per working array of weighted_harmonic_sums: (l_max + 1)
@@ -139,17 +147,19 @@ def _ring_phases(rows: int, eiphi, w, ring_starts) -> np.ndarray:
 
 
 def _ring_recurrence(ring_phase: np.ndarray, xr, s2r, sums: np.ndarray, coeffs, step: int = 1):
-    """Add sum_r P~_l^m(xr_r) W[k, :, r] to sums[l, m, :] for m = k step <= l < rows.
+    """Add sum_r P~_l^m(xr_r) W[k, :, r] to S[l, m] for m = k step <= l < rows.
 
-    One normalized associated-Legendre recurrence steps l once for the
-    orders m = 0, step, 2 step, ... at once, over blocks of at most
-    _BLOCK_ELEMS Legendre values; row k of ring_phase holds order k step.
-    Ring r lies at cos(theta) = xr[r] and sin(theta)^2 = s2r[r] (>= 0);
-    coeffs = orthopoly._norm_coeffs(rows - 1 or more). No Condon-Shortley phase.
+    S is the packed (re, im) accumulator `sums`, (l, m) in its row
+    l (l + 1) / 2 + m, and coeffs = orthopoly._norm_coeffs(rows - 1). One
+    normalized associated-Legendre recurrence steps l once for the orders
+    m = 0, step, 2 step, ... at once, over blocks of at most _BLOCK_ELEMS
+    Legendre values; row k of ring_phase holds order k step. Ring r lies at
+    cos(theta) = xr[r] and sin(theta)^2 = s2r[r] (>= 0). No Condon-Shortley
+    phase: the callers put it on the phases.
     """
-    rows = sums.shape[0]
+    amm, a, b, _ = coeffs
+    rows = amm.size
     orders = ring_phase.shape[0]
-    amm, a, b = coeffs
     block = max(1, _BLOCK_ELEMS // orders)
     for r0 in range(0, xr.size, block):
         r1 = min(xr.size, r0 + block)
@@ -162,30 +172,51 @@ def _ring_recurrence(ring_phase: np.ndarray, xr, s2r, sums: np.ndarray, coeffs, 
         prev = np.zeros((orders, r1 - r0))
         cur = np.zeros((orders, r1 - r0))
         tmp = np.empty((orders, r1 - r0))
+        row = 0  # l (l + 1) / 2, where row l of the triangles starts
         for l in range(rows):
             # prev holds P~_{l-1}^m; cur holds P~_{l-2}^m and becomes P~_l^m
             started = -(-l // step)  # orders m < l
             if started:
                 t = tmp[:started]
-                np.multiply(a[l, :l:step, None], x, out=t)
+                np.multiply(a[row : row + l : step, None], x, out=t)
                 t *= prev[:started]
                 c = cur[:started]
-                c *= b[l, :l:step, None]
+                c *= b[row : row + l : step, None]
                 c += t
             k, off = divmod(l, step)
             if not off:
                 cur[k] = amm[l] * s2 ** (0.5 * l) if l else amm[0]
-            sums[l, : l + 1 : step] += np.matmul(phase[: k + 1], cur[: k + 1, :, None])[..., 0]
+            acc = sums[row : row + l + 1 : step]
+            acc += np.matmul(phase[: k + 1], cur[: k + 1, :, None])[..., 0]
             prev, cur = cur, prev
+            row += l + 1
 
 
-def _signed_sums(sums: np.ndarray) -> np.ndarray:
-    """Complex S[l, m] from the (re, im) accumulator, with the Condon-Shortley
-    phase: a complex view of the accumulator, which it negates in place at
-    odd m."""
-    out = sums.view(complex)[..., 0]
-    out[:, 1::2] *= -1.0
+def _dense(packed: np.ndarray) -> np.ndarray:
+    """The square array of a packed lower triangle, (l, m) from its row
+    l (l + 1) / 2 + m (np.tril_indices order), zeros above the diagonal."""
+    rows = (math.isqrt(8 * packed.shape[0] + 1) - 1) // 2
+    out = np.zeros((rows, rows) + packed.shape[1:], dtype=packed.dtype)
+    out[np.tril_indices(rows)] = packed
     return out
+
+
+def _row_max(sums: np.ndarray, rows: int, first: int = 0, orders=None) -> np.ndarray:
+    """max_m |S[l, m]| for l = first..rows - 1 of a packed triangle S, taken
+    in blocks of rows with no |S| of the whole table; with `orders`, a
+    boolean mask over m, only where it is set (0 for a row with none)."""
+    tri = _row_offsets(rows)
+    step = max(1, _BLOCK_ELEMS // rows)
+    blocks = []
+    for l0 in range(first, rows, step):
+        l1 = min(rows, l0 + step)
+        base = l0 * (l0 + 1) // 2
+        mag = np.abs(sums[base : l1 * (l1 + 1) // 2])
+        starts = tri[l0:l1] - base
+        if orders is not None:
+            mag[~orders[np.arange(mag.size) - np.repeat(starts, np.arange(l0 + 1, l1 + 1))]] = 0.0
+        blocks.append(np.maximum.reduceat(mag, starts))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _split(a):
@@ -398,17 +429,18 @@ def _add_columns(sums: np.ndarray, step: int, xr, ring_phase, coeffs):
     On product rules (one BLAS thread) three kernel calls on product_rule(40)
     take 0.9 ms this way and 1.5 ms through _ring_recurrence, and
     certify(product_rule(1000), 1002) 115-125 ms against 150-185 ms."""
-    rows = sums.shape[0]
+    rows, tri = coeffs[0].size, coeffs[3]
     for k, m in enumerate(range(0, rows, step)):
-        sums[m:, m] += _legendre_column(coeffs, rows - 1, m, xr) @ ring_phase[k].T
+        # column m of the packed accumulator: (l, m) at tri[l] + m, l >= m
+        sums[tri[m:-1] + m] += _legendre_column(coeffs, rows - 1, m, xr) @ ring_phase[k].T
 
 
 def _add_rings(sums: np.ndarray, step: int, x, eiphi, w, bounds, coeffs):
-    """Add the rings bounds[r]:bounds[r + 1] of sorted points to the (re, im)
-    accumulator, at the orders m = 0, step, 2 step, ... only: with
+    """Add the rings bounds[r]:bounds[r + 1] of sorted points to the packed
+    (re, im) accumulator, at the orders m = 0, step, 2 step, ... only: with
     eiphi = e^{i step phi} (_ring_spin), row k of the ring phases is order
     k step. eiphi None stands for the weights alone, when step > l_max."""
-    rows = sums.shape[0]
+    rows = coeffs[0].size
     orders = -(-rows // step)
     starts = bounds[:-1]
     # one or two orders go column by column (_add_columns), whose working
@@ -423,6 +455,9 @@ def _add_rings(sums: np.ndarray, step: int, x, eiphi, w, bounds, coeffs):
             ring_phase[0, 0] = np.add.reduceat(w[k0:k1], starts[r0:r1] - k0)
         else:
             ring_phase = _ring_phases(orders, eiphi[k0:k1], w[k0:k1], starts[r0:r1] - k0)
+            if step % 2:
+                # the Condon-Shortley phase (-1)^m: m = k step is odd at odd k
+                ring_phase[1::2] *= -1.0
         xr = x[starts[r0:r1]]
         if columns:
             _add_columns(sums, step, xr, ring_phase, coeffs)
@@ -465,7 +500,8 @@ def _cancelled_phases(rings: _Rings, s: int, rows: int) -> np.ndarray:
 
 def _ring_sums(l_max: int, theta, phi, weights, max_allowance: float | None = math.inf,
                rings: _Rings | None = None):
-    """(S, a): the sums of weighted_harmonic_sums and a per-order allowance.
+    """(S, a): the sums of weighted_harmonic_sums, as a packed triangle
+    (_dense unpacks it), and a per-order allowance.
 
     Rings of s >= 2 equal weights at equispaced azimuths (_ring_periods)
     feed only the orders m = 0, s, 2s, ..., one recurrence per period s
@@ -503,8 +539,8 @@ def _ring_sums(l_max: int, theta, phi, weights, max_allowance: float | None = ma
         if allowance.max() > max_allowance:
             periods = []
             allowance[:] = 0.0
-    sums = np.zeros((rows, rows, 2))
     coeffs = _norm_coeffs(l_max)
+    sums = np.zeros((coeffs[3][-1], 2))
     other = period == 0 if periods else np.ones(rings.bounds.size - 1, dtype=bool)
     if other.any():
         points, bounds = _subset(rings.bounds, other)
@@ -518,12 +554,12 @@ def _ring_sums(l_max: int, theta, phi, weights, max_allowance: float | None = ma
         # only m = 0 when s > l_max: no phases but the weights
         spin = _ring_spin(s, rings.phi[points], rings.delta[points], bounds) if s < rows else None
         _add_rings(sums, s, rings.x[points], spin, rings.w[points], bounds, coeffs)
-    out = _signed_sums(sums)
+    out = sums.view(complex)[:, 0]
     if allowance is not None and (len(periods) > 1 or (periods and other.any())):
         # orders that other rings may feed as well
         shared = cancelled > 0
         if shared.any():
-            allowance += np.abs(out[:, shared]).max(axis=1)
+            allowance += _row_max(out, rows, orders=shared)
     return out, allowance
 
 
@@ -535,11 +571,12 @@ def weighted_harmonic_sums(l_max: int, theta, phi, weights) -> np.ndarray:
     per ring, W[m, r] = sum_{k in r} w_k e^{i m phi_k} (_ring_phases); one
     normalized associated-Legendre recurrence then steps l once for all
     orders m at once over the R distinct latitudes, accumulating S[l, m] as
-    it goes (_ring_recurrence). Cost is O(R * l_max^2 + n * l_max): product
-    rules and Lebedev orbits repeat latitudes, and a set without repeats is
-    simply R = n. From order _ROUTE_MIN_ROWS - 1 on, a ring of s equal
-    weights at equispaced azimuths only feeds the orders m = 0, s, 2s, ...,
-    so a product rule costs O(n + R l_max). Its other orders are returned
+    it goes (_ring_recurrence) in a packed triangle, unpacked on return.
+    Cost is O(R * l_max^2 + n * l_max): product rules and Lebedev orbits
+    repeat latitudes, and a set without repeats is simply R = n. From order
+    _ROUTE_MIN_ROWS - 1 on, a ring of s equal weights at equispaced azimuths
+    only feeds the orders m = 0, s, 2s, ..., so a product rule costs
+    O(n + R l_max). Its other orders are returned
     as exactly 0, although the ring's deviations of a few ulps from the
     ideal azimuths leave up to about 4e-12 there at l_max = 1000. This
     function does not report that allowance, so a residual taken from
@@ -551,12 +588,13 @@ def weighted_harmonic_sums(l_max: int, theta, phi, weights) -> np.ndarray:
     polar angle outside [0, pi] counts as the point it names: where
     sin(theta) < 0 that is (arccos(cos theta), phi + pi).
     """
-    return _ring_sums(l_max, theta, phi, weights, None)[0]
+    return _dense(_ring_sums(l_max, theta, phi, weights, None)[0])
 
 
 def _dfs_harmonic_sums(l_max: int, theta, phi, weights) -> np.ndarray:
     """weighted_harmonic_sums through the double Fourier sphere, in
-    O(n WIDTH^2 + l_max^2 log l_max + l_max^3) instead of O(R l_max^2).
+    O(n WIDTH^2 + l_max^2 log l_max + l_max^3) instead of O(R l_max^2),
+    returned as the packed triangle of _ring_sums.
 
     With sin^m(theta) signed, Y_l^m is a trigonometric polynomial of degree
     <= l in theta on [0, 2 pi) (Merilees 1973; Townsend, Wilber & Wright
@@ -589,7 +627,9 @@ def _dfs_harmonic_sums(l_max: int, theta, phi, weights) -> np.ndarray:
     theta_j = np.pi * np.arange(rows + 1) / rows
     sin_j = np.sin(theta_j)
     sin_j[-1] = 0.0
-    sums = np.zeros((rows, rows, 2))
     phases = np.stack((ring.real.T, ring.imag.T), axis=1)
-    _ring_recurrence(phases, np.cos(theta_j), sin_j * sin_j, sums, _norm_coeffs(l_max))
-    return _signed_sums(sums)
+    phases[1::2] *= -1.0  # the Condon-Shortley phase
+    coeffs = _norm_coeffs(l_max)
+    sums = np.zeros((coeffs[3][-1], 2))
+    _ring_recurrence(phases, np.cos(theta_j), sin_j * sin_j, sums, coeffs)
+    return sums.view(complex)[:, 0]

@@ -78,25 +78,39 @@ def legendre_eval(l: int, x):
     return p, dp
 
 
-# One coefficient table (amm, a, b) for every cap up to _SHARED_ORDER: entries
-# depend on (l, m) only, so it grows to the largest such l_max asked for and
-# callers get read-only leading views. At 512 it holds 4.2 MB and covers the
-# caps bench/run.py times (up to 402). Past it, a table extended from it serves
-# one kernel call (L = 602 / 1002 / 2000: 3 / 28 / 132 ms, 6 / 16 / 64 MB).
+# One coefficient table (amm, a, b, tri) for every cap up to _SHARED_ORDER:
+# entries depend on (l, m) only, so it grows by appending rows to the
+# largest such l_max asked for, and callers get read-only leading views. a
+# and b are packed lower triangles, row l at offset tri[l] = l (l + 1) / 2
+# holding m = 0..l. At 512 it holds 2.1 MB and covers the caps bench/run.py
+# times (up to 402). Past it, a table extended from it serves one kernel
+# call (L = 602 / 1002 / 2000: 2 / 11 / 50 ms, 3 / 8 / 32 MB).
 _SHARED_ORDER = 512
-_NORM_TABLE = (np.empty(0), np.empty((0, 0)), np.empty((0, 0)))
+_NORM_TABLE = (np.empty(0), np.empty(0), np.empty(0), np.zeros(1, dtype=np.intp))
+
+
+def _row_offsets(rows: int) -> np.ndarray:
+    """l (l + 1) / 2 for l = 0..rows, where row l of a packed lower triangle
+    starts: a view of the shared table's when it holds that many."""
+    tri = _NORM_TABLE[3]
+    if tri.size <= rows:
+        tri = np.arange(rows + 1)
+        tri = tri * (tri + 1) // 2
+    return tri[: rows + 1]
 
 
 def _norm_coeffs(l_max: int):
     """Recurrence coefficients for orthonormal associated Legendre values.
 
-    amm[m] starts the diagonal: P~_m^m = amm[m] (1-x^2)^{m/2};
-    a[l, m], b[l, m] step up in l: P~_l^m = a x P~_{l-1}^m + b P~_{l-2}^m.
+    Returns (amm, a, b, tri). amm[m] starts the diagonal: P~_m^m =
+    amm[m] (1-x^2)^{m/2}; a and b step up in l, P~_l^m = a x P~_{l-1}^m +
+    b P~_{l-2}^m, with the coefficients of (l, m) at a[tri[l] + m] and
+    b[tri[l] + m] (0 at m = l), tri[l] = l (l + 1) / 2 for l = 0..l_max + 1.
     Returns read-only leading views of the table (see _SHARED_ORDER),
     first extended by the missing rows when l_max exceeds its size.
     """
     global _NORM_TABLE
-    amm, a, b = _NORM_TABLE
+    amm, a, b, tri = _NORM_TABLE
     have, size = amm.size, l_max + 1
     if size > have:
         amm = np.concatenate((amm, np.empty(size - have)))
@@ -104,29 +118,32 @@ def _norm_coeffs(l_max: int):
             amm[0] = math.sqrt(1.0 / (4.0 * math.pi))
         for m in range(max(have, 1), size):
             amm[m] = amm[m - 1] * math.sqrt((2 * m + 1) / (2.0 * m))
-        grown = np.zeros((2, size, size))
-        grown[0, :have, :have], grown[1, :have, :have] = a, b
+        tri = _row_offsets(size)
+        grown = np.zeros((2, tri[size]))
+        grown[0, : a.size], grown[1, : b.size] = a, b
         a, b = grown
-        # the new rows' lower triangle, (l, m) for have <= l < size and m < l,
-        # in blocks of at most 2^17 entries (or one row), so that the index
-        # and formula temporaries stay small whatever the size of the table
-        step = max(1, (1 << 17) // size)
+        # the new rows' entries (l, m), have <= l < size and m < l, in blocks
+        # of at most 2^14 entries (or one row), so that the index and formula
+        # temporaries stay small beside the table
+        step = max(1, (1 << 14) // size)
         for l0 in range(have, size, step):
             rows = np.arange(l0, min(size, l0 + step))
             l = np.repeat(rows, rows)
             m = np.arange(l.size) - np.repeat(np.cumsum(rows) - rows, rows)
+            at = tri[l] + m
             lf, mf = l.astype(float), m.astype(float)
-            a[l, m] = np.sqrt((4.0 * lf * lf - 1.0) / (lf * lf - mf * mf))
-            b[l, m] = -np.sqrt(
+            a[at] = np.sqrt((4.0 * lf * lf - 1.0) / (lf * lf - mf * mf))
+            b[at] = -np.sqrt(
                 (2.0 * lf + 1.0)
                 * ((lf - 1.0) * (lf - 1.0) - mf * mf)
                 / ((2.0 * lf - 3.0) * (lf * lf - mf * mf))
             )
-        for arr in (amm, a, b):
+        for arr in (amm, a, b, tri):
             arr.setflags(write=False)
         if l_max <= _SHARED_ORDER:
-            _NORM_TABLE = amm, a, b
-    return amm[:size], a[:size, :size], b[:size, :size]
+            _NORM_TABLE = amm, a, b, tri
+    end = tri[size]
+    return amm[:size], a[:end], b[:end], tri[: size + 1]
 
 
 def _legendre_column(coeffs, l_max: int, m: int, x: np.ndarray) -> np.ndarray:
@@ -134,14 +151,17 @@ def _legendre_column(coeffs, l_max: int, m: int, x: np.ndarray) -> np.ndarray:
     with coeffs = _norm_coeffs(l_max or more). Each step is the arithmetic of
     harmonics._ring_recurrence operation for operation, (a x) P~_{l-1}^m +
     b P~_{l-2}^m, so a column equals that kernel's values bit for bit."""
-    amm, a, b = coeffs
+    amm, a, b, tri = coeffs
     out = np.empty((l_max - m + 1, x.size))
     out[0] = amm[m] * np.maximum((1.0 - x) * (1.0 + x), 0.0) ** (0.5 * m)
-    ax = a[m + 1 : l_max + 1, m, None] * x
+    # (l, m) for l = m + 1..l_max
+    at = tri[m + 1 : l_max + 1] + m
+    ax = a[at, None] * x
+    bm = b[at]
     for i in range(1, l_max - m + 1):
         np.multiply(ax[i - 1], out[i - 1], out=out[i])
         if i > 1:
-            out[i] += b[m + i, m] * out[i - 2]
+            out[i] += bm[i - 1] * out[i - 2]
     return out
 
 

@@ -49,7 +49,14 @@ import numpy as np
 
 from . import _nufft
 from .errors import CapExceeded, DomainError, DuplicatePoint, ParseError, WeightError, ZeroVector
-from .harmonics import _ROUTE_MIN_ROWS, _dfs_harmonic_sums, _latitude_rings, _ring_cost, _ring_sums
+from .harmonics import (
+    _ROUTE_MIN_ROWS,
+    _dfs_harmonic_sums,
+    _latitude_rings,
+    _ring_cost,
+    _ring_sums,
+    _row_max,
+)
 from .orthopoly import gauss_legendre_rule
 from .sphere import TWO_PI, Direction
 
@@ -208,40 +215,44 @@ def _dfs_allowance(l_max: int, weights) -> np.ndarray:
     return 10.0 * _DFS_EPS * np.abs(weights).sum() * np.sqrt(2 * l + 1)
 
 
-def _bounded_sums(l_max: int, theta, phi, weights, tol: float):
-    """(r, S): the sums S[l, m] = sum_k w_k Y_l^m(Omega_k), 0 <= m <= l <= l_max,
-    on the route of the cost model, and upper bounds r[l - 1] >= max_m of their
-    exact values from its allowance (module docstring; the ring allowance never
-    decides r <= tol). CapExceeded past the size budget."""
-    # the (a, b) recurrence coefficient table both routes step through
-    table = 16 * (l_max + 1) ** 2
+def _bounded_sums(l_max: int, theta, phi, weights, tol: float) -> np.ndarray:
+    """Upper bounds r[l - 1] >= max_m |sum_k w_k Y_l^m(Omega_k)| for
+    l = 1..l_max: the sums on the route of the cost model, reduced per degree
+    in blocks of rows, plus that route's allowance (module docstring; the
+    ring allowance never decides r <= tol). CapExceeded past the size
+    budget."""
+    # the (a, b) recurrence coefficient table both routes step through and
+    # the (re, im) accumulator of the sums: packed lower triangles of
+    # (l_max + 1)(l_max + 2) / 2 entries each
+    table = 16 * (l_max + 1) * (l_max + 2)
     _check_budget(table, f"certification to order {l_max}")
     # cost model: ring kernel R L^2 against NUFFT spreading n w^2 plus the
     # L^3 recurrence over virtual rings, routed rings counted at their
-    # routed cost; the rings, found once, also feed the ring kernel
+    # routed cost; the rings, found once, also feed the ring kernel. The
+    # cost test comes first: it is the cheaper one.
     rings = _latitude_rings(theta, phi, weights, detect=l_max + 1 >= _ROUTE_MIN_ROWS)
     dfs_cost = _DFS_COST_RATIO * (theta.size * _nufft.WIDTH**2 + l_max**3)
     dfs = (
-        table + _nufft.work_bytes(l_max) <= SIZE_BUDGET_BYTES
-        and _ring_cost(l_max, rings) * l_max**2 > dfs_cost
+        _ring_cost(l_max, rings) * l_max**2 > dfs_cost
+        and table + _nufft.work_bytes(l_max) <= SIZE_BUDGET_BYTES
     )
-    # entries above the diagonal (m > l) are zero
+    rows = l_max + 1
     if dfs:
         sums = _dfs_harmonic_sums(l_max, theta, phi, weights)
-        residual_per_l = np.abs(sums[1:]).max(axis=1) + _dfs_allowance(l_max, weights)[1:]
-    else:
-        # rings are routed on their period only while their allowance stays
-        # at or below tol / 2 (module docstring)
-        sums, allowance = _ring_sums(l_max, theta, phi, weights, tol / 2, rings)
-        residual_per_l = np.abs(sums[1:]).max(axis=1)
-        if allowance.any():
-            exact = residual_per_l
-            residual_per_l = np.maximum(exact, allowance[1:])
-            if np.any(residual_per_l[exact <= tol] > tol):
-                # the allowance would decide a verdict: sum every order instead
-                sums, _ = _ring_sums(l_max, theta, phi, weights, 0.0, rings)
-                residual_per_l = np.abs(sums[1:]).max(axis=1)
-    return residual_per_l, sums
+        return _row_max(sums, rows, 1) + _dfs_allowance(l_max, weights)[1:]
+    # rings are routed on their period only while their allowance stays at
+    # or below tol / 2 (module docstring)
+    sums, allowance = _ring_sums(l_max, theta, phi, weights, tol / 2, rings)
+    residual_per_l = _row_max(sums, rows, 1)
+    if allowance.any():
+        exact = residual_per_l
+        residual_per_l = np.maximum(exact, allowance[1:])
+        if np.any(residual_per_l[exact <= tol] > tol):
+            # the allowance would decide a verdict: sum every order instead
+            del sums
+            sums, _ = _ring_sums(l_max, theta, phi, weights, 0.0, rings)
+            residual_per_l = _row_max(sums, rows, 1)
+    return residual_per_l
 
 
 def product_rule(order: int) -> SphericalQuadrature:
@@ -286,7 +297,8 @@ def certify(
     is set (signed rules exist in the published Lebedev tables and can be
     measured for exactness, but never define a POVM), DomainError unless
     `tol` is positive and finite (an infinite one passes every order), and
-    CapExceeded when the order's coefficient table breaks the size budget.
+    CapExceeded when the order's packed coefficient table and accumulator,
+    16 (l_max + 1)(l_max + 2) bytes, break the size budget.
     The residuals come from _bounded_sums: the ring kernel or, for large
     sets without shared latitudes, the double-Fourier-sphere route, each
     with its allowance (module docstring).
@@ -300,7 +312,7 @@ def certify(
             f"{q.label or 'quadrature'} has a non-positive weight "
             f"(min {float(q.weights.min())})"
         )
-    residual_per_l, _ = _bounded_sums(l_max, q.theta, q.phi, q.weights, tol)
+    residual_per_l = _bounded_sums(l_max, q.theta, q.phi, q.weights, tol)
     failing = np.nonzero(residual_per_l > tol)[0]
     strength = l_max if failing.size == 0 else int(failing[0])
     return CertificationReport(

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import povm
 from .errors import DomainError, NotNormalized
-from .harmonics import _ring_sums
+from .harmonics import _dense, _ring_sums
 from .povm import (
     FinitePovm,
     _direction_angles,
@@ -360,8 +360,8 @@ def quadrature_averaged_score(p: FinitePovm, q: SphericalQuadrature | None = Non
     if q is None:
         return exact_score(p)
     power = p.copies + 1
-    a = _ring_sums(power, p.theta, p.phi, p.c, None)[0]
-    b = _ring_sums(power, q.theta, q.phi, q.weights / FOUR_PI, None)[0]
+    a = _dense(_ring_sums(power, p.theta, p.phi, p.c, None)[0])
+    b = _dense(_ring_sums(power, q.theta, q.phi, q.weights / FOUR_PI, None)[0])
     cross = a.real * b.real + a.imag * b.imag
     cross[:, 1:] *= 2.0
     return float(FOUR_PI * (_funk_hecke_coeffs(power) @ cross.sum(axis=1)))

@@ -13,7 +13,10 @@ earlier code: the all-orders ring kernel, which steps every order m over
 every latitude ring, for the kernel that sums only the orders an
 equispaced ring lets through; and the all-offsets ring Gram, which sums
 every offset of the Dicke Gram over every ring, for the Gram that adds
-the rings of period s > N to its diagonal alone. The dense Dicke matrix
+the rings of period s > N to its diagonal alone; and the full-grid type-1
+NUFFT, which spreads onto and transforms every row of the padded periodic
+grid, for the one that holds only the rows its stencils touch. The dense
+Dicke matrix
 takes the package's magnitudes (povm._dicke_magnitudes, checked against
 the tensor product and mpmath) times the phases e^{i j phi}.
 """
@@ -24,6 +27,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import sph_harm_y
 
+from povmquad import _nufft
+from povmquad.harmonics import _dense
 from povmquad.orthopoly import _norm_coeffs
 from povmquad.povm import _dicke_magnitudes
 from povmquad.simulate import _alias_table
@@ -79,7 +84,8 @@ def all_orders_ring_sums(l_max, theta, phi, weights, block_elems=1 << 16):
     starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
     bounds = np.append(starts, x.size)
     rows = l_max + 1
-    amm, a, b = _norm_coeffs(l_max)
+    amm, a, b, _ = _norm_coeffs(l_max)
+    a, b = _dense(a), _dense(b)
     sums = np.zeros((rows, rows, 2))
     block = max(1, block_elems // rows)
     for r0 in range(0, starts.size, block):
@@ -112,6 +118,45 @@ def all_orders_ring_sums(l_max, theta, phi, weights, block_elems=1 << 16):
     out = sums[..., 0] + 1j * sums[..., 1]
     out[:, 1::2] *= -1.0
     return out
+
+
+def full_grid_type1_sums(l_max, theta, phi, weights):
+    """_nufft.type1_sums on the whole padded grid: every point spread onto
+    n + WIDTH rows, the WIDTH / 2 rows past each edge folded onto the rows
+    they wrap to, and one real FFT over phi and one FFT over theta of all n
+    rows. The same operations in the same order as the package's transform
+    on every row a stencil touches, so equal to the bit."""
+    n = _nufft.grid_size(l_max)
+    half, width = _nufft._HALF, _nufft.WIDTH
+    x = np.mod(theta, 2.0 * math.pi)
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    y = np.mod(np.asarray(phi, dtype=float)[order], 2.0 * math.pi)
+    w = np.asarray(weights, dtype=float)[order]
+    grid = np.zeros((n + width, n))
+    offsets = np.arange(width)
+    block = max(1, _nufft._SPREAD_ELEMS // width**2)
+    for k0 in range(0, x.size, block):
+        k1 = min(x.size, k0 + block)
+        row, row_kernel = _nufft._stencil(x[k0:k1], n)
+        col, col_kernel = _nufft._stencil(y[k0:k1], n)
+        top = int(row[0])
+        band = int(row[-1]) + width - top
+        flat = ((row - top)[:, None] + offsets)[:, :, None] * n + (
+            (col[:, None] + offsets) % n
+        )[:, None, :]
+        values = (w[k0:k1, None] * row_kernel)[:, :, None] * col_kernel[:, None, :]
+        grid[top + half : top + half + band] += np.bincount(
+            flat.ravel(), values.ravel(), minlength=band * n
+        ).reshape(band, n)
+    grid[n : n + half] += grid[:half]
+    grid[half:width] += grid[n + half :]
+    spectrum = np.fft.rfft(grid[half : half + n], axis=1)[:, : l_max + 1]
+    p = np.arange(-l_max, l_max + 1)
+    h = np.conjugate(np.fft.fft(spectrum, axis=0)[p % n])
+    h /= (_nufft._kernel_transform(p, n)[:, None]
+          * _nufft._kernel_transform(np.arange(l_max + 1), n))
+    return h
 
 
 def scipy_strength(theta, phi, weights, cap, tol=1e-10):

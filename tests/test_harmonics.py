@@ -233,7 +233,7 @@ def _dfs_cases():
 @pytest.mark.parametrize("case", list(_dfs_cases()), ids=lambda c: c[0])
 def test_dfs_sums_match_ring_kernel(case):
     _, l_max, theta, phi, w = case
-    diff = np.abs(harmonics._dfs_harmonic_sums(l_max, theta, phi, w)
+    diff = np.abs(harmonics._dense(harmonics._dfs_harmonic_sums(l_max, theta, phi, w))
                   - weighted_harmonic_sums(l_max, theta, phi, w))
     assert diff.max() <= 1e-13
     assert np.all(diff.max(axis=1) <= _dfs_allowance(l_max, w) / 10)
@@ -255,7 +255,8 @@ def test_dfs_sums_on_bundled_grids(cap):
     # sets share latitudes (R <= 20), so certify never routes them here.
     for name, q in _bundled_grids():
         ring = weighted_harmonic_sums(cap, q.theta, q.phi, q.weights)
-        diff = np.abs(harmonics._dfs_harmonic_sums(cap, q.theta, q.phi, q.weights) - ring)
+        diff = np.abs(harmonics._dense(harmonics._dfs_harmonic_sums(cap, q.theta, q.phi, q.weights))
+                      - ring)
         assert diff.max() <= 2e-12, name
         assert np.all(diff.max(axis=1) <= _dfs_allowance(cap, q.weights) / 3), name
 
@@ -281,7 +282,7 @@ def test_dfs_sums_stay_within_the_allowance(l_max, points):
     # poles (4e-10 at theta = 1e-6), so it is no reference there. A single
     # heavy point near a pole is the worst case measured: 0.34 a_l at L = 31.
     theta, phi, w = points
-    diff = np.abs(harmonics._dfs_harmonic_sums(l_max, theta, phi, w)
+    diff = np.abs(harmonics._dense(harmonics._dfs_harmonic_sums(l_max, theta, phi, w))
                   - scipy_harmonic_sums(l_max, theta, phi, w))
     assert np.all(diff.max(axis=1) <= _dfs_allowance(l_max, w))
 
@@ -324,6 +325,7 @@ def _routed_cases():
 def test_routed_sums_match_the_all_orders_kernel(case):
     _, l_max, theta, phi, w = case
     sums, allowance = harmonics._ring_sums(l_max, theta, phi, w)
+    sums = harmonics._dense(sums)
     reference = all_orders_ring_sums(l_max, theta, phi, w)
     assert np.max(np.abs(sums - reference)) <= 1e-13
     # the reference's own residuals, which carry no allowance, decide alike
@@ -338,10 +340,12 @@ def test_routed_columns_in_blocks_of_rings_agree(order, monkeypatch):
     q = product_rule(order)
     l_max = order + 2
     whole, allowance = harmonics._ring_sums(l_max, q.theta, q.phi, q.weights)
+    whole = harmonics._dense(whole)
     reference = all_orders_ring_sums(l_max, q.theta, q.phi, q.weights)
     for rings in (1, 7):
         monkeypatch.setattr(harmonics, "_BLOCK_ELEMS", rings * (l_max + 1))
         sums, blocked = harmonics._ring_sums(l_max, q.theta, q.phi, q.weights)
+        sums = harmonics._dense(sums)
         assert np.max(np.abs(sums - whole)) <= 1e-15
         assert np.max(np.abs(sums - reference)) <= 1e-13
         assert np.allclose(blocked, allowance, rtol=1e-12, atol=0.0)
@@ -355,6 +359,7 @@ def test_routed_sums_on_bundled_grids(cap, agree):
     for path in sorted(default_grid_dir().glob("*.txt")):
         q = _load_pointset(path, "auto")
         sums, allowance = harmonics._ring_sums(cap, q.theta, q.phi, q.weights)
+        sums = harmonics._dense(sums)
         reference = all_orders_ring_sums(cap, q.theta, q.phi, q.weights)
         assert np.max(np.abs(sums - reference)) <= agree, path.name
         assert _strength(sums, allowance) == _strength(reference, None), path.name
@@ -392,7 +397,7 @@ def _no_ring_cases():
 def test_sets_with_no_equispaced_ring_keep_the_all_orders_bits(case):
     _, l_max, theta, phi, w = case
     sums, allowance = harmonics._ring_sums(l_max, theta, phi, w)
-    assert np.array_equal(sums, all_orders_ring_sums(l_max, theta, phi, w))
+    assert np.array_equal(harmonics._dense(sums), all_orders_ring_sums(l_max, theta, phi, w))
     assert not allowance.any()
 
 
@@ -433,6 +438,7 @@ def test_ring_detection_edge_cases():
     for name, (theta, phi, w, expect) in cases.items():
         assert list(_periods(theta, phi, w).values()) == [expect], name
         sums, allowance = harmonics._ring_sums(l_max, theta, phi, w)
+        sums = harmonics._dense(sums)
         reference = all_orders_ring_sums(l_max, theta, phi, w)
         assert np.max(np.abs(sums - reference)) <= 1e-14, name
     # a set of several rings and periods, and rings that are not routed
@@ -440,6 +446,7 @@ def test_ring_detection_edge_cases():
                   (np.full(3, 2.5), np.array([0.1, 1.0, 4.0]), np.ones(3)))
     assert sorted(_periods(*mixed).values()) == [0, 5, 5, 7]
     sums, allowance = harmonics._ring_sums(l_max, *mixed)
+    sums = harmonics._dense(sums)
     reference = all_orders_ring_sums(l_max, *mixed)
     assert np.max(np.abs(sums - reference)) <= 1e-14
     assert np.all(np.abs(reference).max(axis=1)
@@ -457,11 +464,12 @@ def test_columns_step_the_all_orders_arithmetic(l_max):
     unit[:, 0] = 1.0
     for x in (1.0, -1.0, math.cos(1e-6), math.cos(1e-3), 0.0, 0.3, -0.77):
         xr = np.array([x])
-        columns = np.zeros((rows, rows, 2))
+        columns = np.zeros((coeffs[3][-1], 2))
         harmonics._add_columns(columns, step, xr, unit[:2], coeffs)
-        batched = np.zeros((rows, rows, 2))
+        batched = np.zeros((coeffs[3][-1], 2))
         harmonics._ring_recurrence(unit, xr, np.maximum((1.0 - xr) * (1.0 + xr), 0.0),
                                    batched, coeffs)
+        columns, batched = harmonics._dense(columns), harmonics._dense(batched)
         for m in (0, step):
             assert np.array_equal(columns[:, m], batched[:, m]), (x, m)
 
@@ -476,6 +484,7 @@ def test_routed_rings_at_the_poles_match_the_closed_form(l_max, bound):
         ring = _ring(l_max, theta)
         assert list(_periods(*ring).values()) == [l_max]
         sums, _ = harmonics._ring_sums(l_max, *ring)
+        sums = harmonics._dense(sums)
         exact = l_max * sign**l * np.sqrt((2 * l + 1) / (4 * math.pi))
         assert np.max(np.abs(sums[:, 0] - exact) / np.abs(exact)) <= bound, theta
 
@@ -495,6 +504,7 @@ def test_allowance_bounds_the_exact_sums_at_cancelled_orders():
         rings = harmonics._latitude_rings(theta, phi, w)
         assert set(rings.period.tolist()) == set(periods)
         sums, allowance = harmonics._ring_sums(l_max, theta, phi, w)
+        sums = harmonics._dense(sums)
         points = [tuple(mpmath.mpf(float(v)) for v in p) for p in zip(theta, phi, w)]
         exact = np.zeros((l_max + 1, l_max + 1))
         for l in range(l_max + 1):

@@ -11,6 +11,7 @@ import pytest
 from scipy.special import lpmv
 
 from povmquad.errors import DomainError
+from povmquad.harmonics import _dense
 from povmquad.orthopoly import (
     assoc_legendre,
     assoc_legendre_column,
@@ -185,7 +186,8 @@ def test_rule_convergence_error_reports_root_index(monkeypatch):
 
 
 def _reference_norm_coeffs(l_max):
-    """The recurrence coefficients entry by entry, as scalar loops."""
+    """The recurrence coefficients entry by entry, as scalar loops; a and b
+    packed as their lower triangles, row by row."""
     amm = np.empty(l_max + 1)
     amm[0] = math.sqrt(1.0 / (4.0 * math.pi))
     for m in range(1, l_max + 1):
@@ -202,7 +204,8 @@ def _reference_norm_coeffs(l_max):
                 * ((lf - 1.0) * (lf - 1.0) - mf * mf)
                 / ((2.0 * lf - 3.0) * (lf * lf - mf * mf))
             )
-    return amm, a, b
+    lower = np.tril_indices(l_max + 1)
+    return amm, a[lower], b[lower]
 
 
 def test_norm_coeffs_views_are_bit_identical_to_a_fresh_build():
@@ -225,20 +228,21 @@ def test_norm_coeffs_share_a_table_up_to_a_fixed_order():
     assert 402 <= shared <= 1000
     orthopoly._norm_coeffs(shared)
     big = orthopoly._norm_coeffs(2000)
-    assert big[1].shape == (2001, 2001)
-    # the 64 MB table of order 2000 is its caller's alone
+    assert _dense(big[1]).shape == (2001, 2001)
+    # the 32 MB table of order 2000 is its caller's alone
     assert orthopoly._NORM_TABLE[0].size == shared + 1
     assert sum(t.nbytes for t in orthopoly._NORM_TABLE) < 5e6
     # the shared rows are where the larger table starts
     small = orthopoly._norm_coeffs(shared)
     assert big[0][: shared + 1].tobytes() == small[0].tobytes()
-    for g, ref in zip(big[1:], small[1:]):
-        assert g[: shared + 1, : shared + 1].tobytes() == ref.tobytes()
+    for g, ref in zip(big[1:3], small[1:3]):
+        assert _dense(g)[: shared + 1, : shared + 1].tobytes() == _dense(ref).tobytes()
 
 
 def test_norm_coeffs_build_new_rows_in_bounded_blocks():
     # the index and formula temporaries of the rows past the shared table
-    # once spanned all of them: 184 MB traced for the 64 MB table of order 2000
+    # once spanned all of them: 184 MB traced for the 64 MB table of order
+    # 2000; blocks of 2^17 entries still added 7.6 MiB to the square table
     import povmquad.orthopoly as orthopoly
 
     orthopoly._norm_coeffs(orthopoly._SHARED_ORDER)
@@ -248,7 +252,9 @@ def test_norm_coeffs_build_new_rows_in_bounded_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= sum(t.nbytes for t in table) + 16 * 2**20
+    # amm and the two packed triangles: no entry above the diagonal is stored
+    assert sum(t.nbytes for t in table[:3]) <= 8 * 2001 * 2002 + 8 * 2001
+    assert peak <= sum(t.nbytes for t in table) + 2 * 2**20
 
 
 def test_norm_coeffs_memory_does_not_grow_with_each_cap():

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from povmquad.errors import (
     WeightError,
     ZeroVector,
 )
-from povmquad.harmonics import _latitude_rings, _ring_sums, weighted_harmonic_sums
+from povmquad.harmonics import _dense, _latitude_rings, _ring_sums, weighted_harmonic_sums
 from povmquad.povm import povm_from_quadrature, scalar_completeness_residual
 from povmquad.quadrature import (
     DEFAULT_TOL,
@@ -687,6 +690,7 @@ def test_sets_with_shared_latitudes_stay_on_the_ring_kernel(monkeypatch, tmp_pat
             assert main(argv) == EXIT_OK
             g = _load_pointset(path, "auto")
             sums, allowance = _ring_sums(cap, g.theta, g.phi, g.weights, DEFAULT_TOL / 2)
+            sums = _dense(sums)
             residual = np.maximum(np.abs(sums[1:]).max(axis=1), allowance[1:])
             failing = np.nonzero(residual > DEFAULT_TOL)[0]
             expected = {
@@ -733,10 +737,47 @@ def test_size_budget_is_checked_before_allocating():
     with pytest.raises(CapExceeded):
         product_rule(100_000)
     # what the budget must still admit: certify at L = 1002 on either route
-    # (coefficient table, NUFFT grid, its transform and a stencil block), and
-    # the rule of construct 1000
-    assert 16 * 1003**2 + _nufft.work_bytes(1002) <= SIZE_BUDGET_BYTES
+    # (packed coefficient table and accumulator, NUFFT grid, its transform
+    # and a stencil block), and the rule of construct 1000
+    assert 16 * 1003 * 1004 + _nufft.work_bytes(1002) <= SIZE_BUDGET_BYTES
     assert 24 * product_rule_count(1000) <= SIZE_BUDGET_BYTES
+
+
+class _Admitted(Exception):
+    pass
+
+
+def test_size_budget_counts_the_packed_table_and_accumulator(monkeypatch):
+    # 16 (L + 1)(L + 2) bytes: 16 * 8191 * 8192 <= 1 GiB < 16 * 8192 * 8193;
+    # the ring search runs right after the check, so stop there
+    def admitted(*args, **kwargs):
+        raise _Admitted
+
+    monkeypatch.setattr(quadrature, "_latitude_rings", admitted)
+    q = product_rule(4)
+    with pytest.raises(_Admitted):
+        certify(q, 8190)
+    with pytest.raises(CapExceeded):
+        certify(q, 8191)
+
+
+def test_certify_at_cap_600_holds_no_square_table():
+    # a packed coefficient table and accumulator, each row's largest |S|
+    # taken a block of rows at a time: the square table, accumulator and
+    # |S| of all orders held 16.5 MiB here
+    code = (
+        "import tracemalloc\n"
+        "from povmquad.cli import _load_pointset, default_grid_dir\n"
+        "from povmquad.quadrature import certify\n"
+        "q = _load_pointset(default_grid_dir() / 'lebedev_0074.txt', 'auto')\n"
+        "tracemalloc.start()\n"
+        "certify(q, 600, allow_signed=True)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert int(out.stdout) <= 9 * 2**20
 
 
 @pytest.mark.parametrize("order, seed", [(20, 5), (44, 6)])
