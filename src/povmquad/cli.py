@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -33,17 +34,18 @@ from .errors import (
     ZeroVector,
 )
 from .povm import (
+    _povm_from_tree,
     _povm_pieces,
+    _read_povm,
     exact_score,
     legendre_pure_counts,
     mixed_min_elements,
     operator_completeness_residual,
-    povm_from_json,
     povm_from_quadrature,
     scalar_completeness_residual,
     spin_subspaces,
 )
-from .quadrature import _format_rows, certify, ingest_pointset, product_rule, product_rule_count
+from .quadrature import _check_budget, _format_rows, certify, ingest_pointset, product_rule, product_rule_count
 from .simulate import _NORMALIZATION_TOL, quadrature_averaged_score, run_game, score_by_direction
 
 EXIT_OK = 0
@@ -55,6 +57,11 @@ EXIT_PARSE = 65
 
 ENV_GRIDS = "POVMQUAD_GRIDS"
 MIN_TRIALS = 100
+
+# Bytes that json.loads and povm._povm_from_tree hold at their peak per byte
+# of a POVM file: traced at 4.3 for construct's layout, 3.6-4.8 for
+# json.dumps layouts of it and 10.6 for compact files of one-digit numbers
+_JSON_BYTES_FACTOR = 12
 
 # Static reference data: minimal known POVM sizes (search-based, N <= 7).
 LATORRE_COUNTS = {1: 2, 2: 4, 3: 6, 4: 10, 5: 12, 6: 18, 7: 22}
@@ -95,9 +102,15 @@ def _seed_value(text: str) -> int:
 
 
 def _path(text: str) -> Path:
-    # the operating system refuses a NUL byte in a path with ValueError
+    # the operating system refuses a NUL byte in a path with ValueError, and
+    # a path the file system encoding cannot encode (a lone surrogate) with
+    # UnicodeEncodeError
     if "\0" in text:
         raise argparse.ArgumentTypeError("a path cannot contain a NUL byte")
+    try:
+        os.fsencode(text)
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError("a path must be encodable as a file name") from None
     return Path(text)
 
 
@@ -167,6 +180,23 @@ def _read_text(path: Path) -> str:
         raise ParseError(f"{path.name} is not UTF-8 text ({exc})") from None
 
 
+def _load_povm(path: Path):
+    """The POVM of a file. The layout that construct writes is read in
+    blocks (povm._read_povm); any other bytes through json.loads
+    (povm._povm_from_tree), once the file's size times _JSON_BYTES_FACTOR
+    is within the size budget, so a file too large for that exits 64 before
+    it is read. A pipe, which cannot be read twice, goes to json.loads
+    alone."""
+    info = path.stat()
+    if stat.S_ISREG(info.st_mode):
+        with path.open("rb") as fh:
+            povm = _read_povm(fh, info.st_size, label=path.name)
+        if povm is not None:
+            return povm
+        _check_budget(_JSON_BYTES_FACTOR * info.st_size, f"reading {path.name} as a JSON object tree")
+    return _povm_from_tree(_read_text(path), label=path.name)
+
+
 def _detect_weight_mode(lines) -> str:
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
@@ -232,7 +262,7 @@ def cmd_strength(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    povm = povm_from_json(_read_text(args.file), label=args.file.name)
+    povm = _load_povm(args.file)
     povm.validate()
     report = run_game(povm, args.trials, args.seed)
     if args.format == "json":
@@ -255,7 +285,7 @@ def cmd_simulate(args) -> int:
 def cmd_score(args) -> int:
     if args.grid is None and (args.out is not None or args.format is not None):
         raise DomainError("--out and --format apply only to the --grid table")
-    povm = povm_from_json(_read_text(args.file), label=args.file.name)
+    povm = _load_povm(args.file)
     povm.validate()
     # score_quadrature_avg is sum(c)/(N+2) for any directions (an identity:
     # quadrature_averaged_score), so the check that can fail is this

@@ -435,11 +435,13 @@ def _add_columns(sums: np.ndarray, step: int, xr, ring_phase, coeffs):
         sums[tri[m:-1] + m] += _legendre_column(coeffs, rows - 1, m, xr) @ ring_phase[k].T
 
 
-def _add_rings(sums: np.ndarray, step: int, x, eiphi, w, bounds, coeffs):
+def _add_rings(sums: np.ndarray, step: int, x, phi, w, bounds, coeffs, delta=None, flip=None):
     """Add the rings bounds[r]:bounds[r + 1] of sorted points to the packed
-    (re, im) accumulator, at the orders m = 0, step, 2 step, ... only: with
-    eiphi = e^{i step phi} (_ring_spin), row k of the ring phases is order
-    k step. eiphi None stands for the weights alone, when step > l_max."""
+    (re, im) accumulator, at the orders m = 0, step, 2 step, ... only. Each
+    block of rings forms its own e^{i step phi}, row k of its ring phases
+    being order k step: for step 1 as e^{i phi}, negated where `flip` is
+    set; for rings of period step from their deviations `delta`
+    (_ring_spin), and from the weights alone, order 0, when step > l_max."""
     rows = coeffs[0].size
     orders = -(-rows // step)
     starts = bounds[:-1]
@@ -450,11 +452,20 @@ def _add_rings(sums: np.ndarray, step: int, x, eiphi, w, bounds, coeffs):
     for r0 in range(0, starts.size, block):
         r1 = min(starts.size, r0 + block)
         k0, k1 = bounds[r0], bounds[r1]
-        if eiphi is None:  # order 0 only
+        if delta is None:
+            eiphi = np.exp(1j * phi[k0:k1])
+            if flip is not None:
+                # the recurrence takes sin(theta) = sqrt(1 - x^2) >= 0
+                eiphi[flip[k0:k1]] *= -1.0
+        elif step < rows:
+            eiphi = _ring_spin(step, phi[k0:k1], delta[k0:k1], bounds[r0 : r1 + 1] - k0)
+        else:  # period past l_max: order 0 only
+            eiphi = None
+        if eiphi is None:
             ring_phase = np.zeros((1, 2, r1 - r0))
             ring_phase[0, 0] = np.add.reduceat(w[k0:k1], starts[r0:r1] - k0)
         else:
-            ring_phase = _ring_phases(orders, eiphi[k0:k1], w[k0:k1], starts[r0:r1] - k0)
+            ring_phase = _ring_phases(orders, eiphi, w[k0:k1], starts[r0:r1] - k0)
             if step % 2:
                 # the Condon-Shortley phase (-1)^m: m = k step is odd at odd k
                 ring_phase[1::2] *= -1.0
@@ -544,16 +555,13 @@ def _ring_sums(l_max: int, theta, phi, weights, max_allowance: float | None = ma
     other = period == 0 if periods else np.ones(rings.bounds.size - 1, dtype=bool)
     if other.any():
         points, bounds = _subset(rings.bounds, other)
-        eiphi = np.exp(1j * rings.phi[points])
-        if rings.flip is not None:
-            # the recurrence takes sin(theta) = sqrt(1 - x^2) >= 0
-            eiphi[rings.flip[points]] *= -1.0
-        _add_rings(sums, 1, rings.x[points], eiphi, rings.w[points], bounds, coeffs)
+        flip = None if rings.flip is None else rings.flip[points]
+        _add_rings(sums, 1, rings.x[points], rings.phi[points], rings.w[points], bounds, coeffs,
+                   flip=flip)
     for s in periods:
         points, bounds = _subset(rings.bounds, period == s)
-        # only m = 0 when s > l_max: no phases but the weights
-        spin = _ring_spin(s, rings.phi[points], rings.delta[points], bounds) if s < rows else None
-        _add_rings(sums, s, rings.x[points], spin, rings.w[points], bounds, coeffs)
+        _add_rings(sums, s, rings.x[points], rings.phi[points], rings.w[points], bounds, coeffs,
+                   delta=rings.delta[points])
     out = sums.view(complex)[:, 0]
     if allowance is not None and (len(periods) > 1 or (periods and other.any())):
         # orders that other rings may feed as well

@@ -58,8 +58,10 @@ whatever n and N.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -651,8 +653,95 @@ def povm_to_json(p: FinitePovm) -> str:
     return "".join(_povm_pieces(p))
 
 
+# The layout _povm_pieces writes, as bytes patterns, compiled on first use
+# (about 1.5 ms, which every import would pay). A number is JSON's number
+# grammar less the integer -0, which json.loads reads as the int 0, so as
+# +0.0, where numpy reads -0.0: a file holding one goes to json.loads.
+_NUMBER = rb"(?:-(?:[1-9][0-9]*+|0(?=[.eE]))|0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][-+]?+[0-9]++)?+"
+_ROW = rb'    \{"c": %s, "theta": %s, "phi": %s\}' % (_NUMBER, _NUMBER, _NUMBER)
+_HEAD = rb'\{\n  "N": ([1-9][0-9]{0,17}),\n  "n": ([1-9][0-9]{0,17}),\n  "elements": \[\n'
+_ROWS = rb"(?:%s,\n)*+" % _ROW  # rows that another row follows
+_TAIL = rb'(%s\n)  \],\n  "score_exact": %s\n\}\n' % (_ROW, _NUMBER)
+# Bytes of the shortest row, '    {"c": 0, "theta": 0, "phi": 0},\n'; and a
+# bound on the bytes a block may leave over, above the writer's longest last
+# row and trailer (154 bytes, with 24-character numbers)
+_MIN_ROW_BYTES = 36
+_MAX_REST = 256
+# The translation that blanks the keys and punctuation of a row, leaving
+# c, the 'e' of "theta", theta and phi as four fields
+_KEYS_TO_SPACES = bytes.maketrans(b'{}":,thapic', b" " * 11)
+
+
+def _read_povm(fh, size: int, label: str = "") -> FinitePovm | None:
+    """The POVM in the binary file `fh` of `size` bytes, if it holds exactly
+    the layout _povm_pieces writes; None for any other bytes.
+
+    Reads _BLOCK_ELEMS // 16 shortest rows' bytes at a time (at least
+    512), so a block holds at most the writer's block of rows; checks the
+    complete rows by one regular expression of the layout and parses them in
+    one numpy call into the three preallocated arrays; a partial row is
+    carried to the next block. So neither the whole text nor a JSON object
+    tree is ever held. Every number is checked against JSON's grammar, so
+    where this returns a POVM, json.loads reads the same doubles from the
+    same bytes.
+    """
+    head_re, rows_re, tail_re = (re.compile(p) for p in (_HEAD, _ROWS, _TAIL))  # re caches them
+    # past a carried rest of at most _MAX_REST bytes, every read takes more
+    limit = max(_BLOCK_ELEMS // 16 * _MIN_ROW_BYTES, 2 * _MAX_REST)
+    buf = fh.read(limit)
+    eof = len(buf) < limit
+    head = head_re.match(buf)
+    # a file of `size` bytes holds at most size / 36 rows
+    if head is None or int(head[2]) > size // _MIN_ROW_BYTES:
+        return None
+    copies, n = int(head[1]), int(head[2])
+    columns = np.empty(n), np.empty(n), np.empty(n)
+    done, pos = 0, head.end()
+    while True:
+        end = rows_re.match(buf, pos).end()
+        # a longer rest could hold an integer past json.loads' digit limit
+        tail = tail_re.fullmatch(buf, end) if eof and len(buf) - end <= _MAX_REST else None
+        if tail is not None:
+            end = tail.end(1)
+        rows = buf.count(b"\n", pos, end)
+        if done + rows > n:
+            return None
+        if rows:
+            text = io.BytesIO(buf[pos:end].translate(_KEYS_TO_SPACES))
+            values = np.loadtxt(text, usecols=(0, 2, 3), ndmin=2)
+            # json.loads reads such a number as inf too, or fails on it
+            if not np.isfinite(values).all():
+                return None
+            for column, value in zip(columns, values.T):
+                column[done : done + rows] = value
+            done += rows
+        if tail is not None:
+            break
+        rest = buf[end:]
+        if eof or len(rest) > _MAX_REST:
+            return None
+        more = fh.read(limit - len(rest))
+        eof = len(more) < limit - len(rest)
+        buf, pos = rest + more, 0
+    if done != n:
+        return None
+    return FinitePovm(copies=copies, c=columns[0], theta=columns[1], phi=columns[2], label=label)
+
+
 def povm_from_json(text: str, label: str = "") -> FinitePovm:
-    """Parse the POVM JSON schema; schema violations raise ParseError."""
+    """Parse the POVM JSON schema; schema violations raise ParseError.
+
+    Text in the layout povm_to_json writes is read block by block
+    (_read_povm); any other text through json.loads (_povm_from_tree), with
+    the same doubles either way.
+    """
+    data = text.encode("utf-8", "surrogatepass")
+    p = _read_povm(io.BytesIO(data), len(data), label)
+    return p if p is not None else _povm_from_tree(text, label)
+
+
+def _povm_from_tree(text: str, label: str = "") -> FinitePovm:
+    """povm_from_json through one json.loads of the whole text."""
     try:
         obj = json.loads(text)
     # ValueError: a JSONDecodeError or an integer past the digit limit

@@ -129,17 +129,23 @@ def _alias_table(c: np.ndarray):
     """
     n = c.size
     scaled = (c * (n / c.sum())).tolist()
-    prob = np.ones(n)
-    alias = np.arange(n)
+    alias = [0] * n
     small = [k for k, v in enumerate(scaled) if v < 1.0]
     large = [k for k, v in enumerate(scaled) if v >= 1.0]
+    # Python lists in the loop, arrays once at the end: a numpy scalar write
+    # costs more than the rest of a step
     while small and large:
         s, l = small.pop(), large.pop()
-        prob[s] = scaled[s]
         alias[s] = l
-        scaled[l] = (scaled[l] + scaled[s]) - 1.0
-        (small if scaled[l] < 1.0 else large).append(l)
-    # columns left in either list hold 1 up to rounding
+        scaled[l] = v = (scaled[l] + scaled[s]) - 1.0
+        (small if v < 1.0 else large).append(l)
+    # a column that left through `small` keeps prob scaled[s], which no later
+    # step changes; a column left in either list holds 1 up to rounding and
+    # is its own alias
+    prob, alias = np.array(scaled), np.array(alias, dtype=np.intp)
+    left = small + large
+    prob[left] = 1.0
+    alias[left] = left
     return prob, alias
 
 
@@ -151,10 +157,18 @@ def _outcome_table(p: FinitePovm):
     the three are orthonormal for any finite theta, in [0, pi] or not.
     """
     prob, alias = _alias_table(p.c)
-    b = np.stack((-np.sin(p.phi), np.cos(p.phi), np.zeros(p.n)))
-    frame = np.stack((
-        angles_to_xyz(p.theta, p.phi).T, angles_to_xyz(p.theta + 0.5 * math.pi, p.phi).T, b
-    ))
+    # filled coordinate by coordinate, in angles_to_xyz's arithmetic, so the
+    # temporaries are four arrays of n values, not stacks of the frames' size
+    frame = np.empty((3, 3, p.n))
+    cos_phi, sin_phi = np.cos(p.phi), np.sin(p.phi)
+    for xyz, theta in zip(frame, (p.theta, p.theta + 0.5 * math.pi)):
+        sin_theta = np.sin(theta)
+        np.multiply(sin_theta, cos_phi, out=xyz[0])
+        np.multiply(sin_theta, sin_phi, out=xyz[1])
+        np.cos(theta, out=xyz[2])
+    np.negative(sin_phi, out=frame[2, 0])
+    frame[2, 1] = cos_phi
+    frame[2, 2] = 0.0
     return prob, alias, frame
 
 

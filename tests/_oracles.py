@@ -15,7 +15,9 @@ equispaced ring lets through; and the all-offsets ring Gram, which sums
 every offset of the Dicke Gram over every ring, for the Gram that adds
 the rings of period s > N to its diagonal alone; and the full-grid type-1
 NUFFT, which spreads onto and transforms every row of the padded periodic
-grid, for the one that holds only the rows its stencils touch. The dense
+grid, for the one that holds only the rows its stencils touch; and the Vose
+loop that wrote its alias table into numpy arrays one entry at a time, for
+the one that keeps Python lists. The dense
 Dicke matrix
 takes the package's magnitudes (povm._dicke_magnitudes, checked against
 the tensor product and mpmath) times the phases e^{i j phi}.
@@ -328,6 +330,24 @@ def direct_averaged_score(p, q, block=512):
         ov = np.clip(0.5 * (1.0 + dxyz[start:start + block] @ exyz.T), 0.0, 1.0)
         total += float(wnorm[start:start + block] @ (ov ** (p.copies + 1) @ p.c))
     return total
+
+
+def vose_alias_table_loop(c):
+    """simulate._alias_table as it was: prob and alias written into numpy
+    arrays entry by entry inside the Vose loop."""
+    n = c.size
+    scaled = (c * (n / c.sum())).tolist()
+    prob = np.ones(n)
+    alias = np.arange(n)
+    small = [k for k, v in enumerate(scaled) if v < 1.0]
+    large = [k for k, v in enumerate(scaled) if v >= 1.0]
+    while small and large:
+        s, l = small.pop(), large.pop()
+        prob[s] = scaled[s]
+        alias[s] = l
+        scaled[l] = (scaled[l] + scaled[s]) - 1.0
+        (small if scaled[l] < 1.0 else large).append(l)
+    return prob, alias
 
 
 def _proposal_table(p):

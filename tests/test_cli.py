@@ -3,8 +3,12 @@ import io
 import json
 import math
 import os
+import re
+import threading
 import time
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from povmquad.cli import (
     main,
 )
 from povmquad import cli, harmonics, orthopoly, povm, quadrature, simulate
+from povmquad.errors import ParseError
 from povmquad.povm import (
     FinitePovm,
     exact_score,
@@ -819,6 +824,205 @@ def test_any_argv_gets_an_exit_code_and_no_traceback(argv, tmp_path_factory):
         os.chdir(cwd)
     assert type(code) is int and code in EXIT_CODES
     assert "Traceback" not in err.getvalue()
+
+
+# score and simulate read the layout construct writes in blocks
+# (povm._read_povm) and any other file through json.loads.
+
+
+@pytest.mark.parametrize("command", [["score"], ["simulate", "--trials", "200", "--seed", "1"]])
+def test_a_povm_file_is_read_within_its_arrays_and_one_block(command, tmp_path, monkeypatch):
+    # the read ends where the command validates the POVM, so the traced peak
+    # up to validate() is the read's: the three arrays of 24 bytes per element
+    # and one block of text with its copies; json.loads of the whole text
+    # alone took 11.5 MiB for this file (N = 300, 4 MB)
+    path = tmp_path / "p300.json"
+    assert main(["construct", "300", "--out", str(path)]) == EXIT_OK
+    peaks = []
+    validate = FinitePovm.validate
+
+    def traced_validate(self, *args, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(FinitePovm, "validate", traced_validate)
+    tracemalloc.start()
+    try:
+        main([command[0], str(path), *command[1:]])
+    finally:
+        tracemalloc.stop()
+    block = (povm._BLOCK_ELEMS // 16) * povm._MIN_ROW_BYTES
+    assert peaks[0] < 24 * 301 * 151 + 8 * block
+
+
+def test_other_layouts_are_admitted_by_size_before_they_are_read(tmp_path, monkeypatch, capsys):
+    written = tmp_path / "written.json"
+    written.write_text(povm_to_json(povm_from_quadrature(product_rule(3), 3)))
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(json.loads(written.read_text()), indent=1))
+    size = indented.stat().st_size
+    monkeypatch.setattr(quadrature, "SIZE_BUDGET_BYTES", cli._JSON_BYTES_FACTOR * size - 1)
+    read_text = cli._read_text
+    monkeypatch.setattr(cli, "_read_text", lambda path: pytest.fail(f"{path.name} read"))
+    assert main(["score", str(indented)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("povmquad score: reading indented.json as a JSON object tree needs about")
+    assert err.endswith(" GiB size budget\n") and err.count("\n") == 1
+    # the writer's layout is read in blocks, whatever its size
+    assert main(["score", str(written)]) == EXIT_OK
+    monkeypatch.setattr(quadrature, "SIZE_BUDGET_BYTES", cli._JSON_BYTES_FACTOR * size)
+    monkeypatch.setattr(cli, "_read_text", read_text)
+    assert main(["score", str(indented)]) == EXIT_OK
+
+
+def test_a_povm_file_that_is_not_utf8_keeps_the_decode_message(tmp_path, capsys):
+    data = povm_to_json(povm_from_quadrature(product_rule(3), 3)).encode()
+    path = tmp_path / "latin.json"
+    path.write_bytes(data[:300] + b"\xe9" + data[301:])
+    with pytest.raises(ParseError) as exc:
+        cli._read_text(path)
+    for command in (["score"], ["simulate", "--trials", "200", "--seed", "1"]):
+        assert main([command[0], str(path), *command[1:]]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", f"povmquad {command[0]}: {exc.value}\n")
+
+
+def test_a_povm_file_from_a_named_pipe_is_read_once(tmp_path, capsys):
+    # the block reader needs a file it can read again; a pipe goes to
+    # json.loads alone, opened once
+    data = povm_to_json(povm_from_quadrature(product_rule(3), 3)).encode()
+    fifo = tmp_path / "povm.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    codes = []
+    reader = threading.Thread(target=lambda: codes.append(main(["score", str(fifo)])), daemon=True)
+    reader.start()
+    reader.join(timeout=30)
+    assert not reader.is_alive() and codes == [EXIT_OK]
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert capsys.readouterr().out.startswith("score_exact: ")
+
+
+def _read_outcome(read):
+    """(N, and the bits of c, theta and phi) of a POVM read, or its ParseError message."""
+    try:
+        p = read()
+    except ParseError as exc:
+        return str(exc)
+    return (p.copies,) + tuple(np.asarray(a).view(np.int64).tolist() for a in (p.c, p.theta, p.phi))
+
+
+_NUMBER = re.compile(rb"-?[0-9][0-9.eE+-]*")
+# tokens numpy reads and JSON refuses (NaN and Infinity json.loads reads as
+# floats), tokens both read, and other values
+_SWAPS = [b"NaN", b"Infinity", b"-Infinity", b"+1", b".5", b"1_0", b"01", b"-01", b"1.", b"-.5",
+          b"1.e5", b"-0", b"-0.0", b"0e5", b"1E5", b"1.50", b"1e400", b"2e-400", b"0x10", b" 1",
+          b"1" + b"0" * 400, b"true", b'"1"']
+
+
+@st.composite
+def mutated_povm_files(draw):
+    """Bytes of a written POVM file with one to three edits: a number
+    replaced, a row dropped, n off by one, trailing bytes, score_exact
+    broken, theta and phi swapped in a row, CRLF line ends, or a byte
+    inserted."""
+    copies = draw(st.integers(1, 6))
+    data = povm_to_json(povm_from_quadrature(product_rule(copies), copies)).encode()
+    edits = st.one_of(
+        st.tuples(st.just("number"), st.integers(0, 999), st.sampled_from(_SWAPS)),
+        st.tuples(st.just("drop"), st.integers(0, 999), st.none()),
+        st.tuples(st.just("n"), st.sampled_from([-1, 1]), st.none()),
+        st.tuples(st.just("trailing"), st.none(),
+                  st.sampled_from([b"\n", b" ", b"x", b"{}", b"\x00", b"\r\n", b"\n\n"])),
+        st.tuples(st.just("score"), st.none(),
+                  st.sampled_from([b"NaN", b"", b"1.", b'"x"', b"[1]", b"1e999", b"-", b"null",
+                                   b"1" * 5000, b"0.5 0.5", b"+0.5"])),
+        st.tuples(st.just("swap"), st.integers(0, 999), st.none()),
+        st.tuples(st.just("crlf"), st.none(), st.none()),
+        st.tuples(st.just("insert"), st.integers(0, 10**6), st.sampled_from([b"\xff", b" ", b"\t", b","])),
+    )
+    for op, k, value in draw(st.lists(edits, min_size=1, max_size=3)):
+        lines = data.split(b"\n")
+        rows = [i for i, line in enumerate(lines) if line.startswith(b'    {"c"')]
+        if op == "number":
+            tokens = list(_NUMBER.finditer(data))
+            if tokens:
+                t = tokens[k % len(tokens)]
+                data = data[: t.start()] + value + data[t.end() :]
+        elif op == "drop" and rows:
+            del lines[rows[k % len(rows)]]
+            data = b"\n".join(lines)
+        elif op == "n":
+            data = re.sub(rb'"n": (\d+)', lambda m: b'"n": %d' % (int(m[1]) + k), data, count=1)
+        elif op == "trailing":
+            data += value
+        elif op == "score":
+            data = re.sub(rb'"score_exact": [^\n]*', lambda m: b'"score_exact": ' + value, data)
+        elif op == "swap" and rows:
+            i = rows[k % len(rows)]
+            lines[i] = re.sub(rb'("theta": [^,]*), ("phi": [^}]*)', rb"\2, \1", lines[i])
+            data = b"\n".join(lines)
+        elif op == "crlf":
+            data = data.replace(b"\n", b"\r\n")
+        elif op == "insert":
+            i = k % (len(data) + 1)
+            data = data[:i] + value + data[i:]
+    return data
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=mutated_povm_files())
+def test_block_reader_and_json_loads_agree_on_mutated_files(data, tmp_path_factory):
+    # the same doubles, bit for bit, or the same ParseError message; the
+    # block reader never reads a file that json.loads refuses
+    path = tmp_path_factory.mktemp("mutated") / "povm.json"
+    path.write_bytes(data)
+    expected = _read_outcome(lambda: povm._povm_from_tree(cli._read_text(path), label=path.name))
+    assert _read_outcome(lambda: cli._load_povm(path)) == expected
+    for elems in (16, 1 << 16):
+        with mock.patch.object(povm, "_BLOCK_ELEMS", elems), path.open("rb") as fh:
+            block = povm._read_povm(fh, len(data), label=path.name)
+        if block is not None:
+            assert _read_outcome(lambda: block) == expected
+    try:
+        text = data.decode()
+    except UnicodeDecodeError:
+        return
+    assert _read_outcome(lambda: povm_from_json(text)) == _read_outcome(lambda: povm._povm_from_tree(text))
+
+
+@pytest.mark.parametrize("token", [b"NaN", b"Infinity", b"+1", b".5", b"1_0", b"01", b"-0", b"1e400"])
+def test_numbers_json_refuses_or_reads_otherwise_take_json_loads(token, tmp_path):
+    data = povm_to_json(povm_from_quadrature(product_rule(3), 3)).encode()
+    first = _NUMBER.search(data, data.index(b'"c": '))
+    data = data[: first.start()] + token + data[first.end() :]
+    path = tmp_path / "povm.json"
+    path.write_bytes(data)
+    with path.open("rb") as fh:
+        assert povm._read_povm(fh, len(data)) is None
+    expected = _read_outcome(lambda: povm._povm_from_tree(cli._read_text(path), label=path.name))
+    assert _read_outcome(lambda: cli._load_povm(path)) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "\ud800"],
+    ["simulate", "\ud800", "--seed", "1"],
+    ["score", "\ud800"],
+    ["construct", "2", "--out", "\ud800"],
+    ["table", "--grids", "\ud800"],
+])
+def test_unencodable_path_is_a_usage_error(argv, capsys):
+    # a lone surrogate cannot be encoded as a file name: opening it ended in
+    # a UnicodeEncodeError traceback
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_construct_prints_operator_residual_past_the_old_cap(capsys):

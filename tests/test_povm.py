@@ -1,10 +1,13 @@
 import dataclasses
+import io
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povmquad import harmonics
 from povmquad import povm as povm_module
@@ -325,6 +328,65 @@ def test_povm_json_round_trip_exact():
     assert np.array_equal(back.c, p.c)
     assert np.array_equal(back.theta, p.theta)
     assert np.array_equal(back.phi, p.phi)
+
+
+# |values| up to 1e300, so that score_exact, sum(c) / (N + 2), stays finite
+_values = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.integers(-(10**6), 10**6).map(float),
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e300, 2.0**53 + 2.0, 1.0, 1e16, 1e17]),
+)
+
+
+@st.composite
+def written_povms(draw):
+    """Any FinitePovm of at most 40 elements: finite doubles, signed zeros,
+    subnormals and integral values included."""
+    n = draw(st.integers(1, 40))
+    columns = [np.array(draw(st.lists(_values, min_size=n, max_size=n))) for _ in range(3)]
+    return FinitePovm(draw(st.integers(1, 10**6)), *columns)
+
+
+def _json_columns(text):
+    """c, theta and phi as json.loads and float() read them."""
+    elements = json.loads(text)["elements"]
+    return [np.array([float(e[key]) for e in elements]) for key in ("c", "theta", "phi")]
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64), np.asarray(b, dtype=float).view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=written_povms())
+def test_block_reader_reads_the_doubles_json_loads_reads_from_every_written_file(p):
+    text = povm_to_json(p)
+    data = text.encode()
+    block = povm_module._read_povm(io.BytesIO(data), len(data))
+    expected = _json_columns(text)
+    if any(np.signbit(a[a == 0.0]).any() for a in (p.c, p.theta, p.phi)):
+        # %.17g writes -0.0 as the integer -0, which json.loads makes the
+        # int 0: such a file goes to json.loads
+        assert block is None
+    else:
+        assert block is not None and block.copies == p.copies
+        assert all(_same_bits(a, e) for a, e in zip((block.c, block.theta, block.phi), expected))
+    back = povm_from_json(text)
+    assert back.copies == p.copies
+    assert all(_same_bits(a, e) for a, e in zip((back.c, back.theta, back.phi), expected))
+
+
+@pytest.mark.parametrize("elems", [16, 48, 1 << 10, 1 << 16])
+def test_block_reader_does_not_depend_on_where_blocks_fall(elems, monkeypatch):
+    # a block of _BLOCK_ELEMS // 16 shortest rows: from one row (16) to 4096
+    # rows per block, with partial rows carried across every boundary
+    text = povm_to_json(product_povm(40))
+    expected = _json_columns(text)
+    monkeypatch.setattr(povm_module, "_BLOCK_ELEMS", elems)
+    data = text.encode()
+    p = povm_module._read_povm(io.BytesIO(data), len(data))
+    assert p is not None and p.n == 861
+    assert all(_same_bits(a, e) for a, e in zip((p.c, p.theta, p.phi), expected))
 
 
 def test_povm_json_schema_errors():

@@ -35,6 +35,7 @@ from povmquad.simulate import (
 from povmquad.sphere import Direction, angles_to_xyz, substream
 
 from _oracles import (
+    vose_alias_table_loop,
     _proposal_table,
     _rejection_columns,
     direct_averaged_score,
@@ -191,6 +192,34 @@ def test_alias_table_reproduces_weights(c):
     assert np.all((prob >= 0.0) & (prob <= 1.0))
     recon = (prob + np.bincount(alias, weights=1.0 - prob, minlength=n)) / n
     assert np.max(np.abs(recon - c / c.sum())) <= 1e-15
+
+
+@pytest.mark.parametrize("c", [
+    povm_from_quadrature(product_rule(40), 40).c,
+    np.array([0.0, 3.0, 1e-12, 0.5, 0.5, 2.0, 0.0]),
+    np.full(9, 0.25),
+    np.array([2.0]),
+    np.random.default_rng(5).exponential(size=1000),
+    np.random.default_rng(6).uniform(0.5, 1.5, 1001),
+])
+def test_alias_table_equals_the_vose_loop_on_arrays(c):
+    # Python lists inside the loop, one conversion at the end: the same tables
+    prob, alias = _alias_table(c)
+    ref_prob, ref_alias = vose_alias_table_loop(c)
+    assert prob.dtype == ref_prob.dtype and alias.dtype == ref_alias.dtype
+    assert np.array_equal(prob.view(np.int64), ref_prob.view(np.int64))
+    assert np.array_equal(alias, ref_alias)
+
+
+def test_outcome_frames_are_those_of_angles_to_xyz_bit_for_bit():
+    # the frames are filled in place, with angles_to_xyz's arithmetic
+    rng = np.random.default_rng(2)
+    p = FinitePovm(3, rng.uniform(0.1, 1.0, 50), rng.uniform(-5.0, 9.0, 50), rng.uniform(-9.0, 9.0, 50))
+    frame = _outcome_table(p)[2]
+    b = np.stack((-np.sin(p.phi), np.cos(p.phi), np.zeros(p.n)))
+    reference = np.stack((angles_to_xyz(p.theta, p.phi).T,
+                          angles_to_xyz(p.theta + 0.5 * math.pi, p.phi).T, b))
+    assert np.array_equal(frame.view(np.int64), reference.view(np.int64))
 
 
 @pytest.mark.parametrize("p", [
