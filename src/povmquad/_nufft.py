@@ -1,7 +1,10 @@
-"""Type-1 non-uniform FFT on the 2-torus, for the double-Fourier-sphere sums.
+"""Type-1 sums on the 2-torus, for the double-Fourier-sphere sums.
 
-type1_sums returns H[p, m] = sum_k w_k e^{i (p theta_k + m phi_k)} for
-|p| <= L and 0 <= m <= L. Each point is spread onto an oversampled n x n
+type1_sums and direct_sums return H[p, m] = sum_k w_k e^{i (p theta_k + m phi_k)}
+for |p| <= L and 0 <= m <= L: direct_sums term by term, in
+4 (L + 1)^2 real multiply-adds per point, and type1_sums by non-uniform FFT
+in WIDTH^2 kernel values per point, which wins from L of about 70 on (one
+BLAS thread). In type1_sums each point is spread onto an oversampled n x n
 periodic grid (n >= SIGMA (2L + 1)) with the exponential-of-semicircle
 kernel exp(BETA (sqrt(1 - z^2) - 1)), |z| <= 1, WIDTH grid points wide
 (Barnett, Magland & af Klinteberg 2019, SIAM J. Sci. Comput., FINUFFT); a
@@ -43,6 +46,12 @@ _SPREAD_ELEMS = 1 << 17
 # Gauss-Legendre nodes for the kernel's Fourier transform (64 left an error
 # floor of 2e-14 relative).
 _TRANSFORM_NODES = 128
+# Multiply-adds of one matrix product in direct_sums. OpenBLAS runs a GEMM of
+# at most 65536 x 4 of them (its threading threshold times the default
+# GEMM_MULTITHREAD_THRESHOLD) on one thread; larger products split their
+# work by thread count, and their sums can round differently at one and at
+# two threads.
+_GEMM_MACS = 1 << 18
 
 
 def grid_size(l_max: int) -> int:
@@ -97,6 +106,54 @@ def _stencil(x: np.ndarray, n: int):
     first = np.ceil(u - _HALF)
     z = (first[:, None] + np.arange(WIDTH) - u[:, None]) * (1.0 / _HALF)
     return first.astype(np.int64), _kernel(z)
+
+
+def direct_sums(l_max: int, theta, phi, weights) -> np.ndarray:
+    """type1_sums, summed term by term: exact up to rounding.
+
+    Per block of points, the powers e^{i p theta} and w e^{i m phi} for
+    0 <= p, m <= l_max come from e^{i theta} and e^{i phi} by repeated
+    multiplication, two (block, l_max + 1) complex tables of at most
+    _SPREAD_ELEMS doubles together. Viewed as real (re, im) pairs, one real
+    product of the two tables gives every Re/Im combination, from which
+    both H[p] and H[-p] follow: 4 (l_max + 1)^2 real multiply-adds per
+    point, half a complex product's over |p| <= l_max. Each product covers
+    at most _GEMM_MACS // (2 l_max + 2)^2 points, so OpenBLAS runs it on one
+    thread and the sums do not depend on the BLAS thread count.
+    """
+    rows = l_max + 1
+    width = 2 * rows
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    step = max(1, _GEMM_MACS // (width * width))  # points per product
+    block = max(1, _SPREAD_ELEMS // (2 * width) // step) * step  # points per table
+    block = min(block, max(theta.size, 1))
+    pw_theta = np.empty((block, rows), dtype=complex)
+    pw_phi = np.empty((block, rows), dtype=complex)
+    pw_theta[:, 0] = 1.0
+    total = np.zeros((width, width))
+    product = np.empty((width, width))
+    for k0 in range(0, theta.size, block):
+        k1 = min(theta.size, k0 + block)
+        a, f = pw_theta[: k1 - k0], pw_phi[: k1 - k0]
+        step_theta = np.exp(1j * theta[k0:k1])
+        step_phi = np.exp(1j * phi[k0:k1])
+        f[:, 0] = w[k0:k1]
+        for p in range(1, rows):
+            np.multiply(a[:, p - 1], step_theta, out=a[:, p])
+            np.multiply(f[:, p - 1], step_phi, out=f[:, p])
+        # column 2 p + 0 / 1 of a real view holds Re / Im of power p
+        a, f = a.view(float), f.view(float)
+        for s0 in range(0, k1 - k0, step):
+            np.matmul(a[s0 : s0 + step].T, f[s0 : s0 + step], out=product)
+            total += product
+    # total[2 p + s, 2 m + t] = sum_k (Re, Im)_s e^{i p theta_k} (Re, Im)_t w_k e^{i m phi_k}
+    rr, ri, ir, ii = (total.reshape(rows, 2, rows, 2)[:, s, :, t] for s in (0, 1) for t in (0, 1))
+    h = np.empty((2 * l_max + 1, rows), dtype=complex)
+    h[l_max:] = (rr - ii) + 1j * (ri + ir)  # p >= 0
+    h[:l_max] = ((rr + ii) + 1j * (ri - ir))[:0:-1]  # p = -l_max..-1: conjugate e^{i p theta}
+    return h
 
 
 def type1_sums(l_max: int, theta, phi, weights) -> np.ndarray:

@@ -28,10 +28,13 @@ on the phases W[m, r] before the recurrence, which leaves each sum's
 operations and their order as they were: rounding to nearest commutes
 with negation. The public functions unpack the triangle into the square
 arrays they return (`_dense`).
-`_dfs_harmonic_sums` feeds it l_max + 2 virtual rings from a type-1 NUFFT
-(the double Fourier sphere), O(n w^2 + l_max^2 log l_max + l_max^3)
-whatever R, and is approximate: quadrature._bounded_sums chooses between
-the two and adds an allowance for the transform.
+`_dfs_harmonic_sums` feeds it l_max + 2 virtual rings from the Fourier
+coefficients of the points on the torus (the double Fourier sphere), summed
+directly up to l_max = _DIRECT_MAX_L, O(n l_max^2) in small real GEMMs,
+and by type-1 NUFFT above, O(n w^2 + l_max^2 log l_max); plus O(l_max^3)
+whatever R. quadrature._bounded_sums chooses between the two kernels by
+their modelled costs (_ring_cost, _dfs_cost) and adds an allowance for the
+transform.
 
 Equispaced rings (Driscoll & Healy 1994; Healy, Rockmore, Kostelec &
 Moore 2003). On a ring of s equal weights at azimuths phi_0 + 2 pi j / s,
@@ -86,6 +89,19 @@ _DELTA_ERR = _EPS * _RING_SLACK + 24.0 * math.pi * _EPS * _EPS
 # is 145 against 146 us. The operator check of povm routes its rings from
 # N + 1 = 16 on as well.
 _ROUTE_MIN_ROWS = 16
+# The double-Fourier-sphere route forms its Fourier coefficients H by the
+# direct sum up to this order and by NUFFT above it (_dfs_harmonic_sums).
+# On rotated product rules at one BLAS thread the direct sum takes 0.46 /
+# 0.70 / 0.91 / 1.09 of the NUFFT's time at l_max = 56 / 64 / 70 / 72; a
+# host with a GEMM 30 % slower still gains up to here.
+_DIRECT_MAX_L = 64
+# Cost of the direct sum per point and per (p, m) term in quadrature's cost
+# model, whose NUFFT costs 1 per kernel value (WIDTH^2 per point). Per term
+# the direct sum runs about 23 times faster than the NUFFT per kernel value
+# from l_max = 36 on, but fixed costs weigh on small sets: this value puts
+# the ring/DFS tie where it is measured, between rotated rules of orders 20
+# (the ring kernel 5 % faster) and 25 (the route 10-15 % faster).
+_DIRECT_TERM_COST = 0.1
 
 
 class HarmonicIndex(NamedTuple):
@@ -362,17 +378,22 @@ class _Rings(NamedTuple):
 def _latitude_rings(theta, phi, weights, detect: bool = True) -> _Rings:
     """Group points into rings of exactly equal cos(theta) and, if `detect`,
     find the equispaced ones (_ring_periods). A ring with a point past a
-    pole (sin(theta) < 0) is never routed on its period."""
+    pole (sin(theta) < 0) is never routed on its period. Points already in
+    cos(theta) order, as product_rule and construct's files give them, are
+    kept as views: a stable sort would leave them as they are."""
     theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    w = np.asarray(weights, dtype=float)
     x = np.cos(theta)
-    order = np.argsort(x, kind="stable")
     # sin(theta) >= 0 on [0, pi] in floating point too
     flip = None
     if theta.size and (theta.min() < 0.0 or theta.max() > math.pi):
-        flip = (np.sin(theta) < 0.0)[order]
-    theta, x = theta[order], x[order]
-    phi = np.asarray(phi, dtype=float)[order]
-    w = np.asarray(weights, dtype=float)[order]
+        flip = np.sin(theta) < 0.0
+    if not np.all(x[1:] >= x[:-1]):  # NaN sorts as well
+        order = np.argsort(x, kind="stable")
+        theta, x, phi, w = theta[order], x[order], phi[order], w[order]
+        if flip is not None:
+            flip = flip[order]
     edge = np.ones(x.size + 1, dtype=bool)
     np.not_equal(x[1:], x[:-1], out=edge[1:-1])
     bounds = np.flatnonzero(edge)
@@ -599,27 +620,44 @@ def weighted_harmonic_sums(l_max: int, theta, phi, weights) -> np.ndarray:
     return _dense(_ring_sums(l_max, theta, phi, weights, None)[0])
 
 
+def _dfs_cost(n: int, l_max: int) -> float:
+    """Model cost of _dfs_harmonic_sums of n points, in the units of
+    quadrature's cost model: the transform it runs, n (l_max + 1)^2
+    _DIRECT_TERM_COST for the direct sum or n WIDTH^2 for the NUFFT, plus
+    l_max^3 for the recurrence over the virtual rings."""
+    if l_max <= _DIRECT_MAX_L:
+        per_point = (l_max + 1) ** 2 * _DIRECT_TERM_COST
+    else:
+        per_point = _nufft.WIDTH**2
+    return n * per_point + float(l_max) ** 3
+
+
 def _dfs_harmonic_sums(l_max: int, theta, phi, weights) -> np.ndarray:
     """weighted_harmonic_sums through the double Fourier sphere, in
-    O(n WIDTH^2 + l_max^2 log l_max + l_max^3) instead of O(R l_max^2),
-    returned as the packed triangle of _ring_sums.
+    O(n min(WIDTH^2, l_max^2) + l_max^2 log l_max + l_max^3) instead of
+    O(R l_max^2), returned as the packed triangle of _ring_sums.
 
     With sin^m(theta) signed, Y_l^m is a trigonometric polynomial of degree
     <= l in theta on [0, 2 pi) (Merilees 1973; Townsend, Wilber & Wright
     2016). So S[l, m] = sum_j F(theta_j) G[j, m] exactly, where
     G[j, m] = (1/M) sum_p H[p, m] e^{-i p theta_j} on M = 2 l_max + 2
     equispaced theta_j and H[p, m] = sum_k w_k e^{i (p theta_k + m phi_k)}
-    for |p| <= l_max is a type-1 NUFFT (_nufft). Folding theta_j > pi onto
-    2 pi - theta_j with the factor (-1)^m leaves l_max + 2 virtual rings at
-    theta = pi j / (l_max + 1), fed to the same ring recurrence, with
-    sin(theta_j) taken from theta_j. Only the NUFFT is approximate, with no
-    rigorous bound: about 1e-14 |w_k| per point, 1e-15 sum |w| once many
-    points' errors average out (_nufft). Callers that certify must allow for
-    it (quadrature.certify). Any finite theta is accepted and names the same
-    point as in weighted_harmonic_sums.
+    for |p| <= l_max. Folding theta_j > pi onto 2 pi - theta_j with the
+    factor (-1)^m leaves l_max + 2 virtual rings at theta = pi j / (l_max + 1),
+    fed to the same ring recurrence, with sin(theta_j) taken from theta_j.
+    H is summed term by term (_nufft.direct_sums, 4 (l_max + 1)^2
+    multiply-adds per point) up to l_max = _DIRECT_MAX_L and by type-1 NUFFT
+    (_nufft.type1_sums, WIDTH^2 kernel values per point) above it. The NUFFT
+    carries an error with no rigorous bound: about 1e-14 |w_k| per point,
+    1e-15 sum |w| once many points' errors average out (_nufft). The direct
+    sum is exact up to rounding, within 2e-14 of mpmath at sum |w| = 4 pi on
+    the tests' adversarial sets, but callers that certify keep the same
+    allowance on both transforms (quadrature.certify). Any finite theta is
+    accepted and names the same point as in weighted_harmonic_sums.
     """
     rows = l_max + 1
-    h = _nufft.type1_sums(l_max, theta, phi, weights)
+    transform = _nufft.direct_sums if l_max <= _DIRECT_MAX_L else _nufft.type1_sums
+    h = transform(l_max, theta, phi, weights)
     size = 2 * rows
     spectrum = np.zeros((size, rows), dtype=complex)
     spectrum[:rows] = h[l_max:]  # p = 0..l_max

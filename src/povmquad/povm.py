@@ -630,9 +630,14 @@ def _povm_pieces(p: FinitePovm, csv: bool = False):
     The header, the rows in blocks of _BLOCK_ELEMS // 16, then the trailer;
     a writer that takes one piece at a time holds one block's text. One %
     over a repeated template formats every row of a block in a single call
-    (quadrature._format_rows).
+    (quadrature._format_rows). DomainError before the first piece when the
+    score is not finite (sum c past the largest double), which neither
+    reader would take back.
     """
-    score = _fmt(exact_score(p))
+    score = exact_score(p)
+    if not math.isfinite(score):
+        raise DomainError(f"score_exact is {score}: the sum of c overflows a double")
+    score = _fmt(score)
     if csv:
         yield f"# N={p.copies}\n# n={p.n}\n# score_exact={score}\nc,theta,phi\n"
         template, sep, trailer = "%.17g,%.17g,%.17g\n", "", ""

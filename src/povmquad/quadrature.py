@@ -25,16 +25,20 @@ R of distinct latitudes and the order L:
   the allowance would still move an order past tol, every ring is summed
   at every order instead;
 * the double-Fourier-sphere route (harmonics._dfs_harmonic_sums),
-  O(n w^2 + L^2 log L + L^3) with w = 16, taken when the ring kernel's
-  cost, R L^2 with routed rings counted at their routed cost
-  (harmonics._ring_cost), exceeds _DFS_COST_RATIO (n w^2 + L^3): large
-  sets without shared latitudes, such as rotated rules. Its type-1 NUFFT
-  carries an error of about 1e-15 sum |lambda| with no rigorous bound, so
-  every residual it yields is raised by the allowance
-  a_l = 10 _DFS_EPS sum|lambda| sqrt(2l+1) (5.6e-12 at l = 1002 for
-  weights summing to 4 pi, below tol / 10 at the default tol). Residuals
-  stay upper bounds, and every consumer of residual_per_l reads them
-  without knowing which route ran.
+  taken when the ring kernel's cost, R L^2 with routed rings counted at
+  their routed cost (harmonics._ring_cost), exceeds _DFS_COST_RATIO times
+  the route's own (harmonics._dfs_cost): its transform plus L^3 for the
+  recurrence over L + 2 virtual rings. Up to L = 64 the transform is a
+  direct sum, O(n L^2) at BLAS speed and charged n (L+1)^2 / 10; above,
+  a type-1 NUFFT, O(n w^2 + L^2 log L) with w = 16 and charged n w^2.
+  Large sets without shared latitudes take it, such as rotated and
+  jittered rules from order 25 on. The NUFFT carries an error of about
+  1e-15 sum |lambda| with no rigorous bound; the direct sum is exact up to
+  rounding, but on either transform every residual is raised by the same
+  allowance a_l = 10 _DFS_EPS sum|lambda| sqrt(2l+1) (5.6e-12 at l = 1002
+  for weights summing to 4 pi, below tol / 10 at the default tol).
+  Residuals stay upper bounds, and every consumer of residual_per_l reads
+  them without knowing which route ran.
 
 Both routes are checked against SIZE_BUDGET_BYTES before any work array is
 allocated; so is product_rule. Breaking it raises CapExceeded.
@@ -51,6 +55,7 @@ from . import _nufft
 from .errors import CapExceeded, DomainError, DuplicatePoint, ParseError, WeightError, ZeroVector
 from .harmonics import (
     _ROUTE_MIN_ROWS,
+    _dfs_cost,
     _dfs_harmonic_sums,
     _latitude_rings,
     _ring_cost,
@@ -78,10 +83,15 @@ _SWEEP_AXIS = np.array([1.0, math.sqrt(2.0), math.pi]) / math.sqrt(3.0 + math.pi
 SIZE_BUDGET_BYTES = 1 << 30
 # Bytes per point of the three arrays (theta, phi, weights) of a rule.
 _POINT_BYTES = 24
-# The double-Fourier-sphere route runs when R L^2 > this ratio times
-# n w^2 + L^3. Rotated product rules tie near 9 (order 56, one BLAS thread:
-# 15 ms either way); by 11 the route takes half the time (order 64).
-_DFS_COST_RATIO = 10.0
+# The double-Fourier-sphere route runs when R L^2 > this ratio times its
+# cost, harmonics._dfs_cost. With the NUFFT, the ring kernel ties with it
+# at R L^2 / (n w^2 + L^3) of about 4.5 on random sets (L = 70-100) and
+# near 5 on rotated rules (orders 36-44); with the direct sum, rotated rules
+# tie between orders 20 and 25, where the direct sum's charge is fitted
+# (harmonics._DIRECT_TERM_COST). One BLAS thread. At 5 the route takes
+# rotated orders 36 / 49 / 56 in 0.64 / 0.36 / 0.34 of the ring kernel's
+# time.
+_DFS_COST_RATIO = 5.0
 # Error unit of the allowance added to residuals on that route, relative
 # to sum |lambda|.
 _DFS_EPS = 1e-15
@@ -226,14 +236,14 @@ def _bounded_sums(l_max: int, theta, phi, weights, tol: float) -> np.ndarray:
     # (l_max + 1)(l_max + 2) / 2 entries each
     table = 16 * (l_max + 1) * (l_max + 2)
     _check_budget(table, f"certification to order {l_max}")
-    # cost model: ring kernel R L^2 against NUFFT spreading n w^2 plus the
-    # L^3 recurrence over virtual rings, routed rings counted at their
+    # cost model: ring kernel R L^2 against the double Fourier sphere's
+    # transform (the direct sum or the NUFFT, whichever it runs at L) plus
+    # the L^3 recurrence over virtual rings, routed rings counted at their
     # routed cost; the rings, found once, also feed the ring kernel. The
     # cost test comes first: it is the cheaper one.
     rings = _latitude_rings(theta, phi, weights, detect=l_max + 1 >= _ROUTE_MIN_ROWS)
-    dfs_cost = _DFS_COST_RATIO * (theta.size * _nufft.WIDTH**2 + l_max**3)
     dfs = (
-        _ring_cost(l_max, rings) * l_max**2 > dfs_cost
+        _ring_cost(l_max, rings) * l_max**2 > _DFS_COST_RATIO * _dfs_cost(theta.size, l_max)
         and table + _nufft.work_bytes(l_max) <= SIZE_BUDGET_BYTES
     )
     rows = l_max + 1

@@ -17,7 +17,9 @@ the rings of period s > N to its diagonal alone; and the full-grid type-1
 NUFFT, which spreads onto and transforms every row of the padded periodic
 grid, for the one that holds only the rows its stencils touch; and the Vose
 loop that wrote its alias table into numpy arrays one entry at a time, for
-the one that keeps Python lists. The dense
+the one that keeps Python lists. The type-1 sums of the double Fourier
+sphere also come from 30-digit mpmath exponentials, summed exactly as
+integers. The dense
 Dicke matrix
 takes the package's magnitudes (povm._dicke_magnitudes, checked against
 the tensor product and mpmath) times the phases e^{i j phi}.
@@ -158,6 +160,39 @@ def full_grid_type1_sums(l_max, theta, phi, weights):
     h = np.conjugate(np.fft.fft(spectrum, axis=0)[p % n])
     h /= (_nufft._kernel_transform(p, n)[:, None]
           * _nufft._kernel_transform(np.arange(l_max + 1), n))
+    return h
+
+
+def mpmath_type1_sums(l_max, theta, phi, weights, dps=30):
+    """_nufft.type1_sums from dps-digit mpmath: w_k e^{i m phi_k} and
+    e^{i p theta_k} for 0 <= p, m <= l_max by repeated products of dps-digit
+    exponentials, rounded to integers at 2^110 times their value, then every
+    H[p, m] and H[-p, m] summed exactly in integer arithmetic and rounded
+    once to a double."""
+    import mpmath
+
+    bits = 110
+    rows = l_max + 1
+
+    def powers(angles, factors):
+        re = np.empty((len(angles), rows), dtype=object)
+        im = np.empty_like(re)
+        for k, (a, f) in enumerate(zip(angles, factors)):
+            step = mpmath.expj(mpmath.mpf(float(a)))
+            z = mpmath.mpc(mpmath.ldexp(mpmath.mpf(float(f)), bits))
+            for p in range(rows):
+                re[k, p], im[k, p] = int(mpmath.nint(z.real)), int(mpmath.nint(z.imag))
+                z *= step
+        return re, im
+
+    with mpmath.workdps(dps):
+        ar, ai = powers(theta, np.ones(len(theta)))
+        fr, fi = powers(phi, weights)
+    rr, ii, ri, ir = ar.T @ fr, ai.T @ fi, ar.T @ fi, ai.T @ fr
+    to_float = np.vectorize(lambda v: v / (1 << (2 * bits)), otypes=[float])
+    h = np.empty((2 * l_max + 1, rows), dtype=complex)
+    h[l_max:] = to_float(rr - ii) + 1j * to_float(ri + ir)
+    h[:l_max] = (to_float(rr + ii) + 1j * to_float(ri - ir))[:0:-1]
     return h
 
 

@@ -288,6 +288,24 @@ def test_dfs_sums_stay_within_the_allowance(l_max, points):
     assert np.all(diff.max(axis=1) <= _dfs_allowance(l_max, w))
 
 
+def test_dfs_route_sums_directly_up_to_the_crossover(monkeypatch):
+    calls = []
+    for name in ("direct_sums", "type1_sums"):
+        transform = getattr(harmonics._nufft, name)
+        monkeypatch.setattr(harmonics._nufft, name,
+                            lambda *a, t=transform, k=name: calls.append(k) or t(*a))
+    theta, phi = sample_uniform_angles(default_rng(2), 50)
+    w = np.full(50, 4 * math.pi / 50)
+    cut = harmonics._DIRECT_MAX_L
+    for l_max in (1, cut, cut + 1):
+        harmonics._dfs_harmonic_sums(l_max, theta, phi, w)
+    assert calls == ["direct_sums", "direct_sums", "type1_sums"]
+    # the cost model charges the transform that runs
+    direct = 50 * (cut + 1) ** 2 * harmonics._DIRECT_TERM_COST + cut**3
+    assert harmonics._dfs_cost(50, cut) == pytest.approx(direct)
+    assert harmonics._dfs_cost(50, cut + 1) == 50 * harmonics._nufft.WIDTH**2 + (cut + 1) ** 3
+
+
 # Rings of s equal weights at equispaced azimuths feed only the orders
 # m = 0, s, 2s, ...; the other orders are exact zeros, with the allowance a_l
 # of _ring_sums for what the rings' deviations from the ideal azimuths add.
@@ -409,6 +427,39 @@ def test_product_rules_route_every_ring():
         assert np.all(rings.period == order + 1)
         # the measured deviations: a few ulps of 2 pi per point
         assert rings.deviation.sum() < 4 * np.spacing(2 * math.pi) * q.weights.sum()
+
+
+def test_rings_of_points_in_cos_theta_order_are_views():
+    # product_rule gives its points in cos(theta) order, so the rings take
+    # views of theta, phi and the weights: 25.2 MiB traced at order 1000
+    # with the argsort and its three sorted copies, 9.9 MiB without
+    q = product_rule(1000)
+    harmonics._latitude_rings(q.theta, q.phi, q.weights)
+    tracemalloc.start()
+    try:
+        rings = harmonics._latitude_rings(q.theta, q.phi, q.weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * q.n + 32 * harmonics._BLOCK_ELEMS
+    for view, given in ((rings.theta, q.theta), (rings.phi, q.phi), (rings.w, q.weights)):
+        assert np.shares_memory(view, given)
+
+
+@pytest.mark.parametrize("order", [15, 40, 131])
+def test_sorted_and_shuffled_points_give_the_same_sums(order):
+    # the view of sorted points and the sorted copy of shuffled ones hold
+    # each routed ring's points in another order; its phases come in the
+    # order of its azimuths (_ring_spin) either way (the all-orders path,
+    # max_allowance 0, sums them in the order given)
+    q = product_rule(order)
+    perm = default_rng(order).permutation(q.n)
+    l_max = order + 2
+    for tol in (None, DEFAULT_TOL / 2):
+        a = harmonics._ring_sums(l_max, q.theta, q.phi, q.weights, tol)
+        b = harmonics._ring_sums(l_max, q.theta[perm], q.phi[perm], q.weights[perm], tol)
+        assert a[0].tobytes() == b[0].tobytes()
+        assert (a[1] is None and b[1] is None) or a[1].tobytes() == b[1].tobytes()
 
 
 def _no_ring_cases():

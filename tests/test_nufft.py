@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from povmquad import _nufft
 from povmquad.quadrature import product_rule
 from povmquad.sphere import default_rng, sample_uniform_angles
 
-from _oracles import full_grid_type1_sums, rotate_angles, rotation_matrix
+from _oracles import full_grid_type1_sums, mpmath_type1_sums, rotate_angles, rotation_matrix
 
 
 def _rotated_rule(order):
@@ -66,3 +70,83 @@ def test_type1_sums_of_no_points_are_zero():
     none = np.empty(0)
     h = _nufft.type1_sums(5, none, none, none)
     assert h.shape == (11, 6) and not h.any()
+
+
+# The direct sum that replaces the NUFFT below harmonics._DIRECT_MAX_L: the
+# same H, term by term, in real products small enough for one BLAS thread.
+
+
+def _adversarial_cases():
+    """The oracle cases of the NUFFT small enough for mpmath, and zero
+    weights among negative and positive ones, each scaled to sum |w| = 4 pi."""
+    cases = [c for c in _oracle_cases() if c[0] != "rotated-131"]
+    rng = default_rng(32)
+    theta, phi = sample_uniform_angles(rng, 200)
+    w = rng.uniform(-1.0, 1.0, 200)
+    w[::3] = 0.0
+    cases.append(("zero-weights", 25, theta, phi, w))
+    for name, l_max, theta, phi, w in cases:
+        yield name, l_max, theta, phi, w * (4 * math.pi / np.abs(w).sum())
+
+
+@pytest.mark.parametrize("case", list(_adversarial_cases()), ids=lambda c: c[0])
+def test_direct_sums_match_mpmath(case):
+    # measured: 2.6e-15 to 7.2e-15 off, where the NUFFT is 2.0e-14 to 2.7e-13
+    _, l_max, theta, phi, w = case
+    exact = mpmath_type1_sums(l_max, theta, phi, w)
+    direct = np.abs(_nufft.direct_sums(l_max, theta, phi, w) - exact).max()
+    nufft = np.abs(_nufft.type1_sums(l_max, theta, phi, w) - exact).max()
+    assert direct <= 2e-14
+    assert direct <= nufft
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
+def test_direct_sums_match_type1_sums(case):
+    _, l_max, theta, phi, w = case
+    diff = np.abs(_nufft.direct_sums(l_max, theta, phi, w) - _nufft.type1_sums(l_max, theta, phi, w))
+    assert diff.max() <= 3e-14 * np.abs(w).sum()
+
+
+def test_direct_sums_of_no_points_are_zero():
+    none = np.empty(0)
+    h = _nufft.direct_sums(5, none, none, none)
+    assert h.shape == (11, 6) and not h.any()
+
+
+def test_direct_sums_hold_one_block_of_powers():
+    # two power tables of at most _SPREAD_ELEMS doubles together, whatever n
+    # (n = 45 451 here), beside the (2 l_max + 2)^2 sums and H: 1.55 MB
+    l_max = 58
+    theta, phi, w = _rotated_rule(300)
+    _nufft.direct_sums(l_max, theta[:10], phi[:10], w[:10])
+    tracemalloc.start()
+    try:
+        _nufft.direct_sums(l_max, theta, phi, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * _nufft._SPREAD_ELEMS + 192 * (l_max + 1) ** 2
+
+
+_THREADS_SCRIPT = """
+import hashlib, math, sys
+import numpy as np
+from povmquad import _nufft
+from povmquad.quadrature import product_rule
+from povmquad.sphere import default_rng, sample_uniform_angles
+theta, phi = sample_uniform_angles(default_rng(7), 3000)
+w = default_rng(8).uniform(0.0, 1.0, 3000)
+for l_max in (16, 38, 58, 64):
+    print(hashlib.sha256(_nufft.direct_sums(l_max, theta, phi, w).tobytes()).hexdigest())
+"""
+
+
+def test_direct_sums_do_not_depend_on_the_blas_thread_count():
+    src = Path(_nufft.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+        run = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 4

@@ -402,6 +402,18 @@ def test_povm_json_schema_errors():
         povm_from_json('{"N": 0, "elements": [{"c": 1, "theta": 0, "phi": 0}]}')
 
 
+def test_povm_writer_refuses_a_score_that_overflows():
+    # every c is finite, but sum(c) / (N + 2) is inf, which neither reader
+    # takes back: refused before the first piece is written
+    p = FinitePovm(1, np.array([3.7e293, np.finfo(float).max]), np.zeros(2), np.zeros(2))
+    with np.errstate(over="ignore"):
+        for write in (povm_to_json, povm_to_csv):
+            with pytest.raises(DomainError, match="overflows"):
+                write(p)
+        with pytest.raises(DomainError):
+            next(povm_module._povm_pieces(p))
+
+
 def test_povm_csv_layout():
     text = povm_to_csv(antipodal_povm())
     lines = text.strip().splitlines()

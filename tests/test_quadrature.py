@@ -725,6 +725,58 @@ def test_rotated_rule_takes_the_dfs_route_with_its_allowance(monkeypatch):
     assert report.strength == certify(product_rule(80), 82).strength == 80
 
 
+def _jittered(order, seed):
+    """A product rule with every unit vector moved by N(0, 1e-3) noise, as the
+    certify benchmark builds its jittered sets: no shared latitudes."""
+    q = product_rule(order)
+    xyz = angles_to_xyz(q.theta, q.phi) + np.random.default_rng(seed).normal(scale=1e-3, size=(q.n, 3))
+    xyz /= np.linalg.norm(xyz, axis=1)[:, None]
+    theta = np.arccos(np.clip(xyz[:, 2], -1.0, 1.0))
+    return SphericalQuadrature(theta, np.mod(np.arctan2(xyz[:, 1], xyz[:, 0]), 2 * math.pi), q.weights)
+
+
+def _routes(monkeypatch):
+    """The transform of each double-Fourier-sphere call, in order."""
+    calls = []
+    for name in ("direct_sums", "type1_sums"):
+        transform = getattr(_nufft, name)
+        monkeypatch.setattr(_nufft, name, lambda *a, t=transform, k=name: calls.append(k) or t(*a))
+    return calls
+
+
+@pytest.mark.parametrize("order", [36, 49, 56])
+def test_rotated_rules_below_the_crossover_take_the_direct_dfs_route(order, monkeypatch):
+    q = product_rule(order)
+    theta, phi = rotate_angles(q.theta, q.phi, rotation_matrix([0.4, 1.0, -0.3], 0.8))
+    calls = _routes(monkeypatch)
+    report = certify(SphericalQuadrature(theta, phi, q.weights), order + 2)
+    assert calls == ["direct_sums"]
+    assert report.strength == order
+    # the allowance is kept on the direct transform as on the NUFFT
+    exact = np.abs(weighted_harmonic_sums(order + 2, theta, phi, q.weights)[1:]).max(axis=1)
+    allowance = _dfs_allowance(order + 2, q.weights)[1:]
+    assert np.all(report.residual_per_l >= exact + 0.9 * allowance)
+
+
+def test_jittered_set_takes_the_direct_dfs_route(monkeypatch):
+    q = _jittered(44, 6)
+    assert q.n == 1035
+    calls = _routes(monkeypatch)
+    assert certify(q, 46).strength < 44
+    assert calls == ["direct_sums"]
+
+
+@pytest.mark.parametrize("order", [9, 16, 20])
+def test_small_rotated_rules_stay_on_the_ring_kernel(order, monkeypatch):
+    # the cost model's fit: at these sizes the ring kernel is as fast or
+    # faster (rotated order 16: 0.29-0.35 ms against 0.34-0.39 ms)
+    q = product_rule(order)
+    theta, phi = rotate_angles(q.theta, q.phi, rotation_matrix([0.4, 1.0, -0.3], 0.8))
+    monkeypatch.setattr(quadrature, "_dfs_harmonic_sums", _refuse_dfs)
+    for l_max in (order + 1, order + 2, order + 3):
+        assert certify(SphericalQuadrature(theta, phi, q.weights), l_max).strength == order
+
+
 def test_dfs_allowance_leaves_strength_detection_alone():
     # a_l <= tol / 10 through l = 1002 for weights summing to 4 pi
     assert _dfs_allowance(1002, np.full(10, FOUR_PI / 10))[-1] <= DEFAULT_TOL / 10
