@@ -17,11 +17,12 @@ eightfold per axis); on spread-out sets the errors average to about
 1e-15 sum |w_k|. These are measured figures, not a bound.
 
 Points are spread in blocks of at most _SPREAD_ELEMS stencil values (1 MB
-of indices, 1 MB of values), sorted by theta so each block adds into a
-band of grid rows only. The grid holds only the rows (theta) between the
-first and the last sorted stencil, padded rows past either edge folded
-onto the rows they wrap to: for polar angles in [0, pi] that is n / 2 +
-WIDTH of the n rows (FINUFFT spreads only where the kernel lands). Its real
+of indices, 1 MB of values), twice sphere._BLOCK_ELEMS, the package's one
+working-set budget, sorted by theta so each block adds into a band of grid
+rows only. The grid holds only the rows (theta) between the first and the
+last sorted stencil, padded rows past either edge folded onto the rows
+they wrap to: for polar angles in [0, pi] that is n / 2 + WIDTH of the n
+rows (FINUFFT spreads only where the kernel lands). Its real
 FFT over phi runs in blocks of rows straight into the (n, l_max + 1)
 spectrum that m <= l_max needs, zero on rows no stencil touches; the FFT
 over theta then runs in blocks of columns straight into H. Each sum keeps
@@ -36,21 +37,22 @@ import math
 import numpy as np
 
 from .orthopoly import gauss_legendre_rule
+from .sphere import _BLOCK_ELEMS
 
 WIDTH = 16
 SIGMA = 2
 BETA = 2.3 * WIDTH
 _HALF = WIDTH // 2
 # Stencil values (WIDTH^2 per point) formed at once while spreading.
-_SPREAD_ELEMS = 1 << 17
+_SPREAD_ELEMS = 2 * _BLOCK_ELEMS
 # Gauss-Legendre nodes for the kernel's Fourier transform (64 left an error
 # floor of 2e-14 relative).
 _TRANSFORM_NODES = 128
-# Multiply-adds of one matrix product in direct_sums. OpenBLAS runs a GEMM of
-# at most 65536 x 4 of them (its threading threshold times the default
-# GEMM_MULTITHREAD_THRESHOLD) on one thread; larger products split their
-# work by thread count, and their sums can round differently at one and at
-# two threads.
+# Multiply-adds of one matrix product in direct_sums, set by OpenBLAS and not
+# by the working-set budget: OpenBLAS runs a GEMM of at most 65536 x 4 of
+# them (its threading threshold times the default GEMM_MULTITHREAD_THRESHOLD)
+# on one thread; larger products split their work by thread count, and their
+# sums can round differently at one and at two threads.
 _GEMM_MACS = 1 << 18
 
 

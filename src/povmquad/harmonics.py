@@ -22,12 +22,13 @@ O(R l_max^2 + n l_max), and is exact up to rounding; `harmonic_row` is its
 one-point, unit-weight case.
 The kernel holds every (l, m) array as its packed lower triangle, row l at
 offset l (l + 1) / 2 holding m = 0..l: the recurrence coefficients
-(orthopoly._norm_coeffs) and the (re, im) accumulator of S[l, m], half
-the memory of square arrays. The Condon-Shortley phase (-1)^m is carried
-on the phases W[m, r] before the recurrence, which leaves each sum's
-operations and their order as they were: rounding to nearest commutes
-with negation. The public functions unpack the triangle into the square
-arrays they return (`_dense`).
+(orthopoly._norm_coeffs) and the (re, im) accumulator of S[l, m], half the
+memory of square arrays. The Condon-Shortley phase (-1)^m is carried on the
+phases W[m, r] before the recurrence, which leaves each sum's operations and
+their order as they were: rounding to nearest commutes with negation. The
+public functions unpack the triangle into the square arrays they return
+(`_dense`). Its loops hold at most _BLOCK_ELEMS values per working array, the
+package's one working-set budget (sphere).
 `_dfs_harmonic_sums` feeds it l_max + 2 virtual rings from the Fourier
 coefficients of the points on the torus (the double Fourier sphere), summed
 directly up to l_max = _DIRECT_MAX_L, O(n l_max^2) in small real GEMMs,
@@ -64,11 +65,8 @@ import numpy as np
 from . import _nufft
 from .errors import DomainError
 from .orthopoly import _legendre_column, _norm_coeffs, _row_offsets, assoc_legendre_column
-from .sphere import TWO_PI, Direction
+from .sphere import _BLOCK_ELEMS, TWO_PI, Direction
 
-# Legendre values per working array of weighted_harmonic_sums: (l_max + 1)
-# rows times the rings of one block; small enough to stay in cache.
-_BLOCK_ELEMS = 1 << 16
 # A ring's azimuths count as equispaced when each is within this many
 # radians of phi_0 + 2 pi j / s: 16 units in the last place of 2 pi.
 # Azimuths formed as 2 pi j / s, or read back through atan2, are within a

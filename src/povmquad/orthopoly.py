@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+from .sphere import _BLOCK_ELEMS
 
 _X_SLACK = 1e-12
 _NEWTON_TOL = 1e-15
@@ -123,9 +124,9 @@ def _norm_coeffs(l_max: int):
         grown[0, : a.size], grown[1, : b.size] = a, b
         a, b = grown
         # the new rows' entries (l, m), have <= l < size and m < l, in blocks
-        # of at most 2^14 entries (or one row), so that the index and formula
-        # temporaries stay small beside the table
-        step = max(1, (1 << 14) // size)
+        # of at most _BLOCK_ELEMS // 4 entries (or one row), so that the
+        # index and formula temporaries stay small beside the table
+        step = max(1, _BLOCK_ELEMS // 4 // size)
         for l0 in range(have, size, step):
             rows = np.arange(l0, min(size, l0 + step))
             l = np.repeat(rows, rows)

@@ -52,8 +52,8 @@ d max_j sum_r deviation_r mag_j(theta_r)^2 is added at offset d
 (_ring_gram_residual): the residual stays an upper bound. A product rule,
 s = N + 1, is all such rings: O(n + R N), about 2e-12 of allowance at
 N = 1000. Beyond sorted copies of the inputs and the (N+1) x (N+1)
-result, each working array holds at most _GRAM_BLOCK_ELEMS values,
-whatever n and N.
+result, each working array holds at most _BLOCK_ELEMS values, the
+package's one working-set budget (sphere), whatever n and N.
 """
 from __future__ import annotations
 
@@ -86,17 +86,9 @@ from .quadrature import (
     _format_rows,
     certify,
 )
-from .sphere import Direction, angles_to_xyz, overlap_matrix, sample_uniform_angles, substream
+from .sphere import _BLOCK_ELEMS, Direction, angles_to_xyz, overlap_matrix, sample_uniform_angles, substream
 
 OPERATOR_CHECK_CAP = 300
-# Overlaps per block of _overlap_blocks, the one overlap loop of the package,
-# as many as the ring kernel's harmonics._BLOCK_ELEMS: 512 KiB per block, so
-# a block and _pow_int's buffer stay in cache. simulate's trial blocks and the
-# POVM writer's row blocks take their sizes from it too.
-_BLOCK_ELEMS = 1 << 16
-# Values per working array of the Dicke Gram: (N + 1) times the points or
-# rings of one block, 1 MB per complex array.
-_GRAM_BLOCK_ELEMS = 1 << 16
 
 # Fixed stream for default verification directions: libraries and CLI must
 # be deterministic without a user-provided seed.
@@ -431,7 +423,7 @@ def dicke_amplitudes(copies: int, d: Direction) -> DickeVector:
 def _ring_gram_residual(copies: int, theta, phi, w, diag: float) -> float:
     """max entry of |sum_k w_k v_k v_k^dag - diag * I| for the Dicke rows v_k.
 
-    Two paths, each in working arrays of at most _GRAM_BLOCK_ELEMS values:
+    Two paths, each in working arrays of at most _BLOCK_ELEMS values:
 
     * from N + 1 = harmonics._ROUTE_MIN_ROWS on, an equispaced ring of
       period s > N (harmonics._latitude_rings, as certify finds them; a
@@ -460,7 +452,7 @@ def _ring_gram_residual(copies: int, theta, phi, w, diag: float) -> float:
             polar = theta[starts[ring]]
             deviation = rings.deviation[ring]
             diagonal, f = np.zeros(rows), np.zeros(rows)
-            block = max(1, _GRAM_BLOCK_ELEMS // rows)
+            block = max(1, _BLOCK_ELEMS // rows)
             for r0 in range(0, polar.size, block):
                 square = np.square(_dicke_magnitudes(copies, polar[r0 : r0 + block]))
                 diagonal += weight[r0 : r0 + block] @ square
@@ -480,9 +472,9 @@ def _ring_gram_residual(copies: int, theta, phi, w, diag: float) -> float:
 
 def _point_gram(rows: int, theta, phi, w) -> np.ndarray:
     """sum_k w_k v_k v_k^dag, (N+1) x (N+1), one GEMM of Dicke rows per
-    block of at most _GRAM_BLOCK_ELEMS values."""
+    block of at most _BLOCK_ELEMS values."""
     gram = np.zeros((rows, rows), dtype=complex)
-    block = max(1, _GRAM_BLOCK_ELEMS // rows)
+    block = max(1, _BLOCK_ELEMS // rows)
     for k0 in range(0, theta.size, block):
         k1 = min(theta.size, k0 + block)
         # v[k, j] = mag_j e^{i j phi_k}, the phases as running products
@@ -506,7 +498,7 @@ def operator_completeness_residual(p: FinitePovm, cap: int = OPERATOR_CHECK_CAP)
     diagonal expectation values over coherent states), and independent of
     it: Dicke magnitudes from the half-angles and phases from the azimuths,
     no harmonic sums. Costs O(n N^2), one GEMM of Dicke rows per block of
-    at most _GRAM_BLOCK_ELEMS values (module docstring); from N = 15 on,
+    at most _BLOCK_ELEMS values (module docstring); from N = 15 on,
     the equispaced rings of period s > N of a product-rule POVM add to the
     diagonal alone, so it costs O(n + R N) for R rings, with an allowance
     for the offsets they cancel: about 1 ms at N = 131, 5 ms at N = 300

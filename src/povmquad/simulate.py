@@ -67,6 +67,8 @@ from .povm import (
 from .quadrature import FOUR_PI, SphericalQuadrature, _fmt
 from .sphere import Direction, TWO_PI, angles_to_xyz, substream
 
+# Trials per chunk, one substream each: public, and it fixes the random
+# stream of every report, so it equals the working-set budget only by chance.
 DEFAULT_CHUNK_SIZE = 1 << 16
 _NORMALIZATION_TOL = 1e-9
 
@@ -170,14 +172,6 @@ def _outcome_table(p: FinitePovm):
     frame[2, 1] = cos_phi
     frame[2, 2] = 0.0
     return prob, alias, frame
-
-
-def _outcome_first(rng, m: int, prob, alias, frame, copies: int):
-    """Outcomes k, true directions Omega and e_k of m trials, outcome first.
-
-    One (3, m) uniform block, read by _outcome_block.
-    """
-    return _outcome_block(rng.random((3, m)), prob, alias, frame, copies)
 
 
 def _outcome_block(u, prob, alias, frame, copies: int):

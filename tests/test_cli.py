@@ -909,6 +909,69 @@ def test_a_povm_file_from_a_named_pipe_is_read_once(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("score_exact: ")
 
 
+def _score_through_fifo(fifo, data):
+    """Exit code of `score` of a named pipe that a thread writes `data` to,
+    and whether the write ended early (the reader closed the pipe)."""
+    os.mkfifo(fifo)
+    broken = []
+
+    def write():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:
+            broken.append(True)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    codes = []
+    reader = threading.Thread(target=lambda: codes.append(main(["score", str(fifo)])), daemon=True)
+    reader.start()
+    # a second open of the pipe, with no writer left, would never return
+    reader.join(timeout=30)
+    writer.join(timeout=30)
+    assert not reader.is_alive() and not writer.is_alive()
+    fifo.unlink()
+    return codes[0], bool(broken)
+
+
+def test_a_povm_file_from_a_named_pipe_is_admitted_by_size(tmp_path, monkeypatch, capsys):
+    # a pipe is read once, up to one byte past the size that the budget
+    # admits as a JSON object tree: the same bytes exit 64 as from a
+    # regular file of their size, and the reader does not wait for the
+    # rest of a longer stream (4 MiB of trailing blanks, past any pipe's
+    # buffer)
+    data = povm_to_json(povm_from_quadrature(product_rule(3), 3)).encode()
+    fifo = tmp_path / "povm.fifo"
+    regular = tmp_path / "indented.json"
+    regular.write_text(json.dumps(json.loads(data), indent=1))
+    for budget, sent, broken in ((cli._JSON_BYTES_FACTOR * len(data) - 1, data, False),
+                                 (cli._JSON_BYTES_FACTOR * 64, data + b" " * (4 << 20), True)):
+        monkeypatch.setattr(quadrature, "SIZE_BUDGET_BYTES", budget)
+        assert _score_through_fifo(fifo, sent) == (EXIT_USAGE, broken)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("povmquad score: reading povm.fifo as a JSON object tree needs about")
+        assert err.endswith(" GiB size budget\n") and err.count("\n") == 1
+        assert main(["score", str(regular)]) == EXIT_USAGE
+        capsys.readouterr()
+    monkeypatch.setattr(quadrature, "SIZE_BUDGET_BYTES", cli._JSON_BYTES_FACTOR * len(data))
+    assert _score_through_fifo(fifo, data) == (EXIT_OK, False)
+    assert capsys.readouterr().out.startswith("score_exact: ")
+
+
+def test_a_povm_file_from_a_named_pipe_keeps_the_decode_message(tmp_path, capsys):
+    data = povm_to_json(povm_from_quadrature(product_rule(3), 3)).encode()
+    data = data[:300] + b"\xe9" + data[301:]
+    path = tmp_path / "povm.fifo"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        cli._read_text(path)
+    path.unlink()
+    assert _score_through_fifo(path, data) == (EXIT_PARSE, False)
+    assert capsys.readouterr() == ("", f"povmquad score: {exc.value}\n")
+
+
 def _read_outcome(read):
     """(N, and the bits of c, theta and phi) of a POVM read, or its ParseError message."""
     try:

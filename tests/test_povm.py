@@ -627,34 +627,46 @@ def test_ring_gram_matches_dense_oracle_on_incomplete_povms(copies):
 
 @pytest.mark.parametrize("copies", [3, 12, 40])
 def test_ring_gram_does_not_depend_on_block_budget(copies, monkeypatch):
-    # default blocks; one ring per block (one offset per chunk); and three
-    # rings per block with offsets in chunks of several
+    # default blocks; one point or ring per block; and three per block, each
+    # budget giving every case more than one Gram block
     cases = [product_povm(copies)] + _incomplete_povms(copies)
     default = [operator_completeness_residual(p) for p in cases]
     rows = copies + 1
-    for budget in (rows, 3 * rows * 5):
-        monkeypatch.setattr(povm_module, "_GRAM_BLOCK_ELEMS", budget)
+    blocks = _count_calls(monkeypatch, povm_module, "_dicke_magnitudes")
+    for budget in (rows, 3 * rows):
+        monkeypatch.setattr(povm_module, "_BLOCK_ELEMS", budget)
         for p, ref in zip(cases, default):
+            blocks.clear()
             assert abs(operator_completeness_residual(p) - ref) <= 1e-15
+            assert len(blocks) > 1
 
 
 def test_operator_and_schur_checks_build_no_dense_dicke_matrix(monkeypatch):
     # Dicke magnitudes come for at most one block of angles at a time; with
-    # blocks of eight rows, far fewer than these sets' points or rings
+    # blocks of eight rows, far fewer than these sets' points or rings, so
+    # each check takes more than one block
     magnitudes = povm_module._dicke_magnitudes
     rows_per_block = 8
+    blocks = []
 
     def one_block(copies, theta):
         assert np.size(theta) <= rows_per_block, "dense Dicke matrix built"
+        blocks.append(np.size(theta))
         return magnitudes(copies, theta)
 
+    def residual_in_blocks(check, *args):
+        blocks.clear()
+        value = check(*args)
+        assert len(blocks) > 1
+        return value
+
     monkeypatch.setattr(povm_module, "_dicke_magnitudes", one_block)
-    monkeypatch.setattr(povm_module, "_GRAM_BLOCK_ELEMS", rows_per_block * 21)
-    assert operator_completeness_residual(product_povm(20)) < 1e-13
-    assert operator_completeness_residual(_rotated_povm(20)) < 1e-13
-    assert schur_moment_residual(product_rule(20), 20) < 1e-13
-    monkeypatch.setattr(povm_module, "_GRAM_BLOCK_ELEMS", rows_per_block * 10)
-    assert operator_completeness_residual(product_povm(9)) < 1e-13
+    monkeypatch.setattr(povm_module, "_BLOCK_ELEMS", rows_per_block * 21)
+    assert residual_in_blocks(operator_completeness_residual, product_povm(20)) < 1e-13
+    assert residual_in_blocks(operator_completeness_residual, _rotated_povm(20)) < 1e-13
+    assert residual_in_blocks(schur_moment_residual, product_rule(20), 20) < 1e-13
+    monkeypatch.setattr(povm_module, "_BLOCK_ELEMS", rows_per_block * 10)
+    assert residual_in_blocks(operator_completeness_residual, product_povm(9)) < 1e-13
 
 
 def _traced_peak(fn, *args):
@@ -668,7 +680,7 @@ def _traced_peak(fn, *args):
 
 def test_operator_check_memory_is_bounded_by_its_blocks():
     # O(n) sorted copies of the inputs, the (N+1) x (N+1) Gram and a few
-    # blocks of _GRAM_BLOCK_ELEMS values; the dense Gram's Dicke matrix alone
+    # blocks of _BLOCK_ELEMS values; the dense Gram's Dicke matrix alone
     # would be 18 MB
     assert _traced_peak(operator_completeness_residual, product_povm(131)) < 3e6
     # no shared polar angles: every point through the GEMM, block by block,
@@ -680,7 +692,7 @@ def test_dicke_magnitudes_hold_one_array_of_their_size():
     # one _point_gram block of the rotated N = 131 POVM, 496 points: 0.52 MB
     # of magnitudes, and no temporary of their size next to them
     p = _rotated_povm(131)
-    theta = p.theta[: povm_module._GRAM_BLOCK_ELEMS // 132]
+    theta = p.theta[: povm_module._BLOCK_ELEMS // 132]
     povm_module._dicke_magnitudes(131, theta)  # the shared binomial row
     # numpy's broadcast buffers are a fixed 0.1-0.2 MB
     assert _traced_peak(povm_module._dicke_magnitudes, 131, theta) < theta.size * 132 * 8 + 2.5e5
@@ -817,9 +829,12 @@ def test_point_rings_take_one_gemm_per_block(copies, monkeypatch):
     ring = operator_completeness_residual(p)
     assert abs(ring - all_offsets_gram_residual(copies, p.theta, p.phi, p.c, 1.0)) <= 1e-15
     # blocks of a single row, and of a few, agree too
+    blocks = _count_calls(monkeypatch, povm_module, "_dicke_magnitudes")
     for budget in (copies + 1, 7 * (copies + 1)):
-        monkeypatch.setattr(povm_module, "_GRAM_BLOCK_ELEMS", budget)
+        monkeypatch.setattr(povm_module, "_BLOCK_ELEMS", budget)
+        blocks.clear()
         assert abs(operator_completeness_residual(p) - ring) <= 4e-15
+        assert len(blocks) > 1
     monkeypatch.undo()
     if copies <= 40:
         assert abs(ring - dense_operator_residual(p)) <= 2e-15

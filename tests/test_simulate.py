@@ -25,7 +25,7 @@ from povmquad.simulate import (
     SimulationReport,
     _alias_table,
     _game,
-    _outcome_first,
+    _outcome_block,
     _outcome_table,
     quadrature_averaged_score,
     run_game,
@@ -401,7 +401,8 @@ def _outcome_first_stats(p, draws, seed, chunk=1 << 16):
     t_sum = t_sq = 0.0
     moments = 0.0
     for i, start in enumerate(range(0, draws, chunk)):
-        k, omega, e = _outcome_first(substream(seed, i), min(chunk, draws - start), *table, p.copies)
+        u = substream(seed, i).random((3, min(chunk, draws - start)))
+        k, omega, e = _outcome_block(u, *table, p.copies)
         counts += np.bincount(k, minlength=p.n)
         t = 0.5 * (1.0 + np.einsum("ij,ij->j", omega, e))
         t_sum += t.sum()

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,3 +127,23 @@ def test_sampling_rotation_invariance_ks():
     z_rot = (angles_to_xyz(theta, phi) @ rot.T)[:, 2]
     result = stats.kstest(z_rot, stats.uniform(loc=-1.0, scale=2.0).cdf)
     assert result.pvalue > 1e-3
+
+
+def test_every_blocked_loop_sizes_its_blocks_from_one_budget():
+    # one working-set size, assigned in sphere alone; harmonics and povm bind
+    # it as their own name (which tests patch to vary their loops), _nufft
+    # spreads twice it, and orthopoly._norm_coeffs reads it
+    from povmquad import _nufft, harmonics, orthopoly, povm, simulate, sphere
+
+    assert sphere._BLOCK_ELEMS == 1 << 16
+    for module in (harmonics, orthopoly, povm):
+        assert module._BLOCK_ELEMS == sphere._BLOCK_ELEMS
+    assert _nufft._SPREAD_ELEMS == 2 * sphere._BLOCK_ELEMS
+    assert not hasattr(povm, "_GRAM_BLOCK_ELEMS")
+    source = Path(sphere.__file__).parent
+    assigned = [f.name for f in sorted(source.glob("*.py"))
+                if re.search(r"^_\w*BLOCK_ELEMS = |1 << 14", f.read_text(encoding="utf-8"), re.M)]
+    assert assigned == ["sphere.py"]
+    # pinned apart from it: BLAS-thread independence and the random stream
+    assert _nufft._GEMM_MACS == 1 << 18
+    assert simulate.DEFAULT_CHUNK_SIZE == 1 << 16
