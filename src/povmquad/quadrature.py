@@ -99,10 +99,12 @@ _DFS_EPS = 1e-15
 
 def _check_budget(nbytes: int, what: str):
     if nbytes > SIZE_BUDGET_BYTES:
-        raise CapExceeded(
-            f"{what} needs about {nbytes / 2**30:.3g} GiB, over the "
-            f"{SIZE_BUDGET_BYTES / 2**30:g} GiB size budget"
-        )
+        gib = SIZE_BUDGET_BYTES / 2**30
+        need, budget = f"{nbytes / 2**30:.3g} GiB", f"{gib:g} GiB size budget"
+        # a need just past the budget would print as the budget itself
+        if f"{nbytes / 2**30:.3g}" == f"{gib:.3g}":
+            need, budget = f"{nbytes} bytes", f"{SIZE_BUDGET_BYTES} bytes of the {budget}"
+        raise CapExceeded(f"{what} needs about {need}, over the {budget}")
 
 
 @dataclass(frozen=True)

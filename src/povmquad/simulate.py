@@ -10,27 +10,34 @@ jumped(i) of the 64-bit seed. How it is read depends on a check made
 once per call:
 
 * Outcome first (c_k >= 0 and the certified scalar-completeness bound of
-  :func:`~povmquad.povm.scalar_completeness_residual` at most 1e-9): one
-  (3, m) block of uniforms for the m trials of the chunk. Row 0 draws
-  k ~ c_k / sum c from a Vose alias table (column floor(u n), coin from
-  the fractional part), row 1 the overlap t = (1 - u)^(1/(N+1)), a
-  Beta(N+1, 1) draw, and row 2 a uniform azimuth psi about Omega_k; then
-  Omega = (2t - 1) e_k + 2 sqrt(t(1 - t)) (cos psi a_k + sin psi b_k) in
-  an orthonormal frame (e_k, a_k, b_k) built once per call. The score is
-  the fidelity of that (Omega, k) pair, computed from the two vectors.
-  Why this is the game: for every direction Omega_k,
-  int |<Omega_k|Omega>|^(2N) dOmega = 4 pi/(N+1), so the pairs drawn have
-  the joint law c_k overlap_k(Omega)^N (N+1) / (4 pi sum c), and Omega's
-  marginal is S(Omega) (N+1) / (4 pi sum c) with
+  :func:`~povmquad.povm.scalar_completeness_residual` at most 1e-9): the
+  game is drawn outcome first. k ~ c_k / sum c; the overlap
+  t = |<Omega_k|Omega>|^2 ~ Beta(N+1, 1); a uniform azimuth psi about
+  Omega_k; then Omega = (2t - 1) e_k + 2 sqrt(t(1 - t)) (cos psi a_k +
+  sin psi b_k) in an orthonormal frame (e_k, a_k, b_k). The score of that
+  pair is (1 + Omega . e_k)/2, and Omega . e_k = 2t - 1 exactly, so the
+  score is t itself: each trial costs one power, whatever N and the POVM
+  size, and needs neither k, psi nor Omega. The chunk reads one (2, m)
+  block of uniforms for its m trials and scores trial j as
+  t = (1 - u[1, j])^(1/(N+1)); row 0 is drawn and not read. Row 1 is
+  thus the row that drew t when k, t and psi came from one (3, m) block
+  and the score from the two unit vectors: text reports are unchanged,
+  and the JSON's mean_score and std_error moved in their last digits
+  (by up to 2 ulps and 2e-13 relative), as t and (1 + Omega . e_k)/2
+  round apart by up to 3.3e-16.
+  Why the certificate is still required: for every direction Omega_k,
+  int |<Omega_k|Omega>|^(2N) dOmega = 4 pi/(N+1), so the pairs drawn
+  outcome first have the joint law c_k overlap_k(Omega)^N (N+1) /
+  (4 pi sum c), and Omega's marginal is S(Omega) (N+1) / (4 pi sum c) with
   S(Omega) = sum_k c_k overlap_k(Omega)^N. The game needs Omega uniform
   and k drawn from P(k|Omega) = c_k overlap_k^N, a joint law
   c_k overlap_k^N / (4 pi). The certified bound puts S within 1e-9 of 1
   for every Omega (and so sum c within about 1e-9 of N+1), so the two
-  laws agree up to a pointwise factor within about 2e-9. Without the
-  certificate Omega would not be uniform: it is the only way in. A trial
-  costs O(1), whatever N and the POVM size, and the chunk holds its
-  uniforms and scores plus one block of B trials
-  (_outcome_first_scores).
+  laws agree up to a pointwise factor within about 2e-9. The mean of t
+  is (N+1)/(N+2) for every POVM, complete or not: without the
+  certificate the draw is not the game, and the number shows nothing.
+  The test suite keeps the explicit (k, Omega) sampler as an oracle and
+  checks both the law and the score against it.
 * Dense (every other POVM): one block of cos-theta values, one of
   azimuths and one of outcome uniforms, then the inverse CDF over all n
   outcome probabilities, formed in the bounded row blocks of povm's
@@ -50,7 +57,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import povm
 from .errors import DomainError, NotNormalized
 from .harmonics import _dense, _ring_sums
 from .povm import (
@@ -123,99 +129,12 @@ def _outcome_probabilities(ov: np.ndarray, c: np.ndarray, copies: int, where) ->
     return probs
 
 
-def _alias_table(c: np.ndarray):
-    """Vose alias table (prob, alias) for draws k ~ c_k / sum c.
-
-    Column j is drawn uniformly and kept with probability prob[j], else
-    replaced by alias[j]; so P(k) = (prob[k] + sum_{alias[j] = k} (1 - prob[j])) / n.
-    """
-    n = c.size
-    scaled = (c * (n / c.sum())).tolist()
-    alias = [0] * n
-    small = [k for k, v in enumerate(scaled) if v < 1.0]
-    large = [k for k, v in enumerate(scaled) if v >= 1.0]
-    # Python lists in the loop, arrays once at the end: a numpy scalar write
-    # costs more than the rest of a step
-    while small and large:
-        s, l = small.pop(), large.pop()
-        alias[s] = l
-        scaled[l] = v = (scaled[l] + scaled[s]) - 1.0
-        (small if v < 1.0 else large).append(l)
-    # a column that left through `small` keeps prob scaled[s], which no later
-    # step changes; a column left in either list holds 1 up to rounding and
-    # is its own alias
-    prob, alias = np.array(scaled), np.array(alias, dtype=np.intp)
-    left = small + large
-    prob[left] = 1.0
-    alias[left] = left
-    return prob, alias
-
-
-def _outcome_table(p: FinitePovm):
-    """Alias table and orthonormal outcome frames (prob, alias, frame).
-
-    frame[0][:, k] is the unit vector e_k of outcome k, frame[1][:, k] is
-    a_k = de/dtheta and frame[2][:, k] is b_k = (-sin phi, cos phi, 0);
-    the three are orthonormal for any finite theta, in [0, pi] or not.
-    """
-    prob, alias = _alias_table(p.c)
-    # filled coordinate by coordinate, in angles_to_xyz's arithmetic, so the
-    # temporaries are four arrays of n values, not stacks of the frames' size
-    frame = np.empty((3, 3, p.n))
-    cos_phi, sin_phi = np.cos(p.phi), np.sin(p.phi)
-    for xyz, theta in zip(frame, (p.theta, p.theta + 0.5 * math.pi)):
-        sin_theta = np.sin(theta)
-        np.multiply(sin_theta, cos_phi, out=xyz[0])
-        np.multiply(sin_theta, sin_phi, out=xyz[1])
-        np.cos(theta, out=xyz[2])
-    np.negative(sin_phi, out=frame[2, 0])
-    frame[2, 1] = cos_phi
-    frame[2, 2] = 0.0
-    return prob, alias, frame
-
-
-def _outcome_block(u, prob, alias, frame, copies: int):
-    """Outcomes k, true directions Omega and e_k of the trials in the columns of u.
-
-    Row 0 of the (3, m) uniforms u draws k ~ c_k / sum c from the alias
-    table (column floor(u n), coin from the fractional part), row 1 the
-    overlap t = (1 - u)^(1/(N+1)) ~ Beta(N+1, 1) and row 2 the azimuth psi
-    about e_k. Omega = (2t - 1) e_k + 2 sqrt(t(1 - t)) (cos psi a_k +
-    sin psi b_k); Omega and e_k come back as three coordinate rows each.
-    Row 0 of u is overwritten.
-    """
-    u[0] *= prob.size
-    col = u[0].astype(np.intp)
-    k = np.where(u[0] - col < prob.take(col), col, alias.take(col))
-    e, a, b = frame.take(k, axis=2)
-    t = np.power(1.0 - u[1], 1.0 / (copies + 1))
-    radial = np.sqrt(t * (1.0 - t))
-    radial *= 2.0
-    psi = u[2] * TWO_PI
-    # Omega is built in the gathered copy of a_k: two fewer (3, m) temporaries
-    a *= radial * np.cos(psi)
-    b *= radial * np.sin(psi)
-    a += b
-    a += (2.0 * t - 1.0) * e
-    return k, a, e
-
-
-def _outcome_first_scores(u, table, copies: int) -> np.ndarray:
-    """Scores clip((1 + Omega . e_k)/2) of the trials in the columns of u.
-
-    The trials run in blocks of B = povm._BLOCK_ELEMS // 16 (4096); with
-    about 21 doubles of temporaries per trial, a block stays in a core's
-    L2 cache. Every step is per trial, so the scores do not depend on B.
-    """
-    scores = np.empty(u.shape[1])
-    step = max(1, povm._BLOCK_ELEMS // 16)
-    for start in range(0, scores.size, step):
-        _, omega, e = _outcome_block(u[:, start : start + step], *table, copies)
-        block = np.einsum("ij,ij->j", omega, e, out=scores[start : start + step])
-        block += 1.0
-        block *= 0.5
-        np.clip(block, 0.0, 1.0, out=block)
-    return scores
+def _drawn_overlaps(u: np.ndarray, copies: int) -> np.ndarray:
+    """Scores t = (1 - u[1])^(1/(N+1)) of the trials in the columns of the
+    (2, m) uniforms u, a Beta(N+1, 1) draw each, computed in place in u[1]."""
+    t = u[1]
+    np.subtract(1.0, t, out=t)
+    return np.power(t, 1.0 / (copies + 1), out=t)
 
 
 def _dense_scores(p: FinitePovm, theta, phi, u) -> np.ndarray:
@@ -242,8 +161,6 @@ def _dense_scores(p: FinitePovm, theta, phi, u) -> np.ndarray:
 
 def _game(p: FinitePovm, trials: int, seed: int, chunk_size: int, dense: bool) -> SimulationReport:
     """run_game with the sampler chosen by the caller (dense or outcome first)."""
-    if not dense:
-        table = _outcome_table(p)
     n_chunks = (trials + chunk_size - 1) // chunk_size
     total = 0.0
     total_sq = 0.0
@@ -257,7 +174,7 @@ def _game(p: FinitePovm, trials: int, seed: int, chunk_size: int, dense: bool) -
             theta = np.arccos(np.clip(z, -1.0, 1.0))
             scores = _dense_scores(p, theta, phi, rng.random(m))
         else:
-            scores = _outcome_first_scores(rng.random((3, m)), table, p.copies)
+            scores = _drawn_overlaps(rng.random((2, m)), p.copies)
         # one pairwise sum per chunk: sums per block would round differently
         total += float(scores.sum())
         total_sq += float((scores * scores).sum())
@@ -288,11 +205,16 @@ def run_game(
     """Play `trials` rounds of the estimation game; fully seed-deterministic.
 
     A POVM with c_k >= 0 whose certified completeness bound is at most
-    1e-9 is played outcome first: k ~ c_k from an alias table, then Omega
-    about Omega_k with overlap t ~ Beta(N+1, 1) and a uniform azimuth;
-    O(1) work per trial, and memory the chunk's uniforms and scores plus
-    one block of B trials. The certificate is what makes that Omega
-    uniform and k follow P(k|Omega) (module docstring).
+    1e-9 is played outcome first: k ~ c_k, then Omega about Omega_k with
+    overlap t ~ Beta(N+1, 1) and a uniform azimuth. Since
+    Omega . e_k = 2t - 1, that trial's score (1 + Omega . e_k)/2 is t, so
+    each trial costs one power of its uniform, and the chunk holds its
+    (2, m) uniforms and nothing per outcome. The certificate is still
+    required: it is what makes that Omega uniform and k follow
+    P(k|Omega), and without it the mean of t, (N+1)/(N+2) for any POVM,
+    is no game (module docstring). Against the explicit sampler, which
+    scored the two unit vectors, --format json output moved in its last
+    digits.
     Any other POVM is sampled densely by inverse CDF over all n outcomes,
     in blocks of bounded size; if a drawn Omega yields outcome
     probabilities off 1 by more than 1e-9 the POVM is invalid and

@@ -27,7 +27,7 @@ TWO_PI = 2.0 * math.pi
 
 _THETA_SLACK = 1e-12
 # Elements per block of every blocked loop, 512 KiB of doubles (L2-sized):
-# Legendre values, overlaps, Gram values; 1/16 in trials and file rows, 1/2 in
+# Legendre values, overlaps, Gram values; 1/16 in file rows, 1/2 in
 # ring-search points, 1/4 in _norm_coeffs entries, 2x in NUFFT stencil values.
 _BLOCK_ELEMS = 1 << 16
 

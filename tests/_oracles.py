@@ -8,16 +8,19 @@ the overlap matrix raised to the power N+1, Dicke-basis Gram residuals
 from the dense n x (N+1) matrix of Dicke rows, POVM files from one
 `format` call per value, and game outcomes from the rejection sampler
 (alias proposals k ~ c_k, accepted with probability overlap^N) that the
-outcome-first sampler replaced. Two references are the package's own
+outcome-first sampler replaced. Four references are the package's own
 earlier code: the all-orders ring kernel, which steps every order m over
 every latitude ring, for the kernel that sums only the orders an
 equispaced ring lets through; and the all-offsets ring Gram, which sums
 every offset of the Dicke Gram over every ring, for the Gram that adds
 the rings of period s > N to its diagonal alone; and the full-grid type-1
 NUFFT, which spreads onto and transforms every row of the padded periodic
-grid, for the one that holds only the rows its stencils touch; and the Vose
-loop that wrote its alias table into numpy arrays one entry at a time, for
-the one that keeps Python lists. The type-1 sums of the double Fourier
+grid, for the one that holds only the rows its stencils touch; and the
+outcome-first game sampler, which drew k from a Vose alias table (kept in
+Python lists; the loop that wrote numpy arrays one entry at a time is its
+reference) and built each true direction Omega in an orthonormal frame
+about Omega_k, for the game that scores each certified trial by its drawn
+overlap t alone. The type-1 sums of the double Fourier
 sphere also come from 30-digit mpmath exponentials, summed exactly as
 integers. The dense
 Dicke matrix
@@ -35,8 +38,7 @@ from povmquad import _nufft
 from povmquad.harmonics import _dense
 from povmquad.orthopoly import _norm_coeffs
 from povmquad.povm import _dicke_magnitudes
-from povmquad.simulate import _alias_table
-from povmquad.sphere import angles_to_xyz
+from povmquad.sphere import TWO_PI, angles_to_xyz
 
 
 def scipy_harmonic_residuals(theta, phi, weights, l_max):
@@ -367,8 +369,85 @@ def direct_averaged_score(p, q, block=512):
     return total
 
 
+def _alias_table(c: np.ndarray):
+    """Vose alias table (prob, alias) for draws k ~ c_k / sum c.
+
+    Column j is drawn uniformly and kept with probability prob[j], else
+    replaced by alias[j]; so P(k) = (prob[k] + sum_{alias[j] = k} (1 - prob[j])) / n.
+    """
+    n = c.size
+    scaled = (c * (n / c.sum())).tolist()
+    alias = [0] * n
+    small = [k for k, v in enumerate(scaled) if v < 1.0]
+    large = [k for k, v in enumerate(scaled) if v >= 1.0]
+    # Python lists in the loop, arrays once at the end: a numpy scalar write
+    # costs more than the rest of a step
+    while small and large:
+        s, l = small.pop(), large.pop()
+        alias[s] = l
+        scaled[l] = v = (scaled[l] + scaled[s]) - 1.0
+        (small if v < 1.0 else large).append(l)
+    # a column that left through `small` keeps prob scaled[s], which no later
+    # step changes; a column left in either list holds 1 up to rounding and
+    # is its own alias
+    prob, alias = np.array(scaled), np.array(alias, dtype=np.intp)
+    left = small + large
+    prob[left] = 1.0
+    alias[left] = left
+    return prob, alias
+
+
+def _outcome_table(p):
+    """Alias table and orthonormal outcome frames (prob, alias, frame).
+
+    frame[0][:, k] is the unit vector e_k of outcome k, frame[1][:, k] is
+    a_k = de/dtheta and frame[2][:, k] is b_k = (-sin phi, cos phi, 0);
+    the three are orthonormal for any finite theta, in [0, pi] or not.
+    """
+    prob, alias = _alias_table(p.c)
+    # filled coordinate by coordinate, in angles_to_xyz's arithmetic, so the
+    # temporaries are four arrays of n values, not stacks of the frames' size
+    frame = np.empty((3, 3, p.n))
+    cos_phi, sin_phi = np.cos(p.phi), np.sin(p.phi)
+    for xyz, theta in zip(frame, (p.theta, p.theta + 0.5 * math.pi)):
+        sin_theta = np.sin(theta)
+        np.multiply(sin_theta, cos_phi, out=xyz[0])
+        np.multiply(sin_theta, sin_phi, out=xyz[1])
+        np.cos(theta, out=xyz[2])
+    np.negative(sin_phi, out=frame[2, 0])
+    frame[2, 1] = cos_phi
+    frame[2, 2] = 0.0
+    return prob, alias, frame
+
+
+def _outcome_block(u, prob, alias, frame, copies: int):
+    """Outcomes k, true directions Omega and e_k of the trials in the columns of u.
+
+    Row 0 of the (3, m) uniforms u draws k ~ c_k / sum c from the alias
+    table (column floor(u n), coin from the fractional part), row 1 the
+    overlap t = (1 - u)^(1/(N+1)) ~ Beta(N+1, 1) and row 2 the azimuth psi
+    about e_k. Omega = (2t - 1) e_k + 2 sqrt(t(1 - t)) (cos psi a_k +
+    sin psi b_k); Omega and e_k come back as three coordinate rows each.
+    Row 0 of u is overwritten.
+    """
+    u[0] *= prob.size
+    col = u[0].astype(np.intp)
+    k = np.where(u[0] - col < prob.take(col), col, alias.take(col))
+    e, a, b = frame.take(k, axis=2)
+    t = np.power(1.0 - u[1], 1.0 / (copies + 1))
+    radial = np.sqrt(t * (1.0 - t))
+    radial *= 2.0
+    psi = u[2] * TWO_PI
+    # Omega is built in the gathered copy of a_k: two fewer (3, m) temporaries
+    a *= radial * np.cos(psi)
+    b *= radial * np.sin(psi)
+    a += b
+    a += (2.0 * t - 1.0) * e
+    return k, a, e
+
+
 def vose_alias_table_loop(c):
-    """simulate._alias_table as it was: prob and alias written into numpy
+    """_alias_table as it was: prob and alias written into numpy
     arrays entry by entry inside the Vose loop."""
     n = c.size
     scaled = (c * (n / c.sum())).tolist()

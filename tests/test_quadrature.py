@@ -795,6 +795,19 @@ def test_size_budget_is_checked_before_allocating():
     assert 24 * product_rule_count(1000) <= SIZE_BUDGET_BYTES
 
 
+def test_a_need_just_past_the_budget_prints_in_bytes():
+    # at 3 digits the need read "1 GiB, over the 1 GiB size budget"
+    with pytest.raises(CapExceeded) as exc:
+        quadrature._check_budget(SIZE_BUDGET_BYTES + 1, "reading f.json")
+    assert str(exc.value) == (
+        "reading f.json needs about 1073741825 bytes, over the 1073741824 bytes "
+        "of the 1 GiB size budget"
+    )
+    with pytest.raises(CapExceeded) as exc:
+        quadrature._check_budget(3 * SIZE_BUDGET_BYTES // 2, "reading f.json")
+    assert str(exc.value) == "reading f.json needs about 1.5 GiB, over the 1 GiB size budget"
+
+
 class _Admitted(Exception):
     pass
 

@@ -23,10 +23,8 @@ from povmquad.quadrature import SphericalQuadrature, ingest_pointset, product_ru
 from povmquad.simulate import (
     DEFAULT_CHUNK_SIZE,
     SimulationReport,
-    _alias_table,
+    _drawn_overlaps,
     _game,
-    _outcome_block,
-    _outcome_table,
     quadrature_averaged_score,
     run_game,
     sample_outcomes,
@@ -36,6 +34,9 @@ from povmquad.sphere import Direction, angles_to_xyz, substream
 
 from _oracles import (
     vose_alias_table_loop,
+    _alias_table,
+    _outcome_block,
+    _outcome_table,
     _proposal_table,
     _rejection_columns,
     direct_averaged_score,
@@ -466,8 +467,8 @@ def test_outcome_first_draws_need_a_complete_povm():
 
 
 def test_outcome_first_game_memory_is_bounded():
-    # the chunk's uniforms and scores plus one block of trials; drawing the
-    # whole chunk's outcomes, frames and directions at once peaked at 16 MiB
+    # the chunk's uniforms and the squares of its scores; drawing the whole
+    # chunk's outcomes, frames and directions at once peaked at 16 MiB
     p = povm_from_quadrature(product_rule(10), 10)
     tracemalloc.start()
     try:
@@ -476,6 +477,41 @@ def test_outcome_first_game_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * 2**20
+
+
+def test_outcome_first_game_holds_nothing_per_outcome():
+    # n = 45 451 outcomes, and a 1 MiB (2, m) block of uniforms: the alias
+    # table and the (3, 3, n) outcome frames traced 6.76 MiB here
+    p = povm_from_quadrature(product_rule(300), 300)
+    assert p.n == 45_451
+    _game(p, 65536, 1, DEFAULT_CHUNK_SIZE, dense=False)
+    tracemalloc.start()
+    try:
+        _game(p, 65536, 1, DEFAULT_CHUNK_SIZE, dense=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("p", [
+    antipodal_povm(),
+    povm_from_quadrature(product_rule(5), 5),
+    _rotated_product_povm(20),
+    _lebedev_povm("lebedev_0050.txt", 10),
+    povm_from_quadrature(product_rule(131), 131),
+], ids=["antipodal-1", "product-5", "rotated-20", "lebedev50-10", "product-131"])
+def test_outcome_first_scores_are_the_oracle_fidelities(p):
+    # Omega . e_k = 2t - 1, so the explicit draw's clip((1 + Omega . e_k)/2)
+    # is its overlap t up to rounding: within 2 ulps of 1, the largest score
+    m = 1 << 16
+    u = substream(17, 0).random((3, m))
+    drawn = substream(17, 0).random((2, m))
+    assert np.array_equal(drawn[1], u[1])
+    _, omega, e = _outcome_block(u, *_outcome_table(p), p.copies)
+    fidelity = np.clip(0.5 * (1.0 + np.einsum("ij,ij->j", omega, e)), 0.0, 1.0)
+    scores = _drawn_overlaps(drawn, p.copies)
+    assert np.max(np.abs(scores - fidelity)) <= 2 * np.spacing(1.0)
 
 
 def test_dense_game_memory_is_bounded():
@@ -528,9 +564,9 @@ def test_pinned_reports(p, trials, seed, report):
 def test_trial_blocks_do_not_change_a_report(trials, chunk, monkeypatch):
     p = povm_from_quadrature(product_rule(3), 3)
     reports = {}
-    # B = 1 takes one Python loop step per trial: the small cases only
+    # the outcome-first game has no blocks of its own, and povm's overlap
+    # budget, which sizes the dense sampler's, must not reach its report
     for size in [DEFAULT_CHUNK_SIZE + 1, 4096, 7] + ([1] if trials < 10_000 else []):
-        # simulate reads its block of trials from povm's overlap budget
         monkeypatch.setattr("povmquad.povm._BLOCK_ELEMS", 16 * size)
         reports[size] = run_game(p, trials, 5, chunk).to_json()
     assert len(set(reports.values())) == 1, reports
