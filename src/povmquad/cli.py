@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
@@ -47,7 +46,7 @@ from .povm import (
     scalar_completeness_residual,
     spin_subspaces,
 )
-from .quadrature import _check_budget, _format_rows, certify, ingest_pointset, product_rule, product_rule_count
+from .quadrature import _check_budget, _format_rows, certify, product_rule, product_rule_count
 from .simulate import _NORMALIZATION_TOL, quadrature_averaged_score, run_game, score_by_direction
 
 EXIT_OK = 0
@@ -174,13 +173,26 @@ def build_parser() -> argparse.ArgumentParser:
 _shared_parser = functools.cache(build_parser)
 
 
+def _decode(data: bytes, name: str, offset: int = 0) -> str:
+    """`data`, file `name` from byte `offset` on, as UTF-8 text with universal
+    newlines; other bytes raise ParseError naming their position in the file."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # str(exc) with the positions counted from the start of the file
+        start, last = offset + exc.start, offset + exc.end - 1
+        where = f"bytes in position {start}-{last}"
+        if start == last:
+            where = f"byte 0x{data[exc.start]:02x} in position {start}"
+        raise ParseError(
+            f"{name} is not UTF-8 text ('utf-8' codec can't decode {where}: {exc.reason})"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def _read_text(path: Path, data: bytes | None = None) -> str:
     """The file (or `data` read from it) as UTF-8 text; other bytes raise ParseError naming it."""
-    data = path.read_bytes() if data is None else data
-    try:
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path.name} is not UTF-8 text ({exc})") from None
+    return _decode(path.read_bytes() if data is None else data, path.name)
 
 
 def _load_povm(path: Path):
@@ -205,19 +217,23 @@ def _load_povm(path: Path):
     return _povm_from_tree(_read_text(path, data), label=path.name)
 
 
-def _detect_weight_mode(lines) -> str:
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return "explicit" if len(line.split()) == 4 else "uniform"
-    return "uniform"
+def _point_lines(fh, name: str):
+    """The lines of each block of the point file `fh` (quadrature._line_blocks)."""
+    offset = 0
+    for data in quadrature._line_blocks(fh):
+        lines = _decode(data, name, offset).split("\n")
+        if not lines[-1]:
+            lines.pop()  # what follows the block's last line end
+        yield lines
+        offset += len(data)
 
 
 def _load_pointset(path: Path, mode: str):
-    lines = _read_text(path).split("\n")
-    if mode == "auto":
-        mode = _detect_weight_mode(lines)
-    return ingest_pointset(lines, mode, label=path.name)
+    """The quadrature of the point file `path`, read forward once in blocks
+    (so a pipe works too), each parsed alone; errors come as one parse of
+    the whole file raises them (quadrature._read_point_blocks)."""
+    with path.open("rb") as fh:
+        return quadrature._ingest(_point_lines(fh, path.name), mode, label=path.name)
 
 
 def cmd_construct(args) -> int:

@@ -80,10 +80,12 @@ from .harmonics import _ROUTE_MIN_ROWS, _latitude_rings
 from .quadrature import (
     DEFAULT_TOL,
     FOUR_PI,
+    _MIN_ROW_BYTES,
     CertificationReport,
     SphericalQuadrature,
     _fmt,
     _format_rows,
+    _line_blocks,
     certify,
 )
 from .sphere import _BLOCK_ELEMS, Direction, angles_to_xyz, overlap_matrix, sample_uniform_angles, substream
@@ -659,10 +661,8 @@ _ROW = rb'    \{"c": %s, "theta": %s, "phi": %s\}' % (_NUMBER, _NUMBER, _NUMBER)
 _HEAD = rb'\{\n  "N": ([1-9][0-9]{0,17}),\n  "n": ([1-9][0-9]{0,17}),\n  "elements": \[\n'
 _ROWS = rb"(?:%s,\n)*+" % _ROW  # rows that another row follows
 _TAIL = rb'(%s\n)  \],\n  "score_exact": %s\n\}\n' % (_ROW, _NUMBER)
-# Bytes of the shortest row, '    {"c": 0, "theta": 0, "phi": 0},\n'; and a
-# bound on the bytes a block may leave over, above the writer's longest last
-# row and trailer (154 bytes, with 24-character numbers)
-_MIN_ROW_BYTES = 36
+# A bound on the bytes a block may leave over, above the writer's longest
+# last row and trailer (154 bytes, with 24-character numbers)
 _MAX_REST = 256
 # The translation that blanks the keys and punctuation of a row, leaving
 # c, the 'e' of "theta", theta and phi as four fields
@@ -673,20 +673,19 @@ def _read_povm(fh, size: int, label: str = "") -> FinitePovm | None:
     """The POVM in the binary file `fh` of `size` bytes, if it holds exactly
     the layout _povm_pieces writes; None for any other bytes.
 
-    Reads _BLOCK_ELEMS // 16 shortest rows' bytes at a time (at least
-    512), so a block holds at most the writer's block of rows; checks the
-    complete rows by one regular expression of the layout and parses them in
-    one numpy call into the three preallocated arrays; a partial row is
-    carried to the next block. So neither the whole text nor a JSON object
-    tree is ever held. Every number is checked against JSON's grammar, so
-    where this returns a POVM, json.loads reads the same doubles from the
-    same bytes.
+    Takes the file in the blocks of whole lines of quadrature._line_blocks
+    (a block holds at most the writer's block of rows; a read without a line
+    end comes uncut, and fails the layout); checks each block's rows by one
+    regular expression of the layout and parses them in one numpy call into
+    the three preallocated arrays; what a block leaves over, at most
+    _MAX_REST bytes of the last row and trailer, goes before the next. So
+    neither the whole text nor a JSON object tree is ever held. Every number
+    is checked against JSON's grammar, so where this returns a POVM,
+    json.loads reads the same doubles from the same bytes.
     """
     head_re, rows_re, tail_re = (re.compile(p) for p in (_HEAD, _ROWS, _TAIL))  # re caches them
-    # past a carried rest of at most _MAX_REST bytes, every read takes more
-    limit = max(_BLOCK_ELEMS // 16 * _MIN_ROW_BYTES, 2 * _MAX_REST)
-    buf = fh.read(limit)
-    eof = len(buf) < limit
+    blocks = _line_blocks(fh, grow=False)
+    buf = next(blocks, b"")
     head = head_re.match(buf)
     # a file of `size` bytes holds at most size / 36 rows
     if head is None or int(head[2]) > size // _MIN_ROW_BYTES:
@@ -696,8 +695,9 @@ def _read_povm(fh, size: int, label: str = "") -> FinitePovm | None:
     done, pos = 0, head.end()
     while True:
         end = rows_re.match(buf, pos).end()
+        more = next(blocks, None)
         # a longer rest could hold an integer past json.loads' digit limit
-        tail = tail_re.fullmatch(buf, end) if eof and len(buf) - end <= _MAX_REST else None
+        tail = tail_re.fullmatch(buf, end) if more is None and len(buf) - end <= _MAX_REST else None
         if tail is not None:
             end = tail.end(1)
         rows = buf.count(b"\n", pos, end)
@@ -715,10 +715,8 @@ def _read_povm(fh, size: int, label: str = "") -> FinitePovm | None:
         if tail is not None:
             break
         rest = buf[end:]
-        if eof or len(rest) > _MAX_REST:
+        if more is None or len(rest) > _MAX_REST:
             return None
-        more = fh.read(limit - len(rest))
-        eof = len(more) < limit - len(rest)
         buf, pos = rest + more, 0
     if done != n:
         return None

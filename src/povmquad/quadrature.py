@@ -45,6 +45,8 @@ allocated; so is product_rule. Breaking it raises CapExceeded.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -63,7 +65,7 @@ from .harmonics import (
     _row_max,
 )
 from .orthopoly import gauss_legendre_rule
-from .sphere import TWO_PI, Direction
+from .sphere import _BLOCK_ELEMS, TWO_PI, Direction
 
 FOUR_PI = 2.0 * TWO_PI
 
@@ -95,6 +97,12 @@ _DFS_COST_RATIO = 5.0
 # Error unit of the allowance added to residuals on that route, relative
 # to sum |lambda|.
 _DFS_EPS = 1e-15
+# Bytes of one read of a point file or POVM file (_line_blocks): the POVM
+# writer's block of rows at the shortest row, '    {"c": 0, "theta": 0,
+# "phi": 0},\n' (at least 512); text lines are taken one per 36 bytes.
+_MIN_ROW_BYTES = 36
+_BLOCK_BYTES = max(_BLOCK_ELEMS // 16 * _MIN_ROW_BYTES, 512)
+_NON_FINITE = "non-finite value"
 
 
 def _check_budget(nbytes: int, what: str):
@@ -350,12 +358,13 @@ def detect_strength(
     return certify(q, cap, tol, allow_signed=allow_signed).strength
 
 
-def _parse_point_lines(stream, n_columns: int):
+def _parse_point_lines(stream, n_columns: int, first_line: int = 1):
     """(values, line_numbers) of the data lines of `stream`, one line at a
-    time: the reference of _read_points, which it falls back to."""
+    time, the first line numbered `first_line`: the reference of
+    _read_points, which it falls back to."""
     rows = []
     line_numbers = []
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(stream, start=first_line):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -374,35 +383,19 @@ def _parse_point_lines(stream, n_columns: int):
     values = np.asarray(rows, dtype=float)
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
-        raise ParseError("non-finite value", line=line_numbers[bad[0]])
+        raise ParseError(_NON_FINITE, line=line_numbers[bad[0]])
     return values, line_numbers
 
 
-class _LineNumbers:
-    """Line number of each data row of `lines`, counted on the first lookup:
-    only an error message needs one."""
-
-    def __init__(self, lines):
-        self._lines = lines
-        self._numbers = None
-
-    def __getitem__(self, i):
-        if self._numbers is None:
-            self._numbers = [
-                lineno for lineno, raw in enumerate(self._lines, start=1)
-                if raw.split("#", 1)[0].strip()
-            ]
-        return self._numbers[i]
-
-
-def _read_points(lines, n_columns: int):
-    """(values, line_numbers) of a list of point-file lines, parsed in one
-    np.loadtxt call. Its rows are the data lines of _parse_point_lines: both
-    skip what follows '#' and split on str.isspace characters, and numpy
-    refuses a line break inside a line. When the call raises or warns (no
-    data), or gives another column count or a non-finite value, the
-    per-line loop runs instead: it raises its error naming the line, or reads
-    what float() takes and numpy does not (1_0)."""
+def _read_points(lines, n_columns: int, first_line: int = 1):
+    """(values, line_numbers) of a list of point-file lines, the first
+    numbered `first_line`, parsed in one np.loadtxt call. Its rows are the
+    data lines of _parse_point_lines: both skip what follows '#' and split
+    on str.isspace characters, and numpy refuses a line break inside a line.
+    When the call raises or warns (no data), or gives another column count or
+    a non-finite value, the per-line loop runs instead: it raises its error
+    naming the line, or reads what float() takes and numpy does not (1_0).
+    The line numbers are a range when every line is a data row."""
     # loaded at interpreter start; imported here, it leaves the import of
     # povmquad as it was
     import warnings
@@ -412,10 +405,85 @@ def _read_points(lines, n_columns: int):
             warnings.simplefilter("error")
             values = np.loadtxt(lines, ndmin=2)
     except (ValueError, TypeError, Warning):
-        return _parse_point_lines(lines, n_columns)
+        return _parse_point_lines(lines, n_columns, first_line)
     if values.shape[1] != n_columns or not np.isfinite(values).all():
-        return _parse_point_lines(lines, n_columns)
-    return values, _LineNumbers(lines)
+        return _parse_point_lines(lines, n_columns, first_line)
+    if len(values) == len(lines):
+        return values, range(first_line, first_line + len(lines))
+    return values, [k for k, raw in enumerate(lines, start=first_line) if raw.split("#", 1)[0].strip()]
+
+
+def _line_blocks(fh, grow: bool = True):
+    r"""The binary file `fh` read forward once, in blocks of whole lines: each
+    read of up to _BLOCK_BYTES is cut after its last '\n', or '\r' short of
+    its end (so no '\r\n' is split), and the rest goes before the next read.
+    A read with no line end is read on, each read as large as what it
+    carries, so a long line grows its block in linear time; with grow=False
+    it comes uncut instead."""
+    rest = b""
+    while data := fh.read(max(_BLOCK_BYTES - len(rest), len(rest))):
+        buf = rest + data
+        cut = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, -1)) + 1
+        if not (cut or grow):
+            cut = len(buf)
+        if cut:
+            yield buf[:cut]
+        rest = buf[cut:]
+    if rest:
+        yield rest
+
+
+class _BlockLineNumbers:
+    """Line number of each data row of a file read in blocks, from each
+    block's first row and line numbers (a range where every line was a data
+    row), looked up only when a message needs one."""
+
+    def __init__(self):
+        self.first_rows, self.numbers = [], []
+
+    def __getitem__(self, i):
+        k = bisect.bisect_right(self.first_rows, i) - 1
+        return self.numbers[k][i - self.first_rows[k]]
+
+
+def _read_point_blocks(blocks, n_columns):
+    """(values, line_numbers) of the point-file lines in `blocks`, lists of
+    lines, each parsed by _read_points alone; with n_columns None, 4 where
+    the first data line holds four fields, else 3. Every block is taken,
+    and the error raised is the one a parse of the whole file raises: the
+    blocks' own (a file that is not UTF-8), the first column-count or
+    float() error, "no points found", then the first non-finite value."""
+    parts, line_numbers, rows, next_line = [], _BlockLineNumbers(), 0, 1
+    error, settled = None, False  # settled: no later block's error goes first
+    for lines in blocks:
+        first_line, next_line = next_line, next_line + len(lines)
+        if settled:
+            continue
+        if n_columns is None:
+            fields = next((line.split() for raw in lines if (line := raw.split("#", 1)[0].strip())), None)
+            if fields is None:
+                continue
+            n_columns = 4 if len(fields) == 4 else 3
+        try:
+            values, numbers = _read_points(lines, n_columns, first_line)
+        except ParseError as exc:
+            if exc.line is None:  # "no points found": a block without data lines
+                continue
+            # a column-count or float() error goes before a non-finite value
+            settled = not str(exc).endswith(_NON_FINITE)
+            if error is None or settled:
+                error = exc
+            continue
+        if error is None:
+            line_numbers.first_rows.append(rows)
+            line_numbers.numbers.append(numbers)
+            parts.append(values)
+            rows += len(values)
+    if error is not None:
+        raise error
+    if not parts:
+        raise ParseError("no points found in stream")
+    return np.concatenate(parts), line_numbers
 
 
 def _check_duplicates(xyz: np.ndarray, line_numbers, chord_tol: float):
@@ -473,8 +541,9 @@ def ingest_pointset(stream, weight_mode: str = "uniform", label: str = "") -> Sp
     - "explicit": 4 columns; weights are rescaled to sum to 4*pi and the
       scale factor recorded on the result.
 
-    The text is parsed in one np.loadtxt call. Where that call fails, a
-    per-line loop reads it instead, so a malformed file still raises
+    The lines are taken 4096 at a time, each block parsed in one np.loadtxt
+    call, so no list of every line is held. Where that call fails, a
+    per-line loop reads the block instead, so a malformed file still raises
     ParseError naming its first bad line; the loop also reads the tokens that
     float() takes and numpy does not, such as 1_0. NaN or infinite values
     raise ParseError naming the first offending line. Vectors within 4 ulps
@@ -487,8 +556,16 @@ def ingest_pointset(stream, weight_mode: str = "uniform", label: str = "") -> Sp
     """
     if weight_mode not in ("uniform", "explicit"):
         raise DomainError(f"unknown weight_mode {weight_mode!r}")
-    n_columns = 3 if weight_mode == "uniform" else 4
-    rows, line_numbers = _read_points(list(stream), n_columns)
+    lines = iter(stream)
+    blocks = iter(lambda: list(itertools.islice(lines, _BLOCK_BYTES // _MIN_ROW_BYTES)), [])
+    return _ingest(blocks, weight_mode, label)
+
+
+def _ingest(blocks, weight_mode: str, label: str) -> SphericalQuadrature:
+    """ingest_pointset of `blocks` (_read_point_blocks); weight_mode "auto"
+    reads 4 fields on the first data line as "explicit", else "uniform"."""
+    n_columns = {"uniform": 3, "explicit": 4}.get(weight_mode)
+    rows, line_numbers = _read_point_blocks(blocks, n_columns)
     xyz = rows[:, :3]
     norms = np.sqrt(np.einsum("ij,ij->i", xyz, xyz))
     zero = norms < 1e-9
@@ -506,7 +583,7 @@ def ingest_pointset(stream, weight_mode: str = "uniform", label: str = "") -> Sp
     xyz[divide] /= norms[divide, None]
     _check_duplicates(xyz, line_numbers, _DUPLICATE_CHORD)
     n = xyz.shape[0]
-    if weight_mode == "uniform":
+    if rows.shape[1] == 3:
         weights = np.full(n, FOUR_PI / n)
         scale = 1.0
     else:

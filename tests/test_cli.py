@@ -36,6 +36,7 @@ from povmquad.povm import (
     povm_to_json,
 )
 from povmquad.quadrature import FOUR_PI, SphericalQuadrature, _fmt, product_rule
+from povmquad.sphere import angles_to_xyz
 
 from _oracles import rotate_angles, rotation_matrix
 
@@ -970,6 +971,48 @@ def test_a_povm_file_from_a_named_pipe_keeps_the_decode_message(tmp_path, capsys
     path.unlink()
     assert _score_through_fifo(path, data) == (EXIT_PARSE, False)
     assert capsys.readouterr() == ("", f"povmquad score: {exc.value}\n")
+
+
+def test_a_point_file_from_a_named_pipe_is_read_once(tmp_path, capsys):
+    # point files are read forward once, in blocks, from a pipe as from a file
+    q = product_rule(80)
+    regular = tmp_path / "pr80.txt"
+    np.savetxt(regular, np.column_stack((angles_to_xyz(q.theta, q.phi), q.weights)), fmt="%.17g")
+    argv = ["--lmax", "82", "--expect", "80"]
+    assert main(["certify", str(regular), *argv]) == EXIT_OK
+    expected = capsys.readouterr()
+    fifo = tmp_path / "points.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(regular.read_bytes())
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    codes = []
+    reader = threading.Thread(target=lambda: codes.append(main(["certify", str(fifo), *argv])), daemon=True)
+    reader.start()
+    reader.join(timeout=30)
+    assert not reader.is_alive() and codes == [EXIT_OK]
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("block", [256, 300, 1000, 4096])
+def test_povm_files_read_the_same_in_blocks_of_any_size(block, tmp_path):
+    # the writer's last row and trailer fall across the blocks' ends at every
+    # place; mutated files go to json.loads (None) at every block size
+    for copies in range(1, 7):
+        data = povm_to_json(povm_from_quadrature(product_rule(copies), copies)).encode()
+        for edit in (data, data + b"\n", data[:-3] + b"}\n", data.replace(b"},\n", b"},\r\n", 1)):
+            expected = povm._read_povm(io.BytesIO(edit), len(edit))
+            with mock.patch.object(quadrature, "_BLOCK_BYTES", block):
+                got = povm._read_povm(io.BytesIO(edit), len(edit))
+            assert (got is None) == (expected is None) == (edit is not data)
+            if got is not None:
+                assert _read_outcome(lambda: got) == _read_outcome(lambda: expected)
 
 
 def _read_outcome(read):

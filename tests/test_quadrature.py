@@ -1,11 +1,14 @@
+import contextlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
-from povmquad import _nufft, quadrature
+from povmquad import _nufft, cli, quadrature
 from povmquad.cli import EXIT_OK, _load_pointset, default_grid_dir, main
 from povmquad.errors import (
     CapExceeded,
@@ -613,6 +616,160 @@ def test_a_copied_first_line_of_the_order_1000_file_is_named(rule_1000_text, tmp
     path.write_text(rule_1000_text + rule_1000_text.split("\n", 1)[0] + "\n")
     with pytest.raises(DuplicatePoint, match="lines 1 and 501502 coincide"):
         _load_pointset(path, "auto")
+
+
+def test_the_order_1000_file_ingests_within_50_mib(rule_1000_text, tmp_path):
+    # read in blocks: the list of every line held 114.2 MiB traced here
+    path = tmp_path / "rule.txt"
+    path.write_text(rule_1000_text)
+    tracemalloc.start()
+    try:
+        g = _load_pointset(path, "auto")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50 * 2**20
+    whole = ingest_pointset(rule_1000_text.split("\n"), "explicit")
+    for a, b in ((g.theta, whole.theta), (g.phi, whole.phi), (g.weights, whole.weights)):
+        assert a.tobytes() == b.tobytes()
+    assert g.weight_scale == whole.weight_scale
+
+
+def _first_data_columns(lines):
+    """The column count of auto mode, from the first data line (3 if none)."""
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            return 4 if len(line.split()) == 4 else 3
+    return 3
+
+
+class _Read(Exception):
+    pass
+
+
+def _read_by_ingest(lines, n_columns):
+    """(values, line_numbers) as ingest_pointset reads `lines`, in its blocks."""
+    read_blocks = quadrature._read_point_blocks
+
+    def stop(blocks, n):
+        raise _Read(*read_blocks(blocks, n))
+
+    with mock.patch.object(quadrature, "_read_point_blocks", stop):
+        try:
+            ingest_pointset(lines, {3: "uniform", 4: "explicit"}[n_columns])
+        except _Read as read:
+            return read.args
+
+
+def _read_by_cli(text, n_columns):
+    """(values, line_numbers) as the CLI reads the UTF-8 bytes of `text`."""
+    blocks = cli._point_lines(io.BytesIO(text.encode("utf-8")), "f.txt")
+    return quadrature._read_point_blocks(blocks, n_columns)
+
+
+def _assert_blocks_match_the_whole_text(text):
+    """The block reader against one parse of the whole text, at blocks of 1,
+    7 and 4096 text lines (_BLOCK_BYTES // 36), and of as many bytes."""
+    lines = text.split("\n")
+    # as the CLI read a file: universal newlines, split on '\n'
+    whole = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for per_block in (1, 7, 4096):
+        with mock.patch.object(quadrature, "_BLOCK_BYTES", 36 * per_block):
+            for n_columns in (3, 4):
+                assert _parse_outcome(_read_by_ingest, lines, n_columns) == _parse_outcome(
+                    quadrature._parse_point_lines, lines, n_columns
+                )
+            for n_columns in (3, 4, None):
+                assert _parse_outcome(_read_by_cli, text, n_columns) == _parse_outcome(
+                    quadrature._parse_point_lines, whole, n_columns or _first_data_columns(whole)
+                )
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_texts())
+def test_blocks_of_any_size_parse_as_the_whole_text(text):
+    _assert_blocks_match_the_whole_text(text)
+
+
+def test_blocks_of_bundled_and_test_files_parse_as_the_whole_text():
+    paths = sorted(default_grid_dir().glob("*.txt"))
+    paths += sorted(p for p in (Path(__file__).parent / "data").iterdir() if p.is_file())
+    for path in paths:
+        _assert_blocks_match_the_whole_text(path.read_text(encoding="utf-8"))
+
+
+def _whole_file_outcome(path, argv):
+    """(exit code, stdout, stderr) of a CLI request on `path` as the reader
+    of the whole file gives it: one UTF-8 decode of every byte, and one
+    block holding every line."""
+    data = path.read_bytes()
+    try:
+        io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        return 65, "", f"povmquad {argv[0]}: {path.name} is not UTF-8 text ({exc})\n"
+    with mock.patch.object(quadrature, "_BLOCK_BYTES", 2 * len(data) + 512):
+        return _cli_outcome(argv)
+
+
+def _cli_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _edited_rule_80(tmp_path, name, edit):
+    """The order-80 rule file with `edit` applied to its bytes."""
+    path = tmp_path / name
+    path.write_bytes(edit(_rule_text(80).encode()))
+    return path
+
+
+def _replace_line(data, line, new):
+    """`data` with its line number `line` replaced by `new`."""
+    start = 0
+    for _ in range(line - 1):
+        start = data.index(b"\n", start) + 1
+    return data[:start] + new + data[data.index(b"\n", start):]
+
+
+_TRAPS = {
+    # a byte that is not UTF-8, far past the first block
+    "latin.txt": lambda d: d[:200_000] + b"\xff" + d[200_001:],
+    # a NaN before a row of the wrong width in a later block
+    "nan_then_width.txt": lambda d: _replace_line(_replace_line(d, 3, b"nan 0 1 0.1"), 3000, b"0 0 1"),
+    # a row of the wrong width before a byte that is not UTF-8
+    "width_then_latin.txt": lambda d: _replace_line(d, 3, b"0 0 1")[:-20] + b"\xe9" + d[-19:],
+    # the first point repeated at the end
+    "dup.txt": lambda d: d + d[: d.index(b"\n") + 1],
+    # CR-only and CRLF line ends, one with a row of the wrong width
+    "cr.txt": lambda d: d.replace(b"\n", b"\r"),
+    "crlf.txt": lambda d: d.replace(b"\n", b"\r\n"),
+    "cr_width.txt": lambda d: _replace_line(d, 2000, b"0 0 1").replace(b"\n", b"\r"),
+    # a first block of comments only, with explicit weights read from line 31
+    "comments.txt": lambda d: b"# header line\n" * 30 + d,
+}
+
+
+@pytest.mark.parametrize("per_block", [1, 7])
+@pytest.mark.parametrize("name", sorted(_TRAPS))
+def test_block_reader_traps_report_as_the_whole_file(name, per_block, tmp_path):
+    path = _edited_rule_80(tmp_path, name, _TRAPS[name])
+    argv = ["certify", str(path), "--lmax", "82", "--expect", "80"]
+    expected = _whole_file_outcome(path, argv)
+    line_bytes = len(_rule_text(80)) // product_rule_count(80)
+    with mock.patch.object(quadrature, "_BLOCK_BYTES", per_block * line_bytes):
+        assert _cli_outcome(argv) == expected
+    plain = _edited_rule_80(tmp_path, "plain.txt", lambda d: d)
+    if name in ("cr.txt", "crlf.txt", "comments.txt"):
+        assert expected == _cli_outcome(["certify", str(plain), "--lmax", "82", "--expect", "80"])
+    else:
+        assert expected[0] == 65
+    if name == "latin.txt":
+        assert "position 200000" in expected[2]
+    if name == "dup.txt":
+        assert "points on lines 1 and 3322 coincide" in expected[2]
 
 
 def test_only_vectors_off_unit_by_more_than_4_ulps_are_divided():
