@@ -231,7 +231,7 @@ def _point_lines(fh, name: str):
 def _load_pointset(path: Path, mode: str):
     """The quadrature of the point file `path`, read forward once in blocks
     (so a pipe works too), each parsed alone; errors come as one parse of
-    the whole file raises them (quadrature._read_point_blocks)."""
+    the whole file raises them (quadrature._ingest)."""
     with path.open("rb") as fh:
         return quadrature._ingest(_point_lines(fh, path.name), mode, label=path.name)
 

@@ -148,7 +148,8 @@ class FinitePovm:
         """Check c_k > 0 and sum c_k = N + 1 within `tol` (absolute)."""
         if np.any(self.c <= 0.0):
             raise WeightError(f"{self.label or 'povm'}: non-positive element weight")
-        total = float(self.c.sum())
+        with np.errstate(over="ignore"):  # a sum past the largest double is inf
+            total = float(self.c.sum())
         if abs(total - (self.copies + 1)) > tol:
             raise NotNormalized(
                 f"{self.label or 'povm'}: element weights sum to {total!r}, "

@@ -102,7 +102,6 @@ _DFS_EPS = 1e-15
 # "phi": 0},\n' (at least 512); text lines are taken one per 36 bytes.
 _MIN_ROW_BYTES = 36
 _BLOCK_BYTES = max(_BLOCK_ELEMS // 16 * _MIN_ROW_BYTES, 512)
-_NON_FINITE = "non-finite value"
 
 
 def _check_budget(nbytes: int, what: str):
@@ -360,8 +359,9 @@ def detect_strength(
 
 def _parse_point_lines(stream, n_columns: int, first_line: int = 1):
     """(values, line_numbers) of the data lines of `stream`, one line at a
-    time, the first line numbered `first_line`: the reference of
-    _read_points, which it falls back to."""
+    time, the first numbered `first_line`, syntax only (the column count and
+    float()); no data lines give values of shape (0, n_columns). The
+    reference of _read_points, which it falls back to."""
     rows = []
     line_numbers = []
     for lineno, raw in enumerate(stream, start=first_line):
@@ -378,13 +378,7 @@ def _parse_point_lines(stream, n_columns: int, first_line: int = 1):
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
         line_numbers.append(lineno)
-    if not rows:
-        raise ParseError("no points found in stream")
-    values = np.asarray(rows, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad.size:
-        raise ParseError(_NON_FINITE, line=line_numbers[bad[0]])
-    return values, line_numbers
+    return np.array(rows, dtype=float).reshape(-1, n_columns), line_numbers
 
 
 def _read_points(lines, n_columns: int, first_line: int = 1):
@@ -392,10 +386,10 @@ def _read_points(lines, n_columns: int, first_line: int = 1):
     numbered `first_line`, parsed in one np.loadtxt call. Its rows are the
     data lines of _parse_point_lines: both skip what follows '#' and split
     on str.isspace characters, and numpy refuses a line break inside a line.
-    When the call raises or warns (no data), or gives another column count or
-    a non-finite value, the per-line loop runs instead: it raises its error
-    naming the line, or reads what float() takes and numpy does not (1_0).
-    The line numbers are a range when every line is a data row."""
+    When the call raises or warns (no data) or gives another column count,
+    the per-line loop runs instead: it raises its error naming the line, reads
+    what float() takes and numpy does not (1_0), or returns no rows. The line
+    numbers are a range when every line is a data row."""
     # loaded at interpreter start; imported here, it leaves the import of
     # povmquad as it was
     import warnings
@@ -406,7 +400,7 @@ def _read_points(lines, n_columns: int, first_line: int = 1):
             values = np.loadtxt(lines, ndmin=2)
     except (ValueError, TypeError, Warning):
         return _parse_point_lines(lines, n_columns, first_line)
-    if values.shape[1] != n_columns or not np.isfinite(values).all():
+    if values.shape[1] != n_columns:
         return _parse_point_lines(lines, n_columns, first_line)
     if len(values) == len(lines):
         return values, range(first_line, first_line + len(lines))
@@ -449,39 +443,29 @@ class _BlockLineNumbers:
 def _read_point_blocks(blocks, n_columns):
     """(values, line_numbers) of the point-file lines in `blocks`, lists of
     lines, each parsed by _read_points alone; with n_columns None, 4 where
-    the first data line holds four fields, else 3. Every block is taken,
-    and the error raised is the one a parse of the whole file raises: the
-    blocks' own (a file that is not UTF-8), the first column-count or
-    float() error, "no points found", then the first non-finite value."""
+    the first data line holds four fields, else 3. Every block is taken, but
+    none parsed after the first column-count or float() error, so the error
+    raised is a whole-file parse's: the blocks' own (a file that is not
+    UTF-8), then that error, then "no points found"; _ingest checks values."""
     parts, line_numbers, rows, next_line = [], _BlockLineNumbers(), 0, 1
-    error, settled = None, False  # settled: no later block's error goes first
-    for lines in blocks:
-        first_line, next_line = next_line, next_line + len(lines)
-        if settled:
-            continue
-        if n_columns is None:
-            fields = next((line.split() for raw in lines if (line := raw.split("#", 1)[0].strip())), None)
-            if fields is None:
-                continue
-            n_columns = 4 if len(fields) == 4 else 3
-        try:
+    try:
+        for lines in blocks:
+            first_line, next_line = next_line, next_line + len(lines)
+            if n_columns is None:
+                fields = next((line.split() for raw in lines if (line := raw.split("#", 1)[0].strip())), None)
+                if fields is None:
+                    continue
+                n_columns = 4 if len(fields) == 4 else 3
             values, numbers = _read_points(lines, n_columns, first_line)
-        except ParseError as exc:
-            if exc.line is None:  # "no points found": a block without data lines
-                continue
-            # a column-count or float() error goes before a non-finite value
-            settled = not str(exc).endswith(_NON_FINITE)
-            if error is None or settled:
-                error = exc
-            continue
-        if error is None:
             line_numbers.first_rows.append(rows)
             line_numbers.numbers.append(numbers)
             parts.append(values)
             rows += len(values)
-    if error is not None:
-        raise error
-    if not parts:
+    except ParseError:
+        for _ in blocks:  # a later block's own error goes first
+            pass
+        raise
+    if not rows:
         raise ParseError("no points found in stream")
     return np.concatenate(parts), line_numbers
 
@@ -545,14 +529,17 @@ def ingest_pointset(stream, weight_mode: str = "uniform", label: str = "") -> Sp
     call, so no list of every line is held. Where that call fails, a
     per-line loop reads the block instead, so a malformed file still raises
     ParseError naming its first bad line; the loop also reads the tokens that
-    float() takes and numpy does not, such as 1_0. NaN or infinite values
-    raise ParseError naming the first offending line. Vectors within 4 ulps
-    of unit norm are kept exactly as written, so the points of a latitude
-    ring keep the z the file gave them and the ring stays whole; the others
-    are divided by their norm (norms more than 1e-6 off unit raise
+    float() takes and numpy does not, such as 1_0. The blocks are checked
+    for syntax only; the values are checked once, on the joined rows: NaN or
+    infinite values raise ParseError naming the first offending line. Vectors
+    within 4 ulps of unit norm are kept exactly as written, so the points of
+    a latitude ring keep the z the file gave them and the ring stays whole;
+    the others are divided by their norm (norms more than 1e-6 off unit raise
     ParseError, near-zero norms raise ZeroVector, each naming the first
     offending line). Two points closer than 1e-9 rad raise DuplicatePoint,
-    found by one sort of their projections onto a fixed axis.
+    found by one sort of their projections onto a fixed axis. Explicit
+    weights whose sum is not a positive finite double, or that cannot be
+    rescaled to sum to 4*pi without overflow, raise WeightError.
     """
     if weight_mode not in ("uniform", "explicit"):
         raise DomainError(f"unknown weight_mode {weight_mode!r}")
@@ -566,6 +553,9 @@ def _ingest(blocks, weight_mode: str, label: str) -> SphericalQuadrature:
     reads 4 fields on the first data line as "explicit", else "uniform"."""
     n_columns = {"uniform": 3, "explicit": 4}.get(weight_mode)
     rows, line_numbers = _read_point_blocks(blocks, n_columns)
+    if not np.isfinite(rows).all():
+        i = np.argmin(np.isfinite(rows).all(axis=1))
+        raise ParseError("non-finite value", line=line_numbers[i])
     xyz = rows[:, :3]
     norms = np.sqrt(np.einsum("ij,ij->i", xyz, xyz))
     zero = norms < 1e-9
@@ -588,11 +578,13 @@ def _ingest(blocks, weight_mode: str, label: str) -> SphericalQuadrature:
         scale = 1.0
     else:
         raw = rows[:, 3]
-        total = raw.sum()
-        if not total > 0.0:
+        with np.errstate(all="ignore"):
+            total = raw.sum()
+            scale = FOUR_PI / total
+            weights = raw * scale
+        # a sum not positive or past the largest double, or weights past it
+        if not (0.0 < total < math.inf and np.isfinite(weights).all()):
             raise WeightError(f"explicit weights sum to {float(total)}; cannot rescale to 4*pi")
-        scale = FOUR_PI / total
-        weights = raw * scale
     z = np.clip(xyz[:, 2], -1.0, 1.0)
     theta = np.arccos(z)
     phi = np.mod(np.arctan2(xyz[:, 1], xyz[:, 0]), TWO_PI)

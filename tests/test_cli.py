@@ -7,6 +7,7 @@ import re
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -1082,6 +1083,33 @@ def mutated_povm_files(draw):
     return data
 
 
+@pytest.mark.parametrize("command", [["score"], ["simulate", "--seed", "1"]])
+def test_a_povm_whose_weights_sum_past_the_largest_double_exits_65_alone(command, tmp_path, capsys):
+    # numpy's overflow warning came before the message
+    path = tmp_path / "p.json"
+    path.write_text(povm_to_json(povm_from_quadrature(product_rule(1), 1)).replace('"c": 1,', '"c": 1e308,'))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command[0], str(path), *command[1:]]) == EXIT_PARSE
+    assert capsys.readouterr() == ("", f"povmquad {command[0]}: p.json: element weights sum to inf, expected 2\n")
+
+
+@contextlib.contextmanager
+def _povm_blocks(size):
+    """Reads of `size` bytes for povm._read_povm; yields the list that the
+    blocks it takes are appended to."""
+    blocks = []
+    line_blocks = povm._line_blocks
+
+    def counted(fh, grow):
+        for block in line_blocks(fh, grow):
+            blocks.append(block)
+            yield block
+
+    with mock.patch.object(quadrature, "_BLOCK_BYTES", size), mock.patch.object(povm, "_line_blocks", counted):
+        yield blocks
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=mutated_povm_files())
 def test_block_reader_and_json_loads_agree_on_mutated_files(data, tmp_path_factory):
@@ -1091,11 +1119,12 @@ def test_block_reader_and_json_loads_agree_on_mutated_files(data, tmp_path_facto
     path.write_bytes(data)
     expected = _read_outcome(lambda: povm._povm_from_tree(cli._read_text(path), label=path.name))
     assert _read_outcome(lambda: cli._load_povm(path)) == expected
-    for elems in (16, 1 << 16):
-        with mock.patch.object(povm, "_BLOCK_ELEMS", elems), path.open("rb") as fh:
+    for size in (128, 1 << 10):
+        with _povm_blocks(size) as blocks, path.open("rb") as fh:
             block = povm._read_povm(fh, len(data), label=path.name)
         if block is not None:
             assert _read_outcome(lambda: block) == expected
+            assert len(blocks) > 1 or len(data) <= size  # one block per read
     try:
         text = data.decode()
     except UnicodeDecodeError:

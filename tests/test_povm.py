@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from povmquad import harmonics
 from povmquad import povm as povm_module
+from povmquad import quadrature as quadrature_module
 from povmquad.cli import default_grid_dir
 from povmquad.errors import (
     CapExceeded,
@@ -376,16 +378,34 @@ def test_block_reader_reads_the_doubles_json_loads_reads_from_every_written_file
     assert all(_same_bits(a, e) for a, e in zip((back.c, back.theta, back.phi), expected))
 
 
-@pytest.mark.parametrize("elems", [16, 48, 1 << 10, 1 << 16])
-def test_block_reader_does_not_depend_on_where_blocks_fall(elems, monkeypatch):
-    # a block of _BLOCK_ELEMS // 16 shortest rows: from one row (16) to 4096
-    # rows per block, with partial rows carried across every boundary
+def count_blocks(monkeypatch):
+    """The list that the blocks povm._read_povm takes from here on are
+    appended to."""
+    blocks = []
+    line_blocks = povm_module._line_blocks
+
+    def counted(*args, **kwargs):
+        for block in line_blocks(*args, **kwargs):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(povm_module, "_line_blocks", counted)
+    return blocks
+
+
+@pytest.mark.parametrize("block", [128, 300, 1 << 10, 1 << 16])
+def test_block_reader_does_not_depend_on_where_blocks_fall(block, monkeypatch):
+    # reads of 128 bytes (one row of up to 95 bytes) to 64 KiB, each cutting
+    # the 76 582-byte file into two blocks or more, with partial rows
+    # carried across every boundary
     text = povm_to_json(product_povm(40))
     expected = _json_columns(text)
-    monkeypatch.setattr(povm_module, "_BLOCK_ELEMS", elems)
+    monkeypatch.setattr(quadrature_module, "_BLOCK_BYTES", block)
+    blocks = count_blocks(monkeypatch)
     data = text.encode()
     p = povm_module._read_povm(io.BytesIO(data), len(data))
     assert p is not None and p.n == 861
+    assert len(blocks) > 1
     assert all(_same_bits(a, e) for a, e in zip((p.c, p.theta, p.phi), expected))
 
 
@@ -434,6 +454,15 @@ def test_povm_validate_contracts():
     bad_sum = FinitePovm(1, np.array([1.0, 1.1]), p.theta, p.phi)
     with pytest.raises(NotNormalized):
         bad_sum.validate()
+
+
+def test_validate_of_weights_summing_past_the_largest_double_warns_nothing():
+    p = antipodal_povm()
+    huge = FinitePovm(1, np.array([1e308, 1e308]), p.theta, p.phi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotNormalized, match="element weights sum to inf, expected 2"):
+            huge.validate()
 
 
 def broken_povms(copies):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
 from povmquad import _nufft, cli, quadrature
-from povmquad.cli import EXIT_OK, _load_pointset, default_grid_dir, main
+from povmquad.cli import EXIT_OK, EXIT_VERIFY, _load_pointset, default_grid_dir, main
 from povmquad.errors import (
     CapExceeded,
     DomainError,
@@ -364,6 +365,28 @@ def test_ingest_rejects_unknown_mode_and_bad_weight_sum():
         ingest_pointset(["0 0 1 1.0", "0 0 -1 -1.0"], "explicit")
 
 
+@pytest.mark.parametrize("weights, total", [
+    (["1e308", "1e308"], "inf"),
+    (["1e-320", "1e-320"], "2e-320"),
+    (["1e300", "-1e300", "1e-300"], "1e-300"),
+])
+def test_explicit_weights_that_cannot_rescale_to_4pi_are_refused(weights, total, tmp_path):
+    # a sum past the largest double made every weight 0 (and a signed
+    # certify exit 0), a scale or a weight past it a weight inf (exit 64):
+    # now one message and exit 1, with no numpy warning
+    lines = [f"{xyz} {w}" for xyz, w in zip(["0 0 1", "1 0 0", "0 1 0"], weights)]
+    message = f"explicit weights sum to {total}; cannot rescale to 4*pi"
+    path = tmp_path / "w.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WeightError, match=re.escape(message)):
+            ingest_pointset(lines, "explicit")
+        for signed in ([], ["--signed"]):
+            argv = ["certify", str(path), "--lmax", "5", *signed]
+            assert _cli_outcome(argv) == (EXIT_VERIFY, "", f"povmquad certify: {message}\n")
+
+
 def test_lebedev_two_weight_solve_oracle():
     # Solve the octahedral 14-point rule from exactness alone: weights w1
     # (6 axis points) and w3 (8 cube points) from the l=0 and (l=4, m=0)
@@ -668,22 +691,47 @@ def _read_by_cli(text, n_columns):
     return quadrature._read_point_blocks(blocks, n_columns)
 
 
+def _parse_whole(lines, n_columns):
+    """The syntax-only reference of the block reader: one per-line parse of
+    every line, and "no points found" where it finds none."""
+    values, line_numbers = quadrature._parse_point_lines(lines, n_columns)
+    if not len(values):
+        raise ParseError("no points found in stream")
+    return values, line_numbers
+
+
+def _ingest_outcome(lines, weight_mode):
+    """The bits of theta, phi and weights and the scale of ingest_pointset,
+    or its exception."""
+    try:
+        q = ingest_pointset(lines, weight_mode)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return q.theta.tobytes(), q.phi.tobytes(), q.weights.tobytes(), q.weight_scale
+
+
 def _assert_blocks_match_the_whole_text(text):
     """The block reader against one parse of the whole text, at blocks of 1,
-    7 and 4096 text lines (_BLOCK_BYTES // 36), and of as many bytes."""
+    7 and 4096 text lines (_BLOCK_BYTES // 36), and of as many bytes; and
+    ingest, which checks the values on the joined rows, against ingest of
+    one block."""
     lines = text.split("\n")
     # as the CLI read a file: universal newlines, split on '\n'
     whole = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    with mock.patch.object(quadrature, "_BLOCK_BYTES", 36 * (len(lines) + 1)):
+        one_block = {mode: _ingest_outcome(lines, mode) for mode in ("uniform", "explicit")}
     for per_block in (1, 7, 4096):
         with mock.patch.object(quadrature, "_BLOCK_BYTES", 36 * per_block):
             for n_columns in (3, 4):
                 assert _parse_outcome(_read_by_ingest, lines, n_columns) == _parse_outcome(
-                    quadrature._parse_point_lines, lines, n_columns
+                    _parse_whole, lines, n_columns
                 )
             for n_columns in (3, 4, None):
                 assert _parse_outcome(_read_by_cli, text, n_columns) == _parse_outcome(
-                    quadrature._parse_point_lines, whole, n_columns or _first_data_columns(whole)
+                    _parse_whole, whole, n_columns or _first_data_columns(whole)
                 )
+            for mode, outcome in one_block.items():
+                assert _ingest_outcome(lines, mode) == outcome
 
 
 @settings(max_examples=150, deadline=None)
@@ -717,6 +765,43 @@ def _cli_outcome(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+_NON_FINITE_TOKENS = st.sampled_from(["nan", "-nan", "inf", "-Infinity", "1e400"])
+_SYNTAX_ERRORS = st.sampled_from(["0 0 1", "0 0 1 0.1 0", "0 x 1 0.1", "0 0 1 0.1.2", "1e5e5 0 0 1"])
+
+
+@st.composite
+def non_finite_and_syntax_texts(draw):
+    """The order-6 rule file (28 lines of 'x y z w') with a non-finite value
+    on one line and a column-count or float() error on another, in either
+    order, each left out a quarter of the time; comments and blank lines
+    anywhere."""
+    lines = _rule_text(6).splitlines()
+    i, j = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2, unique=True))
+    if draw(st.integers(0, 3)):
+        fields = lines[i].split()
+        fields[draw(st.integers(0, 3))] = draw(_NON_FINITE_TOKENS)
+        lines[i] = " ".join(fields)
+    if draw(st.integers(0, 3)):
+        lines[j] = draw(_SYNTAX_ERRORS)
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# comment"])))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=point_texts() | non_finite_and_syntax_texts())
+def test_certify_reads_point_files_in_blocks_as_the_whole_file(text, tmp_path_factory):
+    # the values are checked once, on the joined rows, so a non-finite value
+    # and a syntax error in different blocks report as in one block
+    path = tmp_path_factory.mktemp("points") / "points.txt"
+    path.write_bytes(text.encode("utf-8"))
+    argv = ["certify", str(path), "--lmax", "3"]
+    expected = _whole_file_outcome(path, argv)
+    for per_block in (1, 7, 4096):
+        with mock.patch.object(quadrature, "_BLOCK_BYTES", 36 * per_block):
+            assert _cli_outcome(argv) == expected
 
 
 def _edited_rule_80(tmp_path, name, edit):
