@@ -9,6 +9,11 @@ Every subcommand is deterministic given its flags; `simulate` therefore
 requires an explicit --seed. The grid directory for `table` resolves as
 --grids flag, then the POVMQUAD_GRIDS environment variable, then the
 grids bundled with the package.
+
+A file written by --out (construct, score --grid) is rewritten in place:
+opened without truncation and cut to the length written, so it holds
+exactly the new bytes, and a failure leaves the bytes written so far, as
+a truncating open would (_write_in_place).
 """
 from __future__ import annotations
 
@@ -201,19 +206,20 @@ def _load_povm(path: Path):
     (povm._povm_from_tree), once the file's size times _JSON_BYTES_FACTOR
     is within the size budget, so a file too large for that exits 64 before
     it is read. A pipe, which cannot be read twice, goes to json.loads
-    alone, read once up to one byte past the size the budget admits."""
-    info = path.stat()
-    data = None
-    if stat.S_ISREG(info.st_mode):
-        with path.open("rb") as fh:
+    alone. Either is read from the one open handle, up to one byte past the
+    size the budget admits, so a file that grows after it was sized exits
+    64 as one that size from the start."""
+    what = f"reading {path.name} as a JSON object tree"
+    with path.open("rb") as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
             povm = _read_povm(fh, info.st_size, label=path.name)
-        if povm is not None:
-            return povm
-    else:
-        with path.open("rb") as fh:
-            data = fh.read(quadrature.SIZE_BUDGET_BYTES // _JSON_BYTES_FACTOR + 1)
-    size = info.st_size if data is None else len(data)
-    _check_budget(_JSON_BYTES_FACTOR * size, f"reading {path.name} as a JSON object tree")
+            if povm is not None:
+                return povm
+            _check_budget(_JSON_BYTES_FACTOR * info.st_size, what)
+            fh.seek(0)
+        data = fh.read(quadrature.SIZE_BUDGET_BYTES // _JSON_BYTES_FACTOR + 1)
+    _check_budget(_JSON_BYTES_FACTOR * len(data), what)
     return _povm_from_tree(_read_text(path, data), label=path.name)
 
 
@@ -236,6 +242,32 @@ def _load_pointset(path: Path, mode: str):
         return quadrature._ingest(_point_lines(fh, path.name), mode, label=path.name)
 
 
+def _write_in_place(path: Path, pieces) -> None:
+    """Write the text `pieces` to `path` as UTF-8, over what it held.
+
+    open(path, "w") truncates an existing file to zero first (O_TRUNC),
+    which frees its blocks and waits for the writeback of its last write,
+    and on ext4 makes close allocate blocks again (auto_da_alloc): a cost
+    per rewrite, not per byte (README, "Command line"). So the file is
+    opened with the mode open() gives a new one, 0o666 less the umask, and
+    no O_TRUNC; in a finally, a regular file is cut at the offset reached,
+    so on success it holds exactly the new bytes and after a failure
+    exactly the bytes written so far, as a truncating open leaves it. A
+    FIFO, /dev/null or a terminal is not cut.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        try:
+            for piece in pieces:
+                fh.write(piece.encode("utf-8"))
+        finally:
+            try:
+                fh.flush()
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def cmd_construct(args) -> int:
     if args.format is not None and args.out is None:
         raise DomainError("--format applies only to the file written by --out")
@@ -246,8 +278,7 @@ def cmd_construct(args) -> int:
     # diagonal, at O(n + R N) within the size budget of product_rule
     operator = operator_completeness_residual(povm, cap=args.copies)
     if args.out is not None:
-        with args.out.open("w", encoding="utf-8") as fh:
-            fh.writelines(_povm_pieces(povm, csv=args.format == "csv"))
+        _write_in_place(args.out, _povm_pieces(povm, csv=args.format == "csv"))
     print(f"n: {povm.n}")
     print(f"score_exact: {exact_score(povm)!r}")
     print(f"scalar_residual: {scalar:.3e}")
@@ -335,7 +366,7 @@ def cmd_score(args) -> int:
     else:
         out = "theta,phi,score\n" + _format_rows("%.17g,%.17g,%.17g\n", "", *columns)
     if args.out is not None:
-        args.out.write_text(out, encoding="utf-8")
+        _write_in_place(args.out, (out,))
     else:
         sys.stdout.write(out)
     return EXIT_OK

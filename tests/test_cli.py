@@ -1,9 +1,12 @@
 import contextlib
+import dataclasses
+import errno
 import io
 import json
 import math
 import os
 import re
+import stat
 import threading
 import time
 import tracemalloc
@@ -34,6 +37,7 @@ from povmquad.povm import (
     exact_score,
     povm_from_json,
     povm_from_quadrature,
+    povm_to_csv,
     povm_to_json,
 )
 from povmquad.quadrature import FOUR_PI, SphericalQuadrature, _fmt, product_rule
@@ -397,6 +401,139 @@ def test_score_write_failure_is_io_error(povm1_file, octa_file, tmp_path):
     assert main([
         "score", str(povm1_file), "--grid", str(octa_file), "--out", str(target)
     ]) == EXIT_IO
+
+
+def test_construct_over_an_existing_file_never_opens_it_with_o_trunc(tmp_path, monkeypatch):
+    # a truncating open frees the file's blocks and waits for their
+    # writeback; the file is rewritten in place instead
+    path = tmp_path / "f.json"
+    assert main(["construct", "40", "--out", str(path)]) == EXIT_OK
+    flags = []
+    real_open = os.open
+
+    def spy(file, mode, *args, **kwargs):
+        if os.fspath(file) == str(path):
+            flags.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    assert main(["construct", "3", "--out", str(path)]) == EXIT_OK
+    assert flags and not any(mode & os.O_TRUNC for mode in flags)
+
+
+@pytest.mark.parametrize("fmt, writer", [("json", povm_to_json), ("csv", povm_to_csv)])
+def test_a_rewrite_over_a_longer_file_holds_exactly_the_new_bytes(fmt, writer, tmp_path):
+    path = tmp_path / "f"
+    for copies in (40, 3):
+        assert main(["construct", str(copies), "--out", str(path), "--format", fmt]) == EXIT_OK
+    assert path.read_bytes() == writer(povm_from_quadrature(product_rule(3), 3)).encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_grid_table_over_a_longer_one_holds_exactly_the_new_bytes(fmt, povm1_file, octa_file,
+                                                                     tmp_path, capsys):
+    table = tmp_path / "t"
+    longer = default_grid_dir() / "lebedev_0086.txt"
+    for grid in (longer, octa_file):
+        argv = ["score", str(povm1_file), "--grid", str(grid), "--format", fmt]
+        assert main(argv + ["--out", str(table)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert table.read_bytes() == capsys.readouterr().out.encode()
+
+
+def test_a_povm_refused_before_its_first_piece_leaves_an_empty_file(tmp_path, monkeypatch, capsys):
+    # c summing past the largest double: povm._povm_pieces refuses it before
+    # yielding anything, and the file is left empty, as a truncating open
+    # leaves it
+    path = tmp_path / "f.json"
+    assert main(["construct", "40", "--out", str(path)]) == EXIT_OK
+    build = cli.povm_from_quadrature
+    monkeypatch.setattr(cli, "povm_from_quadrature",
+                        lambda q, copies: dataclasses.replace(build(q, copies), c=build(q, copies).c * 1e308))
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert main(["construct", "3", "--out", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "povmquad construct: score_exact is inf: the sum of c overflows a double\n"
+    )
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_write_that_fails_after_the_first_piece_leaves_that_piece(fmt, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "f"
+    assert main(["construct", "40", "--out", str(path)]) == EXIT_OK
+    first = []
+
+    def failing(p, csv=False):
+        first.append(next(povm._povm_pieces(p, csv)))
+        yield first[0]
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "_povm_pieces", failing)
+    capsys.readouterr()
+    assert main(["construct", "3", "--out", str(path), "--format", fmt]) == EXIT_IO
+    assert capsys.readouterr() == ("", f"povmquad construct: [Errno 28] {os.strerror(errno.ENOSPC)}\n")
+    assert path.read_bytes() == first[0].encode()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_a_new_out_file_gets_the_mode_of_a_new_file_from_open(umask, povm1_file, octa_file, tmp_path):
+    povm_path, table = tmp_path / "new.json", tmp_path / "new.csv"
+    old = os.umask(umask)
+    try:
+        assert main(["construct", "2", "--out", str(povm_path)]) == EXIT_OK
+        assert main(["score", str(povm1_file), "--grid", str(octa_file), "--out", str(table)]) == EXIT_OK
+    finally:
+        os.umask(old)
+    for path in (povm_path, table):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_out_to_dev_null_or_a_fifo_is_written_and_not_cut(tmp_path, monkeypatch):
+    cut = []
+    ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda fd, length: (cut.append(fd), ftruncate(fd, length))[1])
+    assert main(["construct", "3", "--out", os.devnull]) == EXIT_OK
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["construct", "3", "--out", str(fifo)]) == EXIT_OK
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [povm_to_json(povm_from_quadrature(product_rule(3), 3)).encode()]
+    assert cut == []
+
+
+@pytest.mark.parametrize("target", ["a_dir", "no_dir/f.json", "read_only.json"])
+def test_an_out_path_that_cannot_be_written_keeps_the_message_of_a_truncating_open(
+        target, tmp_path, monkeypatch, capsys):
+    # the same target in two directories: one opened as open(path, "w")
+    # opens it, one passed to construct. A read-only file refuses a writer
+    # only when it is not run with root's privileges; as root both succeed
+    def make(root):
+        (root / "a_dir").mkdir(parents=True)
+        (root / "read_only.json").write_text("kept\n")
+        (root / "read_only.json").chmod(0o444)
+        return root
+
+    monkeypatch.chdir(make(tmp_path / "truncating"))
+    try:
+        with open(target, "w"):
+            pass
+    except OSError as exc:
+        expected = (EXIT_IO, f"povmquad construct: {exc}\n")
+    else:
+        expected = (EXIT_OK, "")
+    monkeypatch.chdir(make(tmp_path / "in_place"))
+    capsys.readouterr()
+    code = main(["construct", "1", "--out", target])
+    assert (code, capsys.readouterr().err) == expected
+    if code == EXIT_IO and target == "read_only.json":
+        assert Path(target).read_text() == "kept\n"
 
 
 REFERENCE_TABLE_CSV = """\
@@ -875,6 +1012,27 @@ def test_other_layouts_are_admitted_by_size_before_they_are_read(tmp_path, monke
     monkeypatch.setattr(quadrature, "SIZE_BUDGET_BYTES", cli._JSON_BYTES_FACTOR * size)
     monkeypatch.setattr(cli, "_read_text", read_text)
     assert main(["score", str(indented)]) == EXIT_OK
+
+
+def test_a_povm_file_that_grows_after_it_is_sized_is_read_only_to_its_admission(
+        tmp_path, monkeypatch, capsys):
+    # sized on the open handle and read from it, never more than one byte
+    # past the size the budget admits: the grown file exits 64 as a file of
+    # that size from the start does, instead of being read whole
+    path = tmp_path / "p.json"
+    path.write_text(povm_to_json(povm_from_quadrature(product_rule(3), 3)))
+    monkeypatch.setattr(quadrature, "SIZE_BUDGET_BYTES", 4 << 20)
+
+    def grow(fh, size, label=""):
+        with path.open("ab") as out:
+            out.write(b" " * (4 << 20))
+
+    monkeypatch.setattr(cli, "_read_povm", grow)
+    assert main(["score", str(path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("povmquad score: reading p.json as a JSON object tree needs about")
+    assert err.endswith(" GiB size budget\n")
 
 
 def test_a_povm_file_that_is_not_utf8_keeps_the_decode_message(tmp_path, capsys):
